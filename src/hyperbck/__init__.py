@@ -8,9 +8,7 @@ from .core import (
     InputError,
     ValidationReport,
     Violation,
-    all_subsets,
     hk_axioms_hold,
-    subalgebra_masks,
     trivial_algebra,
     validate_hyper_bck,
 )
@@ -18,7 +16,6 @@ from .fuzzy import (
     CollapseVerdict,
     CutVerdict,
     FuzzyHyperBCK,
-    FuzzyValue,
     check_collapse_properties,
     equals_some_alpha_cut,
     format_fuzzy,

@@ -300,18 +300,14 @@ def equalizer(
     for i in range(n):
         if f.mapping[i] == g.mapping[i]:
             k_mask |= 1 << i
-    labels = src.alg.carrier.labels
-    for x in iter_bits(k_mask):
-        for y in iter_bits(k_mask):
-            stray = src.alg.cell(x, y) & ~k_mask
-            if stray:
-                t = next(iter_bits(stray))
-                raise ClaimViolation(
-                    "equalizer-closed",
-                    (labels[x], labels[y], labels[t]),
-                    "agreement set of the parallel pair is not closed: "
-                    f"{labels[t]} in {labels[x]}*{labels[y]} escapes it",
-                )
+    escape = src.alg._first_escape(k_mask)
+    if escape is not None:
+        x, y, t = (src.alg.carrier.labels[i] for i in escape)
+        raise ClaimViolation(
+            "equalizer-closed",
+            (x, y, t),
+            f"agreement set of the parallel pair is not closed: {t} in {x}*{y} escapes it",
+        )
     obj = src.restrict_mask(k_mask)
     include = Hom(obj.alg, src.alg, tuple(iter_bits(k_mask)))
     _verify_leg("include", include, obj, src, "equalizer")

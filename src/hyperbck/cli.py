@@ -208,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Validate and reason about finite hyper BCK-algebras "
         "and fuzzy membership structures on them.",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker count; reserved, the current implementation is single-threaded "
-        "and output never depends on it",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the axioms (and mu, when present)")
@@ -271,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.func(args)
     except ClaimViolation as exc:

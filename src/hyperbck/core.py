@@ -2,8 +2,12 @@
 
 A hyperoperation sends each ordered pair of elements to a *non-empty subset*
 of the carrier.  Subsets are stored as bitmasks over carrier indices, which
-keeps the heavy triple loops of the axiom validator exact and fast; the
+keeps the heavy triple loops of the axiom checks exact and fast; the
 public API speaks element labels and frozensets.
+
+The axioms are tested in one place, a generator of falsified instances over
+a raw table.  The reporting validator lists it and the fail-fast checks stop
+at its first item.
 """
 
 from __future__ import annotations
@@ -171,13 +175,7 @@ class HyperBCK:
     def set_star_masks(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             raise InputError("set arguments of the hyperoperation must be non-empty")
-        n = len(self.carrier)
-        acc = 0
-        for x in iter_bits(a):
-            row = x * n
-            for y in iter_bits(b):
-                acc |= self.table[row + y]
-        return acc
+        return _raw_set_star(self.table, len(self.carrier), a, b)
 
     def set_order_masks(self, a: int, b: int) -> bool:
         if a == 0 or b == 0:
@@ -193,15 +191,18 @@ class HyperBCK:
     def is_subalgebra_mask(self, mask: int) -> bool:
         if mask == 0:
             raise InputError("a subalgebra candidate must be non-empty")
-        if not mask >> self.zero & 1:
-            return False
+        return bool(mask >> self.zero & 1) and self._first_escape(mask) is None
+
+    def _first_escape(self, mask: int) -> tuple[int, int, int] | None:
+        """The first ``(x, y, t)`` with x, y in ``mask`` and t in x*y outside it."""
         n = len(self.carrier)
         for x in iter_bits(mask):
             row = x * n
             for y in iter_bits(mask):
-                if self.table[row + y] & ~mask:
-                    return False
-        return True
+                stray = self.table[row + y] & ~mask
+                if stray:
+                    return x, y, (stray & -stray).bit_length() - 1
+        return None
 
     def restrict_mask(self, mask: int) -> HyperBCK:
         old = list(iter_bits(mask))
@@ -252,8 +253,59 @@ class ValidationReport:
         return [v.witness for v in self.violations if v.axiom == axiom]
 
 
-def _labels(alg: HyperBCK, *indices: int) -> tuple[str, ...]:
-    return tuple(alg.carrier.labels[i] for i in indices)
+def _hk_failures(
+    n: int, zero: int, table: tuple[int, ...], strict_antisymmetry: bool = False
+) -> Iterator[tuple[str, tuple[int, ...], int, int]]:
+    """Yield every falsified axiom instance of a raw cell-mask table.
+
+    Each item is ``(axiom, indices, lhs_mask, rhs_mask)``: for HK1 and HK2 the
+    two sides of the axiom at the triple; for HK3 the escaping element ``{t}``
+    and ``{x}``; for HK4 ``{x}`` and ``{y}``.  Order: for each x, y, z, HK2
+    (when y != z) then HK1; then HK3 for each x; then HK4 for each pair.
+    """
+    zbit = 1 << zero
+    # up[u] is the mask of v with u < v, so A < B is one AND per element of A.
+    up = [0] * n
+    for u in range(n):
+        row = u * n
+        for v in range(n):
+            if table[row + v] & zbit:
+                up[u] |= 1 << v
+
+    for x in range(n):
+        row = x * n
+        # HK2 is symmetric in y and z: it is computed for y < z, and a failure
+        # is replayed at (x, z, y) with the two sides swapped.
+        replay: dict[tuple[int, int], tuple[int, int]] = {}
+        for y in range(n):
+            cxy = table[row + y]
+            for z in range(n):
+                if y < z:
+                    lhs = _raw_set_star(table, n, cxy, 1 << z)
+                    rhs = _raw_set_star(table, n, table[row + z], 1 << y)
+                    if lhs != rhs:
+                        replay[z, y] = (rhs, lhs)
+                        yield "HK2", (x, y, z), lhs, rhs
+                elif y > z and (y, z) in replay:
+                    lhs, rhs = replay[y, z]
+                    yield "HK2", (x, y, z), lhs, rhs
+                lhs = _raw_set_star(table, n, table[row + z], table[y * n + z])
+                for u in iter_bits(lhs):
+                    if not up[u] & cxy:
+                        yield "HK1", (x, y, z), lhs, cxy
+                        break
+
+    for x in range(n):
+        for t in iter_bits(_raw_set_star(table, n, 1 << x, (1 << n) - 1)):
+            if not up[t] >> x & 1:
+                yield "HK3", (x,), 1 << t, 1 << x
+                break
+
+    if strict_antisymmetry:
+        for x in range(n):
+            for y in range(x + 1, n):
+                if up[x] >> y & 1 and up[y] >> x & 1:
+                    yield "HK4", (x, y), 1 << x, 1 << y
 
 
 def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> ValidationReport:
@@ -266,58 +318,25 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
     ``strict_antisymmetry`` additionally checks HK4: x<y and y<x imply x=y,
     which some formulations include and this one omits by default.
     """
-    n = len(alg.carrier)
-    zbit = 1 << alg.zero
-    violations: list[Violation] = []
-
-    for x in range(n):
-        for y in range(n):
-            cxy = alg.cell(x, y)
-            for z in range(n):
-                if y != z:
-                    lhs = alg.set_star_masks(cxy, 1 << z)
-                    rhs = alg.set_star_masks(alg.cell(x, z), 1 << y)
-                    if lhs != rhs:
-                        violations.append(
-                            Violation(
-                                "HK2",
-                                _labels(alg, x, y, z),
-                                f"(x*y)*z = {sorted(alg.carrier.labels_of(lhs))} but "
-                                f"(x*z)*y = {sorted(alg.carrier.labels_of(rhs))}",
-                            )
-                        )
-                lhs1 = alg.set_star_masks(alg.cell(x, z), alg.cell(y, z))
-                if not alg.set_order_masks(lhs1, cxy):
-                    violations.append(
-                        Violation(
-                            "HK1",
-                            _labels(alg, x, y, z),
-                            f"(x*z)*(y*z) = {sorted(alg.carrier.labels_of(lhs1))} "
-                            f"is not below x*y = {sorted(alg.carrier.labels_of(cxy))}",
-                        )
-                    )
-
-    for x in range(n):
-        reach = alg.set_star_masks(1 << x, alg.carrier.full_mask)
-        for t in iter_bits(reach):
-            if not alg.cell(t, x) & zbit:
-                violations.append(
-                    Violation(
-                        "HK3",
-                        _labels(alg, x),
-                        f"{alg.carrier.labels[t]} in x*H but not below x",
-                    )
-                )
-                break
-
-    if strict_antisymmetry:
-        for x in range(n):
-            for y in range(x + 1, n):
-                if alg.cell(x, y) & zbit and alg.cell(y, x) & zbit:
-                    violations.append(
-                        Violation("HK4", _labels(alg, x, y), "x<y and y<x with x != y")
-                    )
-
+    c = alg.carrier
+    violations = []
+    failures = _hk_failures(len(c), alg.zero, alg.table, strict_antisymmetry)
+    for axiom, indices, lhs, rhs in failures:
+        if axiom == "HK1":
+            detail = (
+                f"(x*z)*(y*z) = {sorted(c.labels_of(lhs))} "
+                f"is not below x*y = {sorted(c.labels_of(rhs))}"
+            )
+        elif axiom == "HK2":
+            detail = (
+                f"(x*y)*z = {sorted(c.labels_of(lhs))} "
+                f"but (x*z)*y = {sorted(c.labels_of(rhs))}"
+            )
+        elif axiom == "HK3":
+            detail = f"{c.labels[lhs.bit_length() - 1]} in x*H but not below x"
+        else:
+            detail = "x<y and y<x with x != y"
+        violations.append(Violation(axiom, tuple(c.labels[i] for i in indices), detail))
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -334,40 +353,7 @@ def hk_axioms_hold_raw(
     n: int, zero: int, table: tuple[int, ...], strict_antisymmetry: bool = False
 ) -> bool:
     """Fail-fast axiom check on a raw cell-mask table (enumeration inner loop)."""
-    zbit = 1 << zero
-
-    # HK3 first: pairwise-local, so it rejects bad tables cheapest.
-    for x in range(n):
-        row = x * n
-        reach = 0
-        for y in range(n):
-            reach |= table[row + y]
-        for t in iter_bits(reach):
-            if not table[t * n + x] & zbit:
-                return False
-
-    for x in range(n):
-        row = x * n
-        for y in range(n):
-            cxy = table[row + y]
-            for z in range(y + 1, n):
-                if _raw_set_star(table, n, cxy, 1 << z) != _raw_set_star(
-                    table, n, table[row + z], 1 << y
-                ):
-                    return False
-            for z in range(n):
-                lhs = _raw_set_star(table, n, table[row + z], table[y * n + z])
-                for u in iter_bits(lhs):
-                    urow = u * n
-                    if not any(table[urow + v] & zbit for v in iter_bits(cxy)):
-                        return False
-
-    if strict_antisymmetry:
-        for x in range(n):
-            for y in range(x + 1, n):
-                if table[x * n + y] & zbit and table[y * n + x] & zbit:
-                    return False
-    return True
+    return next(_hk_failures(n, zero, table, strict_antisymmetry), None) is None
 
 
 def hk_axioms_hold(alg: HyperBCK, strict_antisymmetry: bool = False) -> bool:
@@ -379,13 +365,3 @@ def trivial_algebra(label: str = "O") -> HyperBCK:
     """The one-element algebra: O*O = {O}."""
     return HyperBCK(Carrier((label,), 0), (1,))
 
-
-def all_subsets(alg: HyperBCK) -> Iterator[frozenset[str]]:
-    """All non-empty subsets of the carrier, smallest mask first."""
-    for mask in range(1, alg.carrier.full_mask + 1):
-        yield alg.carrier.labels_of(mask)
-
-
-def subalgebra_masks(alg: HyperBCK) -> list[int]:
-    """Masks of all subalgebras, in increasing mask order."""
-    return [m for m in range(1, alg.carrier.full_mask + 1) if alg.is_subalgebra_mask(m)]

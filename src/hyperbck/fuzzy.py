@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     HyperBCK,
@@ -23,8 +23,6 @@ from .core import (
     Violation,
     iter_bits,
 )
-
-FuzzyValue = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -121,16 +119,26 @@ class FuzzyHyperBCK:
         )
 
 
-def fuzzy_condition_holds(alg: HyperBCK, mu: tuple[Fraction, ...]) -> bool:
-    """Fail-fast check of the membership inequality over all pairs."""
+def _membership_failures(
+    alg: HyperBCK, mu: tuple[Fraction, ...]
+) -> Iterator[tuple[int, int, Fraction, Fraction]]:
+    """Yield ``(x, y, got, bound)`` for every pair where the inequality fails.
+
+    ``got`` is the minimum of mu over x*y and ``bound`` is min(mu(x), mu(y)).
+    """
     n = len(alg.carrier)
     for x in range(n):
         mx = mu[x]
         for y in range(n):
             bound = mx if mx <= mu[y] else mu[y]
-            if min(mu[t] for t in iter_bits(alg.cell(x, y))) < bound:
-                return False
-    return True
+            got = min(mu[t] for t in iter_bits(alg.cell(x, y)))
+            if got < bound:
+                yield x, y, got, bound
+
+
+def fuzzy_condition_holds(alg: HyperBCK, mu: tuple[Fraction, ...]) -> bool:
+    """Fail-fast check of the membership inequality over all pairs."""
+    return next(_membership_failures(alg, mu), None) is None
 
 
 def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
@@ -142,21 +150,15 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
     validated algebra they can only fail if the main inequality fails.
     """
     alg = fz.alg
-    n = len(alg.carrier)
     labels = alg.carrier.labels
-    violations: list[Violation] = []
-    for x in range(n):
-        for y in range(n):
-            bound = min(fz.mu[x], fz.mu[y])
-            got = fz.min_mu_over(alg.cell(x, y))
-            if got < bound:
-                violations.append(
-                    Violation(
-                        "MU",
-                        (labels[x], labels[y]),
-                        f"min mu over x*y is {format_fuzzy(got)} < {format_fuzzy(bound)}",
-                    )
-                )
+    violations = [
+        Violation(
+            "MU",
+            (labels[x], labels[y]),
+            f"min mu over x*y is {format_fuzzy(got)} < {format_fuzzy(bound)}",
+        )
+        for x, y, got, bound in _membership_failures(alg, fz.mu)
+    ]
 
     info = [
         InfoCheck(

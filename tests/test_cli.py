@@ -234,6 +234,3 @@ def test_output_bytes_deterministic(capsys, chain3_path):
     main(["verify", chain3_path])
     second = capsys.readouterr().out
     assert first == second
-    main(["--jobs", "4", "verify", chain3_path])
-    with_jobs = capsys.readouterr().out
-    assert with_jobs == first

@@ -152,6 +152,56 @@ def test_strict_antisymmetry_flag():
     assert strict.witnesses("HK4") == [("O", "a")]
 
 
+# Full reports, detail text and order included, frozen from the reporting
+# validator: HK2 precedes HK1 on a triple, triples run x, y, z in carrier
+# order, then HK3 per element, then HK4 per pair when asked for.
+CHAIN3_REPORT = [
+    ("HK1", ("3", "2", "3"), "(x*z)*(y*z) = ['1', '2', '3'] is not below x*y = ['2']"),
+]
+MUTATED_CHAIN3_REPORT = [
+    ("HK1", ("2", "1", "1"), "(x*z)*(y*z) = ['2'] is not below x*y = ['2']"),
+    ("HK1", ("2", "1", "2"), "(x*z)*(y*z) = ['3'] is not below x*y = ['2']"),
+    ("HK1", ("2", "1", "3"), "(x*z)*(y*z) = ['1', '2'] is not below x*y = ['2']"),
+    ("HK2", ("2", "2", "3"), "(x*y)*z = ['1', '2', '3'] but (x*z)*y = ['1', '3']"),
+    ("HK1", ("2", "3", "1"), "(x*z)*(y*z) = ['1', '2'] is not below x*y = ['1', '2']"),
+    ("HK2", ("2", "3", "2"), "(x*y)*z = ['1', '3'] but (x*z)*y = ['1', '2', '3']"),
+    ("HK1", ("2", "3", "2"), "(x*z)*(y*z) = ['2'] is not below x*y = ['1', '2']"),
+    ("HK1", ("2", "3", "3"), "(x*z)*(y*z) = ['1', '2', '3'] is not below x*y = ['1', '2']"),
+    ("HK1", ("3", "2", "1"), "(x*z)*(y*z) = ['2'] is not below x*y = ['2']"),
+    ("HK1", ("3", "2", "2"), "(x*z)*(y*z) = ['1', '2'] is not below x*y = ['2']"),
+    ("HK2", ("3", "2", "3"), "(x*y)*z = ['1', '2'] but (x*z)*y = ['1', '2', '3']"),
+    ("HK1", ("3", "2", "3"), "(x*z)*(y*z) = ['1', '2', '3'] is not below x*y = ['2']"),
+    ("HK2", ("3", "3", "2"), "(x*y)*z = ['1', '2', '3'] but (x*z)*y = ['1', '2']"),
+    ("HK3", ("2",), "2 in x*H but not below x"),
+]
+SWAPPED_CELLS_REPORT = [
+    ("HK2", ("b", "O", "a"), "(x*y)*z = ['O'] but (x*z)*y = ['a']"),
+    ("HK2", ("b", "a", "O"), "(x*y)*z = ['a'] but (x*z)*y = ['O']"),
+]
+
+
+def _pinned_report_cases():
+    c3 = chain_example(3).alg
+    mutated = list(c3.table)
+    mutated[1 * 3 + 1] = 1 << 2  # 2*2 = {3}
+    swapped = HyperBCK(Carrier(("O", "a", "b"), 0), (1, 1, 1, 1, 1, 1, 2, 4, 1))
+    return [
+        (c3, CHAIN3_REPORT, []),
+        (HyperBCK(c3.carrier, tuple(mutated)), MUTATED_CHAIN3_REPORT, []),
+        (swapped, SWAPPED_CELLS_REPORT, [("HK4", ("O", "a"), "x<y and y<x with x != y")]),
+    ]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("case", range(3))
+def test_report_text_and_order_are_pinned(case, strict):
+    alg, expected, strict_tail = _pinned_report_cases()[case]
+    report = validate_hyper_bck(alg, strict_antisymmetry=strict)
+    got = [(v.axiom, v.witness, v.detail) for v in report.violations]
+    assert got == expected + (strict_tail if strict else [])
+    assert not report.passed
+
+
 def test_fail_fast_matches_report(corpus2, c3):
     for alg in corpus2:
         assert hk_axioms_hold(alg) == validate_hyper_bck(alg).passed
@@ -184,6 +234,14 @@ def test_validator_agrees_with_literal_oracle_sampled_size3():
         alg = HyperBCK(carrier, masks)
         labels, zero, table = naive.table_of(alg)
         assert hk_axioms_hold(alg) == naive.hk_valid(labels, zero, table)
+
+
+def test_subalgebra_masks_agree_with_literal_oracle(corpus_le2, chains):
+    for alg in list(corpus_le2) + [chains[k].alg for k in range(1, 6)]:
+        labels, zero, table = naive.table_of(alg)
+        for mask in range(1, alg.carrier.full_mask + 1):
+            subset = alg.carrier.labels_of(mask)
+            assert alg.is_subalgebra_mask(mask) == naive.is_subalgebra(table, zero, subset)
 
 
 def test_reflexivity_holds_only_on_the_antisymmetric_corpus(corpus_le3):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from hyperbck import (
     validate_fuzzy,
 )
 from hyperbck.corpus import chain_example
+from hyperbck.fuzzy import fuzzy_condition_holds
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +63,34 @@ def test_validate_fuzzy_examples(c3):
     report = validate_fuzzy(bad)
     assert not report.passed
     assert report.witnesses("MU") == [("2", "2")]
+
+
+def test_membership_report_text_and_order_are_pinned(c3):
+    fz = FuzzyHyperBCK.from_map(c3.alg, {"1": "1/4", "2": 1, "3": "1/2"})
+    got = [(v.axiom, v.witness, v.detail) for v in validate_fuzzy(fz).violations]
+    assert got == [
+        ("MU", ("2", "2"), "min mu over x*y is 1/4 < 1"),
+        ("MU", ("2", "3"), "min mu over x*y is 1/4 < 1/2"),
+        ("MU", ("3", "3"), "min mu over x*y is 1/4 < 1/2"),
+    ]
+
+
+def _grid_maps(n, cap, seed):
+    """Every map of n elements into GRID, or a seeded sample of ``cap`` of them."""
+    if len(GRID) ** n <= cap:
+        return list(product(GRID, repeat=n))
+    rng = random.Random(seed)
+    return [tuple(rng.choice(GRID) for _ in range(n)) for _ in range(cap)]
+
+
+def test_fail_fast_and_report_agree_with_oracle(corpus_le2, chains):
+    algebras = list(corpus_le2) + [chains[k].alg for k in range(1, 6)]
+    for seed, alg in enumerate(algebras):
+        labels, _, table = naive.table_of(alg)
+        for mu in _grid_maps(alg.size, 400, seed):
+            expected = naive.fuzzy_ok(labels, table, dict(zip(labels, mu)))
+            assert fuzzy_condition_holds(alg, mu) == expected
+            assert validate_fuzzy(FuzzyHyperBCK(alg, mu)).passed == expected
 
 
 def test_validate_fuzzy_reports_zero_max_info(c3):
