@@ -13,7 +13,8 @@ at its first item.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator, Sequence
 
 
 class InputError(ValueError):
@@ -33,12 +34,20 @@ class ClaimViolation(RuntimeError):
         super().__init__(message or f"{claim}: witness {witness!r}")
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+@lru_cache(maxsize=1 << 12)
+def iter_bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of ``mask`` in increasing order.
+
+    Cached, because the axiom and hom checks ask for the bits of the same
+    few cell masks millions of times; the bound keeps a long-lived process
+    that sees large masks from growing without limit.
+    """
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(bits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,13 +189,8 @@ class HyperBCK:
     def set_order_masks(self, a: int, b: int) -> bool:
         if a == 0 or b == 0:
             raise InputError("set arguments of the hyperorder must be non-empty")
-        n = len(self.carrier)
-        zbit = 1 << self.zero
-        for x in iter_bits(a):
-            row = x * n
-            if not any(self.table[row + y] & zbit for y in iter_bits(b)):
-                return False
-        return True
+        up = _up_masks(len(self.carrier), self.zero, self.table)
+        return all(up[x] & b for x in iter_bits(a))
 
     def is_subalgebra_mask(self, mask: int) -> bool:
         if mask == 0:
@@ -263,14 +267,9 @@ def _hk_failures(
     and ``{x}``; for HK4 ``{x}`` and ``{y}``.  Order: for each x, y, z, HK2
     (when y != z) then HK1; then HK3 for each x; then HK4 for each pair.
     """
-    zbit = 1 << zero
-    # up[u] is the mask of v with u < v, so A < B is one AND per element of A.
-    up = [0] * n
-    for u in range(n):
-        row = u * n
-        for v in range(n):
-            if table[row + v] & zbit:
-                up[u] |= 1 << v
+    up = _up_masks(n, zero, table)
+    # col[z][t] is t*z, so (x*y)*z is the OR of col[z][t] over t in x*y.
+    col = [table[z::n] for z in range(n)]
 
     for x in range(n):
         row = x * n
@@ -279,21 +278,29 @@ def _hk_failures(
         replay: dict[tuple[int, int], tuple[int, int]] = {}
         for y in range(n):
             cxy = table[row + y]
+            # below is the mask of u with u < some element of x*y, so the HK1
+            # test (x*z)*(y*z) < x*y is one AND.
+            below = 0
+            for u in range(n):
+                if up[u] & cxy:
+                    below |= 1 << u
             for z in range(n):
+                cxz = table[row + z]
                 if y < z:
-                    lhs = _raw_set_star(table, n, cxy, 1 << z)
-                    rhs = _raw_set_star(table, n, table[row + z], 1 << y)
+                    lhs = rhs = 0
+                    for t in iter_bits(cxy):
+                        lhs |= col[z][t]
+                    for t in iter_bits(cxz):
+                        rhs |= col[y][t]
                     if lhs != rhs:
                         replay[z, y] = (rhs, lhs)
                         yield "HK2", (x, y, z), lhs, rhs
                 elif y > z and (y, z) in replay:
                     lhs, rhs = replay[y, z]
                     yield "HK2", (x, y, z), lhs, rhs
-                lhs = _raw_set_star(table, n, table[row + z], table[y * n + z])
-                for u in iter_bits(lhs):
-                    if not up[u] & cxy:
-                        yield "HK1", (x, y, z), lhs, cxy
-                        break
+                lhs = _raw_set_star(table, n, cxz, table[y * n + z])
+                if lhs & ~below:
+                    yield "HK1", (x, y, z), lhs, cxy
 
     for x in range(n):
         for t in iter_bits(_raw_set_star(table, n, 1 << x, (1 << n) - 1)):
@@ -338,6 +345,17 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
             detail = "x<y and y<x with x != y"
         violations.append(Violation(axiom, tuple(c.labels[i] for i in indices), detail))
     return ValidationReport(not violations, tuple(violations))
+
+
+def _up_masks(n: int, zero: int, table: Sequence[int]) -> list[int]:
+    """``up[u]`` is the mask of v with u < v, so A < B is one AND per element of A."""
+    up = [0] * n
+    for u in range(n):
+        row = u * n
+        for v in range(n):
+            if table[row + v] >> zero & 1:
+                up[u] |= 1 << v
+    return up
 
 
 def _raw_set_star(table: tuple[int, ...], n: int, a: int, b: int) -> int:

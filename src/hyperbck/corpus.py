@@ -37,8 +37,12 @@ class ModelCorpus:
         return iter(self.models)
 
 
-def _search_tables(n: int) -> list[tuple[int, ...]]:
-    """All axiom-satisfying tables on carrier 0..n-1 with zero 0, in order."""
+@lru_cache(maxsize=MAX_EXHAUSTIVE_SIZE)
+def _search_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """All axiom-satisfying tables on carrier 0..n-1 with zero 0, in order.
+
+    Cached, so the full and the up-to-iso corpus of one size share a search.
+    """
     size = n * n
     full = (1 << n) - 1
     cells = [0] * size
@@ -76,7 +80,7 @@ def _search_tables(n: int) -> list[tuple[int, ...]]:
                 cells[pos] = 0
 
     dfs(0)
-    return found
+    return tuple(found)
 
 
 def relabel_table(n: int, table: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:

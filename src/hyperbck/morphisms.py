@@ -95,13 +95,26 @@ class Hom:
 
 def is_hom(h: Hom) -> bool:
     """Strong homomorphism test: zero is fixed and images of cells match cells."""
-    if h.mapping[h.source.zero] != h.target.zero:
+    return _maps_cells(h.source, h.target, h.mapping)
+
+
+def _maps_cells(src: HyperBCK, dst: HyperBCK, mapping: tuple[int, ...]) -> bool:
+    """The strong hom equation over the raw tables, for a total in-range map."""
+    if mapping[src.zero] != dst.zero:
         return False
-    n = len(h.source.carrier)
-    for x in range(n):
-        fx = h.mapping[x]
-        for y in range(n):
-            if h.image_mask(h.source.cell(x, y)) != h.target.cell(fx, h.mapping[y]):
+    n = len(mapping)
+    m = len(dst.carrier.labels)
+    src_table = src.table
+    dst_table = dst.table
+    image = [1 << v for v in mapping]
+    for x, fx in enumerate(mapping):
+        row = x * n
+        dst_row = fx * m
+        for y, fy in enumerate(mapping):
+            out = 0
+            for t in iter_bits(src_table[row + y]):
+                out |= image[t]
+            if out != dst_table[dst_row + fy]:
                 return False
     return True
 
@@ -144,13 +157,19 @@ def is_fuzzy_iso(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
-    """All homomorphisms src -> dst, in lexicographic order of the value tuple."""
-    n = len(src.carrier)
+    """All homomorphisms src -> dst, in lexicographic order of the value tuple.
+
+    Only maps sending zero to zero are tried: the target's zero is inserted
+    at the source's zero index into each tuple of the other values, which
+    keeps the lexicographic order.
+    """
+    z = src.zero
+    fixed = (dst.zero,)
     out = []
-    for mapping in product(range(len(dst.carrier)), repeat=n):
-        h = Hom(src, dst, mapping)
-        if is_hom(h):
-            out.append(h)
+    for rest in product(range(len(dst.carrier)), repeat=len(src.carrier) - 1):
+        mapping = rest[:z] + fixed + rest[z:]
+        if _maps_cells(src, dst, mapping):
+            out.append(Hom(src, dst, mapping))
     return tuple(out)
 
 

@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from hyperbck.corpus import chain_example, enumerate_fuzzy_assignments, enumerate_hyper_bck
+from hyperbck import Carrier, HyperBCK
+from hyperbck.corpus import (
+    chain_example,
+    enumerate_fuzzy_assignments,
+    enumerate_hyper_bck,
+    relabel_table,
+)
 
 # Membership values used by every property suite.  A test parameter, not a
 # library constraint: rationals with non-trivial cut structure.
@@ -23,6 +29,17 @@ def grid_assignments(alg):
     if key not in _ASSIGNMENT_CACHE:
         _ASSIGNMENT_CACHE[key] = tuple(enumerate_fuzzy_assignments(alg, GRID))
     return _ASSIGNMENT_CACHE[key]
+
+
+def zero_moved_to(alg, k):
+    """``alg`` with its zero and element ``k`` swapped, labels travelling along."""
+    n = alg.size
+    perm = list(range(n))
+    perm[alg.zero], perm[k] = k, alg.zero
+    labels = [""] * n
+    for old, new in enumerate(perm):
+        labels[new] = alg.carrier.labels[old]
+    return HyperBCK(Carrier(tuple(labels), k), relabel_table(n, alg.table, perm))
 
 
 @pytest.fixture(scope="session")

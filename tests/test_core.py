@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracle as naive
+from conftest import zero_moved_to
 from hyperbck import (
     Carrier,
     HyperBCK,
@@ -19,6 +20,7 @@ from hyperbck import (
     trivial_algebra,
     validate_hyper_bck,
 )
+from hyperbck.core import iter_bits
 from hyperbck.corpus import chain_example
 
 
@@ -96,6 +98,12 @@ def test_hyper_order_cases(c3):
     assert c3.set_order({"1", "2"}, {"3"})
     assert not c3.set_order({"3"}, {"1"})
     assert c3.set_order({"2"}, {"2"})
+
+
+def test_iter_bits_is_pinned_and_bounded():
+    for mask in [*range(1 << 12), 1 << 40 | 9, (1 << 64) - 1, 1 << 100]:
+        assert iter_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    assert iter_bits.cache_info().maxsize is not None
 
 
 def test_is_subalgebra_cases(c3):
@@ -228,12 +236,13 @@ def test_validator_agrees_with_literal_oracle_size2():
 
 def test_validator_agrees_with_literal_oracle_sampled_size3():
     rng = random.Random(20251122)
-    carrier = Carrier(("0", "1", "2"), 0)
+    carriers = [Carrier(("0", "1", "2"), zero) for zero in range(3)]
     for _ in range(2000):
         masks = tuple(rng.randrange(1, 8) for _ in range(9))
-        alg = HyperBCK(carrier, masks)
-        labels, zero, table = naive.table_of(alg)
-        assert hk_axioms_hold(alg) == naive.hk_valid(labels, zero, table)
+        for carrier in carriers:
+            alg = HyperBCK(carrier, masks)
+            labels, zero, table = naive.table_of(alg)
+            assert hk_axioms_hold(alg) == naive.hk_valid(labels, zero, table)
 
 
 def test_subalgebra_masks_agree_with_literal_oracle(corpus_le2, chains):
@@ -242,6 +251,19 @@ def test_subalgebra_masks_agree_with_literal_oracle(corpus_le2, chains):
         for mask in range(1, alg.carrier.full_mask + 1):
             subset = alg.carrier.labels_of(mask)
             assert alg.is_subalgebra_mask(mask) == naive.is_subalgebra(table, zero, subset)
+
+
+def test_set_order_masks_agree_with_literal_oracle(corpus_le2, chains):
+    algs = list(corpus_le2) + [chains[k].alg for k in range(1, 5)]
+    algs += [zero_moved_to(alg, alg.size - 1) for alg in algs if alg.size > 1]
+    for alg in algs:
+        labels, zero, table = naive.table_of(alg)
+        for a in range(1, alg.carrier.full_mask + 1):
+            for b in range(1, alg.carrier.full_mask + 1):
+                expected = naive.set_order(
+                    table, zero, alg.carrier.labels_of(a), alg.carrier.labels_of(b)
+                )
+                assert alg.set_order_masks(a, b) == expected
 
 
 def test_reflexivity_holds_only_on_the_antisymmetric_corpus(corpus_le3):

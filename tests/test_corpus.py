@@ -11,6 +11,8 @@ import pytest
 import naive_oracle as naive
 from hyperbck import Carrier, HyperBCK, InputError, hk_axioms_hold, validate_fuzzy
 from hyperbck.corpus import (
+    MAX_EXHAUSTIVE_SIZE,
+    _search_tables,
     canonical_form,
     chain_example,
     enumerate_fuzzy_assignments,
@@ -32,6 +34,17 @@ def test_size_bounds_are_refused():
         enumerate_hyper_bck(0)
     with pytest.raises(InputError):
         enumerate_hyper_bck(4)
+
+
+def test_each_size_is_searched_once_per_process():
+    before = _search_tables.cache_info().misses
+    full = enumerate_hyper_bck(2)
+    iso = enumerate_hyper_bck(2, up_to_iso=True)
+    iso_positional = enumerate_hyper_bck(2, True)
+    assert _search_tables.cache_info().misses - before <= 1
+    assert _search_tables.cache_info().maxsize == MAX_EXHAUSTIVE_SIZE
+    assert iso_positional.models == iso.models
+    assert {alg.table for alg in iso} <= {alg.table for alg in full}
 
 
 def test_corpus2_exactly_matches_literal_filter(corpus2):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import naive_oracle as naive
-from conftest import grid_assignments
+from conftest import grid_assignments, zero_moved_to
 from hyperbck import FuzzyHyperBCK, HyperBCK, InputError, trivial_algebra
 from hyperbck.category import terminal, terminal_map
 from hyperbck.corpus import chain_example
@@ -107,17 +108,36 @@ def test_enumerate_homs_examples(c2, c3):
     assert homs == enumerate_homs(c2.alg, c3.alg)  # deterministic
 
 
-def test_enumerate_homs_matches_literal_oracle(c2, corpus2):
-    src_labels, src_zero, src_table = naive.table_of(c2.alg)
-    for dst_alg in corpus2.models[:6]:
-        dst_labels, dst_zero, dst_table = naive.table_of(dst_alg)
-        expected = []
-        for images in product(dst_labels, repeat=len(src_labels)):
-            mapping = dict(zip(src_labels, images))
-            if naive.is_hom(src_table, src_zero, src_labels, dst_table, dst_zero, mapping):
-                expected.append(mapping)
-        got = [h.as_label_map() for h in enumerate_homs(c2.alg, dst_alg)]
-        assert got == expected
+def literal_hom_mappings(src: HyperBCK, dst: HyperBCK) -> list[tuple[int, ...]]:
+    src_labels, src_zero, src_table = naive.table_of(src)
+    dst_labels, dst_zero, dst_table = naive.table_of(dst)
+    return [
+        mapping
+        for mapping in product(range(len(dst_labels)), repeat=len(src_labels))
+        if naive.is_hom(
+            src_table,
+            src_zero,
+            src_labels,
+            dst_table,
+            dst_zero,
+            {lab: dst_labels[v] for lab, v in zip(src_labels, mapping)},
+        )
+    ]
+
+
+def test_enumerate_homs_matches_literal_oracle(c2, corpus_le2, corpus3):
+    # The corpora keep zero at index 0; move it to index 1 and 2 on both ends.
+    le2 = [c2.alg, *corpus_le2]
+    le2 += [zero_moved_to(alg, 1) for alg in le2 if alg.size == 2]
+    pairs = list(product(le2, le2))
+    rng = random.Random(4)
+    for _ in range(200):
+        src = zero_moved_to(rng.choice(corpus3.models), rng.randrange(3))
+        dst = zero_moved_to(rng.choice(corpus3.models), rng.randrange(3))
+        pairs.append((src, dst))
+    for src, dst in pairs:
+        got = [h.mapping for h in enumerate_homs(src, dst)]
+        assert got == literal_hom_mappings(src, dst)
 
 
 def test_is_fuzzy_iso_examples(c3):
