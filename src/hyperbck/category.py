@@ -152,7 +152,7 @@ def _partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         yield from rec(1, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def enumerate_regular_congruences(
     alg: HyperBCK, max_size: int = DEFAULT_CONGRUENCE_BOUND
 ) -> tuple[Congruence, ...]:

@@ -116,7 +116,7 @@ def canonical_form(alg: HyperBCK) -> tuple[int, int, tuple[int, ...]]:
     return (n, alg.zero, canonical_table(n, alg.zero, alg.table))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4 * MAX_EXHAUSTIVE_SIZE)
 def enumerate_hyper_bck(n: int, up_to_iso: bool = False) -> ModelCorpus:
     """Every hyper BCK-algebra on an ``n``-element carrier with fixed zero.
 

@@ -86,9 +86,6 @@ class FuzzyHyperBCK:
     def mu_of(self, label: str) -> Fraction:
         return self.mu[self.alg.carrier.index(label)]
 
-    def min_mu_over(self, mask: int) -> Fraction:
-        return min(self.mu[i] for i in iter_bits(mask))
-
     def alpha_cut_mask(self, alpha: Fraction) -> int:
         mask = 0
         for i, v in enumerate(self.mu):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Iterator, Sequence
 
 from .core import HyperBCK, InputError, iter_bits
 from .fuzzy import FuzzyHyperBCK, fuzzy_condition_holds
@@ -155,22 +156,88 @@ def is_fuzzy_iso(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
     return all(dst.mu[h.mapping[i]] == v for i, v in enumerate(src.mu))
 
 
-@lru_cache(maxsize=None)
+def _zero_fixing_maps(n: int, zero: int, m: int, dst_zero: int) -> Iterator[tuple[int, ...]]:
+    """Maps of an n-set into range(m) with ``zero -> dst_zero``, in lexicographic order.
+
+    The fixed value is inserted at the ``zero`` index into each tuple of the
+    other values, which keeps the lexicographic order.
+    """
+    fixed = (dst_zero,)
+    for rest in product(range(m), repeat=n - 1):
+        yield rest[:zero] + fixed + rest[zero:]
+
+
+@lru_cache(maxsize=1 << 12)
 def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
     """All homomorphisms src -> dst, in lexicographic order of the value tuple.
 
-    Only maps sending zero to zero are tried: the target's zero is inserted
-    at the source's zero index into each tuple of the other values, which
-    keeps the lexicographic order.
+    Only maps sending zero to zero are tried.
     """
-    z = src.zero
-    fixed = (dst.zero,)
-    out = []
-    for rest in product(range(len(dst.carrier)), repeat=len(src.carrier) - 1):
-        mapping = rest[:z] + fixed + rest[z:]
-        if _maps_cells(src, dst, mapping):
-            out.append(Hom(src, dst, mapping))
-    return tuple(out)
+    return tuple(
+        Hom(src, dst, mapping)
+        for mapping in _zero_fixing_maps(len(src.carrier), src.zero, len(dst.carrier), dst.zero)
+        if _maps_cells(src, dst, mapping)
+    )
+
+
+@lru_cache(maxsize=64)
+def _probes_by_image(k: int, f: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Positions in the size-k probe corpus, grouped by their table's image under ``f``.
+
+    ``_maps_cells`` reads a probe only through that image table and its zero
+    (index 0 in the corpus), so the probes of one group share the verdict
+    of ``f`` into any target.  Groups come in order of their first position.
+    """
+    from .corpus import enumerate_hyper_bck  # deferred: corpus imports fuzzy
+
+    img = [0] * (1 << k)
+    for c in range(1, 1 << k):
+        for t in iter_bits(c):
+            img[c] |= 1 << f[t]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pos, probe in enumerate(enumerate_hyper_bck(k, up_to_iso=True)):
+        groups.setdefault(tuple(img[c] for c in probe.table), []).append(pos)
+    return tuple(tuple(g) for g in groups.values())
+
+
+@lru_cache(maxsize=64)
+def _probe_hom_maps(
+    target: HyperBCK, k: int
+) -> tuple[tuple[HyperBCK, tuple[tuple[int, ...], ...]], ...]:
+    """``(probe, mappings)`` for the size-k probes with at least two homs into ``target``.
+
+    Probes come in corpus order and their hom mappings in lexicographic
+    order; a probe with fewer than two homs cannot hold a parallel pair.
+    """
+    from .corpus import enumerate_hyper_bck  # deferred: corpus imports fuzzy
+
+    probes = enumerate_hyper_bck(k, up_to_iso=True).models
+    maps: list[list[tuple[int, ...]]] = [[] for _ in probes]
+    for f in _zero_fixing_maps(k, 0, len(target.carrier), target.zero):
+        for group in _probes_by_image(k, f):
+            if _maps_cells(probes[group[0]], target, f):
+                for pos in group:
+                    maps[pos].append(f)
+    return tuple((probes[pos], tuple(ms)) for pos, ms in enumerate(maps) if len(ms) > 1)
+
+
+def _colliding_pairs(
+    mappings: Sequence[tuple[int, ...]], outer: tuple[int, ...]
+) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j whose maps agree after ``outer``, in i-then-j order.
+
+    The maps are grouped by composite, so the scan is linear in the maps
+    plus the pairs it yields.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    slots = []
+    for i, m in enumerate(mappings):
+        group = groups.setdefault(tuple(outer[v] for v in m), [])
+        slots.append((group, len(group)))
+        group.append(i)
+    for group, at in slots:
+        for j in group[at + 1 :]:
+            yield group[at], j
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,34 +274,34 @@ def check_mono_equivalence(
     equips the probe with the pointwise minimum of mu along the two maps,
     which always yields a valid fuzzy structure making both maps fuzzy
     homomorphisms; membership degrees of the host are inherited, so no
-    grid scan is needed.
+    grid scan is needed.  The probe homs are tabled once per source and
+    probe size, probes whose tables share an image under a map share its
+    hom verdict, and each probe's pairs come from grouping its maps by
+    composite.
     """
-    from .corpus import enumerate_hyper_bck  # deferred: corpus imports fuzzy
-
     _require_fuzzy_endpoints(h, src, dst)
     crisp_witness = None
     fuzzy_witness = None
+    source = h.source
     for k in range(1, probe_size_bound + 1):
-        for probe in enumerate_hyper_bck(k, up_to_iso=True):
-            candidates = enumerate_homs(probe, h.source)
-            for i, p in enumerate(candidates):
-                for q in candidates[i + 1 :]:
-                    if p.then(h) != q.then(h):
-                        continue
-                    if crisp_witness is None:
-                        crisp_witness = (p, q)
-                    mu_probe = tuple(
-                        min(src.mu[p.mapping[t]], src.mu[q.mapping[t]])
-                        for t in range(len(probe.carrier))
-                    )
-                    if not fuzzy_condition_holds(probe, mu_probe):
-                        # Cannot happen for homomorphic p, q; fall back to the
-                        # everywhere-zero structure, which always qualifies.
-                        mu_probe = (Fraction(0),) * len(probe.carrier)
-                    probe_fuzzy = FuzzyHyperBCK(probe, mu_probe)
-                    if is_fuzzy_hom(p, probe_fuzzy, src) and is_fuzzy_hom(q, probe_fuzzy, src):
-                        if fuzzy_witness is None:
-                            fuzzy_witness = (p, q)
+        for probe, mappings in _probe_hom_maps(source, k):
+            for i, j in _colliding_pairs(mappings, h.mapping):
+                p = Hom(probe, source, mappings[i])
+                q = Hom(probe, source, mappings[j])
+                if crisp_witness is None:
+                    crisp_witness = (p, q)
+                mu_probe = tuple(
+                    min(src.mu[p.mapping[t]], src.mu[q.mapping[t]])
+                    for t in range(len(probe.carrier))
+                )
+                if not fuzzy_condition_holds(probe, mu_probe):
+                    # Cannot happen for homomorphic p, q; fall back to the
+                    # everywhere-zero structure, which always qualifies.
+                    mu_probe = (Fraction(0),) * len(probe.carrier)
+                probe_fuzzy = FuzzyHyperBCK(probe, mu_probe)
+                if is_fuzzy_hom(p, probe_fuzzy, src) and is_fuzzy_hom(q, probe_fuzzy, src):
+                    if fuzzy_witness is None:
+                        fuzzy_witness = (p, q)
                 if crisp_witness and fuzzy_witness:
                     break
             if crisp_witness and fuzzy_witness:

@@ -110,6 +110,52 @@ def is_hom(
     return True
 
 
+def hom_maps(
+    src: tuple[tuple[str, ...], str, Table], dst: tuple[tuple[str, ...], str, Table]
+) -> list[tuple[int, ...]]:
+    """Every strong hom src -> dst as a tuple of target positions.
+
+    Every map is tried, in lexicographic order of the value tuple.
+    """
+    src_labels, src_zero, src_table = src
+    dst_labels, dst_zero, dst_table = dst
+    return [
+        values
+        for values in product(range(len(dst_labels)), repeat=len(src_labels))
+        if is_hom(
+            src_table,
+            src_zero,
+            src_labels,
+            dst_table,
+            dst_zero,
+            {lab: dst_labels[v] for lab, v in zip(src_labels, values)},
+        )
+    ]
+
+
+def mono_witness(
+    probes: list[tuple[tuple[str, ...], str, Table]],
+    source: tuple[tuple[str, ...], str, Table],
+    mapping: dict[str, str],
+) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """The first parallel pair that ``mapping`` (source label -> target label) fails to separate.
+
+    Probes are scanned in the given order; for each, every pair i < j of its
+    homs into ``source`` is compared after ``mapping``.  Returns the probe's
+    position and the two homs as source positions, or None.
+    """
+    labels = source[0]
+    for pos, probe in enumerate(probes):
+        homs = hom_maps(probe, source)
+        for i in range(len(homs)):
+            for j in range(i + 1, len(homs)):
+                if all(
+                    mapping[labels[a]] == mapping[labels[b]] for a, b in zip(homs[i], homs[j])
+                ):
+                    return pos, homs[i], homs[j]
+    return None
+
+
 def fuzzy_ok(labels: tuple[str, ...], table: Table, mu: dict[str, object]) -> bool:
     """Literal check of the membership inequality."""
     for x in labels:

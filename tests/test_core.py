@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 
 import pytest
@@ -104,6 +106,21 @@ def test_iter_bits_is_pinned_and_bounded():
     for mask in [*range(1 << 12), 1 << 40 | 9, (1 << 64) - 1, 1 << 100]:
         assert iter_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
     assert iter_bits.cache_info().maxsize is not None
+
+
+def test_every_cache_in_the_package_is_bounded():
+    import hyperbck
+
+    cached = {}
+    for info in pkgutil.iter_modules(hyperbck.__path__):
+        module = importlib.import_module(f"hyperbck.{info.name}")
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                cached[f"{info.name}.{name}"] = obj.cache_info().maxsize
+    assert {"core.iter_bits", "corpus.enumerate_hyper_bck", "morphisms.enumerate_homs"} <= set(
+        cached
+    )
+    assert {name: size for name, size in cached.items() if size is None} == {}
 
 
 def test_is_subalgebra_cases(c3):

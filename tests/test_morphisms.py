@@ -12,7 +12,7 @@ import naive_oracle as naive
 from conftest import grid_assignments, zero_moved_to
 from hyperbck import FuzzyHyperBCK, HyperBCK, InputError, trivial_algebra
 from hyperbck.category import terminal, terminal_map
-from hyperbck.corpus import chain_example
+from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.morphisms import (
     Hom,
     check_mono_equivalence,
@@ -21,6 +21,8 @@ from hyperbck.morphisms import (
     is_fuzzy_hom,
     is_fuzzy_iso,
     is_hom,
+    _colliding_pairs,
+    _probe_hom_maps,
     separation_promotes,
 )
 
@@ -108,23 +110,6 @@ def test_enumerate_homs_examples(c2, c3):
     assert homs == enumerate_homs(c2.alg, c3.alg)  # deterministic
 
 
-def literal_hom_mappings(src: HyperBCK, dst: HyperBCK) -> list[tuple[int, ...]]:
-    src_labels, src_zero, src_table = naive.table_of(src)
-    dst_labels, dst_zero, dst_table = naive.table_of(dst)
-    return [
-        mapping
-        for mapping in product(range(len(dst_labels)), repeat=len(src_labels))
-        if naive.is_hom(
-            src_table,
-            src_zero,
-            src_labels,
-            dst_table,
-            dst_zero,
-            {lab: dst_labels[v] for lab, v in zip(src_labels, mapping)},
-        )
-    ]
-
-
 def test_enumerate_homs_matches_literal_oracle(c2, corpus_le2, corpus3):
     # The corpora keep zero at index 0; move it to index 1 and 2 on both ends.
     le2 = [c2.alg, *corpus_le2]
@@ -137,7 +122,7 @@ def test_enumerate_homs_matches_literal_oracle(c2, corpus_le2, corpus3):
         pairs.append((src, dst))
     for src, dst in pairs:
         got = [h.mapping for h in enumerate_homs(src, dst)]
-        assert got == literal_hom_mappings(src, dst)
+        assert got == naive.hom_maps(naive.table_of(src), naive.table_of(dst))
 
 
 def test_is_fuzzy_iso_examples(c3):
@@ -177,6 +162,67 @@ def test_mono_injective_and_collapsing(c2):
     assert not verdict.crisp_mono and not verdict.fuzzy_mono and verdict.agree
     h, g = verdict.crisp_witness
     assert h != g and h.then(collapse) == g.then(collapse)
+
+
+def test_mono_probe_refuses_a_bound_past_the_corpus_only_when_reached(c2):
+    # There is no size-4 probe corpus: a bound of 4 is refused when the
+    # search gets there, so a witness found by size 3 still returns.
+    fz = zero_mu(c2.alg)
+    with pytest.raises(InputError, match="limited to sizes"):
+        check_mono_equivalence(Hom.identity(c2.alg), fz, fz, probe_size_bound=4)
+    verdict = check_mono_equivalence(Hom(c2.alg, c2.alg, (0, 0)), fz, fz, probe_size_bound=4)
+    assert not verdict.crisp_mono and not verdict.fuzzy_mono
+
+
+def test_mono_witness_matches_literal_scan(corpus_le2):
+    # Every hom of size <= 2, also between copies with zero at index 1.
+    models = [p for k in (1, 2) for p in enumerate_hyper_bck(k, up_to_iso=True)]
+    probes = [naive.table_of(p) for p in models]
+    moved = [zero_moved_to(alg, 1) if alg.size == 2 else alg for alg in corpus_le2]
+    checked = 0
+    for le2 in (corpus_le2, moved):
+        for src_alg in le2:
+            source = naive.table_of(src_alg)
+            for dst_alg in le2:
+                for h in enumerate_homs(src_alg, dst_alg):
+                    verdict = check_mono_equivalence(
+                        h, zero_mu(src_alg), zero_mu(dst_alg), probe_size_bound=2
+                    )
+                    want = naive.mono_witness(
+                        probes,
+                        source,
+                        {lab: dst_alg.carrier.labels[v] for lab, v in zip(source[0], h.mapping)},
+                    )
+                    assert verdict.crisp_mono == (want is None)
+                    if want is not None:
+                        p, q = verdict.crisp_witness
+                        assert (p.source, p.mapping, q.mapping) == (models[want[0]], *want[1:])
+                    checked += 1
+    assert checked == 2 * 116
+
+
+def test_colliding_pairs_come_in_pair_scan_order():
+    # Composites A B B A: the i-then-j scan meets (0, 3) before (1, 2).
+    maps = [(0, 1), (0, 2), (0, 3), (0, 4)]
+    assert list(_colliding_pairs(maps, (0, 7, 8, 8, 7))) == [(0, 3), (1, 2)]
+    # Composites A B A B A: every colliding pair, i first, then j.
+    maps.append((0, 5))
+    assert list(_colliding_pairs(maps, (0, 7, 8, 7, 8, 7))) == [(0, 2), (0, 4), (1, 3), (2, 4)]
+
+
+def test_probe_hom_table_matches_literal_scan(c2, corpus2):
+    # The size-3 table into a size-2 source with zero at index 0 and one with zero at 1.
+    probes = enumerate_hyper_bck(3, up_to_iso=True).models
+    literal = [naive.table_of(p) for p in probes]
+    for source in (c2.alg, zero_moved_to(corpus2.models[0], 1)):
+        target = naive.table_of(source)
+        want = []
+        for probe, table in zip(probes, literal):
+            maps = tuple(naive.hom_maps(table, target))
+            if len(maps) > 1:
+                want.append((probe, maps))
+        assert want
+        assert list(_probe_hom_maps(source, 3)) == want
 
 
 def zero_table_host() -> HyperBCK:
