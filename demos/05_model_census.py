@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Exhaustive model census: every small model, canonical forms, assignments.
 
-The enumerator walks all cell tables depth-first with sound pruning and
-keeps exactly the law-abiding ones; it is the ground truth behind the
-property suites.  Size 3 takes a few seconds.
+The enumerator walks every cell table that satisfies HK3, grouped by
+which cells contain the zero, and keeps exactly the law-abiding ones; it
+is the ground truth behind the property suites.  Size 3 takes a few
+seconds.
 """
 
 import time

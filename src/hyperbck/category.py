@@ -27,7 +27,7 @@ from .core import (
     trivial_algebra,
 )
 from .fuzzy import FuzzyHyperBCK
-from .morphisms import Hom, is_fuzzy_hom, is_hom
+from .morphisms import Hom, _never_lowers_membership, is_fuzzy_hom, is_hom
 
 DEFAULT_CONGRUENCE_BOUND = 5
 
@@ -57,12 +57,6 @@ class Congruence:
     def from_blocks(cls, base: HyperBCK, blocks: Sequence[Sequence[int]]) -> Congruence:
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
         return cls(base, canon)
-
-    @classmethod
-    def from_label_blocks(cls, base: HyperBCK, blocks: Sequence[Sequence[str]]) -> Congruence:
-        return cls.from_blocks(
-            base, [[base.carrier.index(lab) for lab in block] for block in blocks]
-        )
 
     def block_of(self, i: int) -> int:
         for b, block in enumerate(self.blocks):
@@ -198,7 +192,12 @@ def terminal_map(src: HyperBCK) -> Hom:
 def _verify_leg(
     name: str, leg: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK, kind: str
 ) -> None:
-    if not is_hom(leg) or not is_fuzzy_hom(leg, src, dst):
+    """Raise a claim violation unless ``leg`` is a fuzzy hom.
+
+    Legs are built on the given structures, so their endpoints need no check,
+    and the hom equation is tested once.
+    """
+    if not is_hom(leg) or not _never_lowers_membership(leg, src, dst):
         raise ClaimViolation(
             f"{kind}-leg-fuzzy-hom", leg.as_label_map(), f"leg {name} of {kind} is not a fuzzy hom"
         )
@@ -281,7 +280,7 @@ def mediate_product(
             "the tupling map of the cone is not a homomorphism, "
             "so no mediating morphism exists for this cone",
         )
-    if not is_fuzzy_hom(phi, source, result.object):
+    if not _never_lowers_membership(phi, source, result.object):
         raise ClaimViolation("product-mediator-fuzzy", phi.as_label_map())
     return phi
 
@@ -414,7 +413,7 @@ def mediate_coequalizer(
         raise ClaimViolation("coequalizer-mediator-equation", psi.as_label_map())
     if not is_hom(psi):
         raise ClaimViolation("coequalizer-mediator-hom", psi.as_label_map())
-    if not is_fuzzy_hom(psi, result.object, target):
+    if not _never_lowers_membership(psi, result.object, target):
         raise ClaimViolation("coequalizer-mediator-fuzzy", psi.as_label_map())
     return psi
 

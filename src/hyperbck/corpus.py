@@ -1,11 +1,13 @@
 """Brute-force model generators: the ground truth for every property suite.
 
 ``enumerate_hyper_bck`` walks every total table over a small carrier and
-keeps the ones satisfying the axioms.  The walk assigns cells depth-first
-and prunes with the pairwise-local part of HK3 (every t in x*y must be
-below x), which is sound: a partial violation can never be repaired by
-later cells.  Survivor tables get the full fail-fast check at the leaves,
-so the pruning affects speed only, never the result.
+keeps the ones satisfying the axioms.  HK3 says that every t in x*y is
+below x, that is O is in t*x, so the zero bits of a table decide which
+masks each of its cells may hold.  The walk runs over the zero patterns
+(which cells contain O); for each one it takes the product of the cells'
+allowed masks, so it reaches exactly the tables that satisfy HK3, each
+once.  Every such table gets the full fail-fast check, so the restriction
+affects speed only, never the result.
 """
 
 from __future__ import annotations
@@ -44,42 +46,20 @@ def _search_tables(n: int) -> tuple[tuple[int, ...], ...]:
     Cached, so the full and the up-to-iso corpus of one size share a search.
     """
     size = n * n
-    full = (1 << n) - 1
-    cells = [0] * size
+    masks = range(1, 1 << n)
     found: list[tuple[int, ...]] = []
-
-    def hk3_partial_ok(pos: int, m: int) -> bool:
-        x, y = divmod(pos, n)
-        # Each t in the new cell (x,y) must already satisfy O in t*x.
-        for t in iter_bits(m):
-            q = t * n + x
-            c = m if q == pos else cells[q]
-            if c and not c & 1:
-                return False
-        if not m & 1:
-            # The new cell is t*x for pairs (x=y here as source row): any
-            # assigned cell (y,b) containing x forces O into cell (x,y).
-            row = y * n
-            for b in range(n):
-                q = row + b
-                c = m if q == pos else cells[q]
-                if c and c >> x & 1:
-                    return False
-        return True
-
-    def dfs(pos: int) -> None:
-        if pos == size:
-            table = tuple(cells)
+    # zeros[x*n + y] says whether O is in x*y; every table has one such pattern.
+    for zeros in product((False, True), repeat=size):
+        # HK3: row x may only use the t with O in t*x.
+        down = [sum(1 << t for t in range(n) if zeros[t * n + x]) for x in range(n)]
+        cells = [
+            [m for m in masks if not m & ~down[pos // n] and (m & 1) == zeros[pos]]
+            for pos in range(size)
+        ]
+        for table in product(*cells):
             if hk_axioms_hold_raw(n, 0, table):
                 found.append(table)
-            return
-        for m in range(1, full + 1):
-            if hk3_partial_ok(pos, m):
-                cells[pos] = m
-                dfs(pos + 1)
-                cells[pos] = 0
-
-    dfs(0)
+    found.sort()
     return tuple(found)
 
 

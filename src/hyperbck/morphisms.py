@@ -59,9 +59,6 @@ class Hom:
     def identity(cls, alg: HyperBCK) -> Hom:
         return cls(alg, alg, tuple(range(len(alg.carrier))))
 
-    def apply(self, label: str) -> str:
-        return self.target.carrier.labels[self.mapping[self.source.carrier.index(label)]]
-
     def as_label_map(self) -> dict[str, str]:
         return {
             lab: self.target.carrier.labels[self.mapping[i]]
@@ -130,6 +127,11 @@ def _require_fuzzy_endpoints(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> 
 def is_fuzzy_hom(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
     """True iff mu_target(f(x)) >= mu_source(x) for every x (f already a hom)."""
     _require_fuzzy_endpoints(h, src, dst)
+    return _never_lowers_membership(h, src, dst)
+
+
+def _never_lowers_membership(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
+    """The membership inequality of a fuzzy hom, for a map already known to be a hom."""
     return all(dst.mu[h.mapping[i]] >= v for i, v in enumerate(src.mu))
 
 

@@ -56,29 +56,46 @@ def set_order(table: Table, zero: str, a: frozenset[str], b: frozenset[str]) -> 
     return True
 
 
-def hk_valid(
-    labels: tuple[str, ...], zero: str, table: Table, strict_antisymmetry: bool = False
-) -> bool:
-    """Literal check of the three axioms (and optionally antisymmetry)."""
+def _hk_literal_failures(
+    labels: tuple[str, ...], zero: str, table: Table, strict_antisymmetry: bool
+):
     universe = frozenset(labels)
-    for x in labels:
-        if not set_order(table, zero, set_star(table, frozenset({x}), universe), frozenset({x})):
-            return False
     for x, y, z in product(labels, repeat=3):
         left = set_star(table, table[(x, y)], frozenset({z}))
         right = set_star(table, table[(x, z)], frozenset({y}))
         if left != right:
-            return False
+            yield "HK2", (x, y, z)
         if not set_order(
             table, zero, set_star(table, table[(x, z)], table[(y, z)]), table[(x, y)]
         ):
-            return False
+            yield "HK1", (x, y, z)
+    for x in labels:
+        if not set_order(table, zero, set_star(table, frozenset({x}), universe), frozenset({x})):
+            yield "HK3", (x,)
     if strict_antisymmetry:
-        for x in labels:
-            for y in labels:
-                if x != y and less(table, zero, x, y) and less(table, zero, y, x):
-                    return False
-    return True
+        for i, x in enumerate(labels):
+            for y in labels[i + 1 :]:
+                if less(table, zero, x, y) and less(table, zero, y, x):
+                    yield "HK4", (x, y)
+
+
+def hk_failures(
+    labels: tuple[str, ...], zero: str, table: Table, strict_antisymmetry: bool = False
+) -> list[tuple[str, tuple[str, ...]]]:
+    """Every falsified (axiom, witness) pair, in the documented report order.
+
+    Per triple (x, y, z) in carrier order: HK2 (x*y)*z = (x*z)*y, then HK1
+    (x*z)*(y*z) < x*y; then HK3 x*H < {x} per x; then, when asked, HK4 per
+    pair x before y with x < y and y < x.
+    """
+    return list(_hk_literal_failures(labels, zero, table, strict_antisymmetry))
+
+
+def hk_valid(
+    labels: tuple[str, ...], zero: str, table: Table, strict_antisymmetry: bool = False
+) -> bool:
+    """Literal check of the three axioms (and optionally antisymmetry)."""
+    return next(_hk_literal_failures(labels, zero, table, strict_antisymmetry), None) is None
 
 
 def is_subalgebra(table: Table, zero: str, subset: frozenset[str]) -> bool:

@@ -233,6 +233,32 @@ def test_fail_fast_matches_report(corpus2, c3):
     assert hk_axioms_hold(c3) == validate_hyper_bck(c3).passed
 
 
+def _report_oracle_cases(corpus3):
+    """Every size-2 table, seeded size-3 and size-4 tables, and size-3 models with one cell changed."""
+    rng = random.Random(20261018)
+    cases = [(2, alg.table) for alg in all_size2_tables()]
+    for n, count in ((3, 300), (4, 100)):
+        for _ in range(count):
+            cases.append((n, tuple(rng.randrange(1, 1 << n) for _ in range(n * n))))
+    for alg in rng.sample(list(corpus3), 200):
+        table = list(alg.table)
+        table[rng.randrange(9)] = rng.randrange(1, 8)
+        cases.append((3, tuple(table)))
+    return cases
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_full_report_matches_literal_oracle(corpus3, strict):
+    for n, masks in _report_oracle_cases(corpus3):
+        labels = tuple(str(i) for i in range(n))
+        for zero in range(n):
+            alg = HyperBCK(Carrier(labels, zero), masks)
+            report = validate_hyper_bck(alg, strict_antisymmetry=strict)
+            got = [(v.axiom, v.witness) for v in report.violations]
+            assert got == naive.hk_failures(*naive.table_of(alg), strict)
+            assert hk_axioms_hold(alg, strict_antisymmetry=strict) == (not got)
+
+
 # --- oracle agreement and derived invariants ---------------------------------
 
 

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 import naive_oracle as naive
-from hyperbck import Carrier, HyperBCK, InputError, hk_axioms_hold, validate_fuzzy
+from hyperbck import Carrier, HyperBCK, InputError, corpus, hk_axioms_hold, validate_fuzzy
+from hyperbck.core import hk_axioms_hold_raw
 from hyperbck.corpus import (
     MAX_EXHAUSTIVE_SIZE,
     _search_tables,
@@ -45,6 +47,43 @@ def test_each_size_is_searched_once_per_process():
     assert _search_tables.cache_info().maxsize == MAX_EXHAUSTIVE_SIZE
     assert iso_positional.models == iso.models
     assert {alg.table for alg in iso} <= {alg.table for alg in full}
+
+
+# sha256 of repr(_search_tables(3)), frozen from the depth-first search
+# that the search over zero patterns replaced.
+SEARCH3_SHA256 = "ab32b7ca6271fe385b58da29149e3a5749b2a6e3710d7ce0e5336e2e1a2c8d82"
+
+
+def test_size3_search_checks_413488_leaves_and_keeps_15936(monkeypatch):
+    verdicts = []
+
+    def counting(n, zero, table):
+        verdicts.append(hk_axioms_hold_raw(n, zero, table))
+        return verdicts[-1]
+
+    monkeypatch.setattr(corpus, "hk_axioms_hold_raw", counting)
+    tables = _search_tables.__wrapped__(3)
+    assert len(verdicts) == 413488
+    assert sum(verdicts) == 15936 == len(tables)
+
+
+def test_size3_search_output_is_frozen():
+    assert hashlib.sha256(repr(_search_tables(3)).encode()).hexdigest() == SEARCH3_SHA256
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_search_leaves_are_exactly_the_hk3_tables(monkeypatch, n):
+    leaves = []
+    monkeypatch.setattr(
+        corpus, "hk_axioms_hold_raw", lambda size, zero, table: leaves.append(table)
+    )
+    _search_tables.__wrapped__(n)
+    expected = [
+        masks
+        for masks in product(range(1, 1 << n), repeat=n * n)
+        if all(axiom != "HK3" for axiom, _ in naive.hk_failures(*naive.raw_table(n, masks)))
+    ]
+    assert sorted(leaves) == expected
 
 
 def test_corpus2_exactly_matches_literal_filter(corpus2):
