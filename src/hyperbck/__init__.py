@@ -1,5 +1,7 @@
 """Finite hyper BCK-algebras, fuzzy membership layers, and their category."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Carrier,
     ClaimViolation,
@@ -59,6 +61,6 @@ from .corpus import (
 )
 from .io import FormatError, parse_structure, render_structure
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))
 
 __version__ = "0.1.0"

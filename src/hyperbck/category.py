@@ -11,7 +11,7 @@ checks double as an instrument for finding counterexamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
@@ -43,6 +43,7 @@ class Congruence:
 
     base: HyperBCK
     blocks: tuple[tuple[int, ...], ...]
+    _to_block: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         seen = sorted(i for block in self.blocks for i in block)
@@ -52,6 +53,11 @@ class Congruence:
             self.blocks, key=lambda b: b[0]
         ):
             raise InputError("blocks must be sorted and ordered by least element")
+        to_block = [0] * len(seen)
+        for b, block in enumerate(self.blocks):
+            for i in block:
+                to_block[i] = b
+        object.__setattr__(self, "_to_block", tuple(to_block))
 
     @classmethod
     def from_blocks(cls, base: HyperBCK, blocks: Sequence[Sequence[int]]) -> Congruence:
@@ -59,10 +65,9 @@ class Congruence:
         return cls(base, canon)
 
     def block_of(self, i: int) -> int:
-        for b, block in enumerate(self.blocks):
-            if i in block:
-                return b
-        raise InputError(f"element index {i} out of range")
+        if not 0 <= i < len(self._to_block):
+            raise InputError(f"element index {i} out of range")
+        return self._to_block[i]
 
     def relates(self, i: int, j: int) -> bool:
         return self.block_of(i) == self.block_of(j)
@@ -72,19 +77,10 @@ class Congruence:
         return tuple(frozenset(labels[i] for i in block) for block in self.blocks)
 
 
-def _element_to_block(cong: Congruence) -> list[int]:
-    out = [0] * len(cong.base.carrier)
-    for b, block in enumerate(cong.blocks):
-        for i in block:
-            out[i] = b
-    return out
-
-
-def _quotient_cells(cong: Congruence) -> tuple[tuple[int, ...], list[int]] | None:
+def _quotient_cells(cong: Congruence) -> tuple[int, ...] | None:
     """Block-level table, or None if it depends on representatives."""
     alg = cong.base
-    n = len(alg.carrier)
-    to_block = _element_to_block(cong)
+    to_block = cong._to_block
     m = len(cong.blocks)
     cells = [0] * (m * m)
     for bi, bx in enumerate(cong.blocks):
@@ -100,16 +96,14 @@ def _quotient_cells(cong: Congruence) -> tuple[tuple[int, ...], list[int]] | Non
                     elif value != mask:
                         return None
             cells[bi * m + bj] = value  # type: ignore[assignment]
-    return tuple(cells), to_block
+    return tuple(cells)
 
 
 def is_regular_congruence(cong: Congruence) -> bool:
     """Representative-independent quotient that again satisfies the axioms."""
-    built = _quotient_cells(cong)
-    if built is None:
-        return False
-    cells, to_block = built
-    return hk_axioms_hold_raw(len(cong.blocks), to_block[cong.base.zero], cells)
+    cells = _quotient_cells(cong)
+    zero = cong.block_of(cong.base.zero)
+    return cells is not None and hk_axioms_hold_raw(len(cong.blocks), zero, cells)
 
 
 def quotient(cong: Congruence) -> tuple[HyperBCK, Hom]:
@@ -117,14 +111,13 @@ def quotient(cong: Congruence) -> tuple[HyperBCK, Hom]:
 
     Block labels are the bracketed label of the least member, e.g. ``[O]``.
     """
-    built = _quotient_cells(cong)
-    if built is None:
+    cells = _quotient_cells(cong)
+    if cells is None:
         raise InputError("congruence is not regular: quotient cells are ambiguous")
-    cells, to_block = built
     base_labels = cong.base.carrier.labels
     labels = tuple(f"[{base_labels[block[0]]}]" for block in cong.blocks)
-    alg = HyperBCK(Carrier(labels, to_block[cong.base.zero]), cells)
-    return alg, Hom(cong.base, alg, tuple(to_block))
+    alg = HyperBCK(Carrier(labels, cong.block_of(cong.base.zero)), cells)
+    return alg, Hom(cong.base, alg, cong._to_block)
 
 
 def _partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:

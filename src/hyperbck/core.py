@@ -13,7 +13,8 @@ at its first item.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -184,12 +185,12 @@ class HyperBCK:
     def set_star_masks(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             raise InputError("set arguments of the hyperoperation must be non-empty")
-        return _raw_set_star(self.table, len(self.carrier), a, b)
+        return reduce(or_, (self.cell(x, y) for x in iter_bits(a) for y in iter_bits(b)))
 
     def set_order_masks(self, a: int, b: int) -> bool:
         if a == 0 or b == 0:
             raise InputError("set arguments of the hyperorder must be non-empty")
-        up = _up_masks(len(self.carrier), self.zero, self.table)
+        up, _ = _order_masks(len(self.carrier), self.zero, self.table)
         return all(up[x] & b for x in iter_bits(a))
 
     def is_subalgebra_mask(self, mask: int) -> bool:
@@ -257,57 +258,61 @@ class ValidationReport:
         return [v.witness for v in self.violations if v.axiom == axiom]
 
 
+@lru_cache(maxsize=16)
+def _hk2_plan(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The HK2 instances ``(x, y, z, x*n + y, x*n + z)`` of size ``n``, y < z."""
+    return tuple(
+        (x, y, z, x * n + y, x * n + z) for x in range(n) for y in range(n) for z in range(y + 1, n)
+    )
+
+
 def _hk_failures(
     n: int, zero: int, table: tuple[int, ...], strict_antisymmetry: bool = False
 ) -> Iterator[tuple[str, tuple[int, ...], int, int]]:
     """Yield every falsified axiom instance of a raw cell-mask table, cheapest first.
 
     Each item is ``(axiom, indices, lhs_mask, rhs_mask)``: for HK1 and HK2 the
-    two sides of the axiom at the triple; for HK3 the escaping element ``{t}``
-    and ``{x}``; for HK4 ``{x}`` and ``{y}``.  Order: every HK2 failure first,
-    per x and pair y < z as (x, y, z) and then (x, z, y) with the sides
-    swapped; then HK1 per (x, y, z); then HK3 per x; then HK4 per pair.  The
-    hyperorder masks that HK1, HK3 and HK4 read are built only once every HK2
-    test has passed or been yielded, so a fail-fast caller that stops at an
-    HK2 failure never pays for them.  :func:`validate_hyper_bck` sorts the
-    items into report order.
+    two sides at the triple; for HK3 ``{t}`` escaping x*H and ``{x}``; for HK4
+    ``{x}`` and ``{y}``.  Order: HK2 along the per-size plan, as (x, y, z) and
+    then (x, z, y) with the sides swapped; then HK1 per (x, y, z), HK3 per x,
+    HK4 per pair.  Only tables past HK2 pay for the order masks and, per x, the
+    row images ``img[z][w] = (x*z)*w``: (x*z)*(y*z) is their OR over w in y*z,
+    and the u below x*y the OR of ``dn[v]`` over v in x*y, so HK1 is one AND.
+    :func:`validate_hyper_bck` sorts the items into report order.
     """
-    # col[z][t] is t*z, so (x*y)*z is the OR of col[z][t] over t in x*y.
-    col = [table[z::n] for z in range(n)]
-    for x in range(n):
-        row = x * n
-        for y in range(n - 1):
-            coly = col[y]
-            bits_xy = iter_bits(table[row + y])
-            for z in range(y + 1, n):
-                colz = col[z]
-                lhs = rhs = 0
-                for t in bits_xy:
-                    lhs |= colz[t]
-                for t in iter_bits(table[row + z]):
-                    rhs |= coly[t]
-                if lhs != rhs:
-                    yield "HK2", (x, y, z), lhs, rhs
-                    yield "HK2", (x, z, y), rhs, lhs
+    for x, y, z, xy, xz in _hk2_plan(n):
+        lhs = rhs = 0
+        for t in iter_bits(table[xy]):
+            lhs |= table[t * n + z]
+        for t in iter_bits(table[xz]):
+            rhs |= table[t * n + y]
+        if lhs != rhs:
+            yield "HK2", (x, y, z), lhs, rhs
+            yield "HK2", (x, z, y), rhs, lhs
 
-    up = _up_masks(n, zero, table)
+    up, dn = _order_masks(n, zero, table)
+    rows = [table[r : r + n] for r in range(0, n * n, n)]
     for x in range(n):
         row = x * n
+        img = [[0] * n for _ in range(n)]
+        for z, imgz in enumerate(img):
+            for t in iter_bits(table[row + z]):
+                for w, cell in enumerate(rows[t]):
+                    imgz[w] |= cell
         for y in range(n):
             cxy = table[row + y]
-            # below is the mask of u with u < some element of x*y, so the HK1
-            # test (x*z)*(y*z) < x*y is one AND.
             below = 0
-            for u in range(n):
-                if up[u] & cxy:
-                    below |= 1 << u
-            for z in range(n):
-                lhs = _raw_set_star(table, n, table[row + z], table[y * n + z])
+            for v in iter_bits(cxy):
+                below |= dn[v]
+            for z, imgz in enumerate(img):
+                lhs = 0
+                for w in iter_bits(table[y * n + z]):
+                    lhs |= imgz[w]
                 if lhs & ~below:
                     yield "HK1", (x, y, z), lhs, cxy
 
     for x in range(n):
-        for t in iter_bits(_raw_set_star(table, n, 1 << x, (1 << n) - 1)):
+        for t in iter_bits(reduce(or_, rows[x])):
             if not up[t] >> x & 1:
                 yield "HK3", (x,), 1 << t, 1 << x
                 break
@@ -362,24 +367,18 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
     return ValidationReport(not violations, tuple(violations))
 
 
-def _up_masks(n: int, zero: int, table: Sequence[int]) -> list[int]:
-    """``up[u]`` is the mask of v with u < v, so A < B is one AND per element of A."""
+def _order_masks(n: int, zero: int, table: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``(up, dn)``: ``up[u]`` is the mask of v with u < v, so A < B is one AND
+    per element of A, and ``dn[v]`` is the mask of u with u < v."""
     up = [0] * n
+    dn = [0] * n
     for u in range(n):
         row = u * n
         for v in range(n):
             if table[row + v] >> zero & 1:
                 up[u] |= 1 << v
-    return up
-
-
-def _raw_set_star(table: tuple[int, ...], n: int, a: int, b: int) -> int:
-    acc = 0
-    for x in iter_bits(a):
-        row = x * n
-        for y in iter_bits(b):
-            acc |= table[row + y]
-    return acc
+                dn[v] |= 1 << u
+    return up, dn
 
 
 def hk_axioms_hold_raw(

@@ -63,31 +63,45 @@ def _search_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-def relabel_table(n: int, table: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    """Apply an element relabeling ``perm`` (old index -> new index) to a table."""
-    out = [0] * (n * n)
+def _relabel_plan(n: int, perm: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``perm`` as bit images of the new indices, and the source cell of each target cell."""
+    sources = [0] * (n * n)
     for x in range(n):
         for y in range(n):
-            mask = 0
-            for t in iter_bits(table[x * n + y]):
-                mask |= 1 << perm[t]
-            out[perm[x] * n + perm[y]] = mask
+            sources[perm[x] * n + perm[y]] = x * n + y
+    return tuple(1 << p for p in perm), tuple(sources)
+
+
+@lru_cache(maxsize=8)
+def _relabel_plans(n: int, zero: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The plans of every zero-fixing relabeling of size ``n`` but the identity."""
+    perms = permutations([i for i in range(n) if i != zero])
+    return tuple(_relabel_plan(n, [*p[:zero], zero, *p[zero:]]) for p in perms)[1:]
+
+
+def _apply_plan(table: Sequence[int], plan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    bits, sources = plan
+    out = []
+    for pos in sources:
+        mask = 0
+        for t in iter_bits(table[pos]):
+            mask |= bits[t]
+        out.append(mask)
     return tuple(out)
 
 
+def relabel_table(n: int, table: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
+    """Apply an element relabeling ``perm`` (old index -> new index) to a table."""
+    return _apply_plan(table, _relabel_plan(n, perm))
+
+
 def canonical_table(n: int, zero: int, table: Sequence[int]) -> tuple[int, ...]:
-    """The least relabeling of ``table`` over all zero-fixing permutations."""
-    rest = [i for i in range(n) if i != zero]
-    best: tuple[int, ...] | None = None
-    for images in permutations(rest):
-        perm = list(range(n))
-        for old, new in zip(rest, images):
-            perm[old] = new
-        cand = relabel_table(n, table, perm)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    """The least relabeling of ``table`` over all zero-fixing permutations.
+
+    The identity gives the table itself; the other candidates come from the
+    relabeling plans cached per size and zero.
+    """
+    return min([tuple(table), *(_apply_plan(table, plan) for plan in _relabel_plans(n, zero))])
 
 
 def canonical_form(alg: HyperBCK) -> tuple[int, int, tuple[int, ...]]:

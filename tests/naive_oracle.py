@@ -8,7 +8,7 @@ between the two is evidence, not tautology.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 Table = dict[tuple[str, str], frozenset[str]]
 
@@ -91,11 +91,43 @@ def hk_failures(
     return list(_hk_literal_failures(labels, zero, table, strict_antisymmetry))
 
 
+def hk_sides(
+    table: Table, axiom: str, witness: tuple[str, str, str]
+) -> tuple[frozenset[str], frozenset[str]]:
+    """The two sides of HK1 or HK2 at the triple (x, y, z), spelled out.
+
+    HK1: (x*z)*(y*z) and x*y; HK2: (x*y)*z and (x*z)*y.
+    """
+    x, y, z = witness
+    if axiom == "HK1":
+        return set_star(table, table[(x, z)], table[(y, z)]), table[(x, y)]
+    if axiom == "HK2":
+        return (
+            set_star(table, table[(x, y)], frozenset({z})),
+            set_star(table, table[(x, z)], frozenset({y})),
+        )
+    raise ValueError(f"no sides for {axiom}")
+
+
 def hk_valid(
     labels: tuple[str, ...], zero: str, table: Table, strict_antisymmetry: bool = False
 ) -> bool:
     """Literal check of the three axioms (and optionally antisymmetry)."""
     return next(_hk_literal_failures(labels, zero, table, strict_antisymmetry), None) is None
+
+
+def relabeled(n: int, masks: tuple[int, ...], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The table whose cell (perm x, perm y) is {perm t : t in x*y}, as masks."""
+    cells = {}
+    for x in range(n):
+        for y in range(n):
+            cells[(perm[x], perm[y])] = {perm[t] for t in range(n) if masks[x * n + y] & 2**t}
+    return tuple(sum(2**t for t in cells[(x, y)]) for x in range(n) for y in range(n))
+
+
+def canonical_table(n: int, zero: int, masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The least relabeling of ``masks`` over every permutation that fixes ``zero``."""
+    return min(relabeled(n, masks, perm) for perm in permutations(range(n)) if perm[zero] == zero)
 
 
 def is_subalgebra(table: Table, zero: str, subset: frozenset[str]) -> bool:

@@ -199,6 +199,14 @@ def test_congruence_partition_validation(c2):
         Congruence.from_blocks(c2.alg, [[0, 1], [1]])
 
 
+def test_block_of_reads_the_partition_and_refuses_out_of_range(c2):
+    cong = Congruence.from_blocks(c2.alg, [[1], [0]])
+    assert [cong.block_of(i) for i in range(2)] == [0, 1]
+    for bad in (-1, 2):
+        with pytest.raises(InputError, match="out of range"):
+            cong.block_of(bad)
+
+
 def test_regular_congruences_of_zero_table_algebra():
     cells = {(x, y): ["O"] for x in "Oa" for y in "Oa"}
     alg = HyperBCK.from_sets(["O", "a"], "O", cells)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -117,10 +118,24 @@ def test_every_cache_in_the_package_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 cached[f"{info.name}.{name}"] = obj.cache_info().maxsize
-    assert {"core.iter_bits", "corpus.enumerate_hyper_bck", "morphisms.enumerate_homs"} <= set(
-        cached
-    )
+    assert {
+        "core.iter_bits",
+        "core._hk2_plan",
+        "corpus.enumerate_hyper_bck",
+        "corpus._relabel_plans",
+        "morphisms.enumerate_homs",
+    } <= set(cached)
     assert {name: size for name, size in cached.items() if size is None} == {}
+
+
+def test_no_export_is_a_module():
+    import hyperbck
+
+    assert "validate_hyper_bck" in hyperbck.__all__
+    modules = [
+        name for name in hyperbck.__all__ if isinstance(getattr(hyperbck, name), types.ModuleType)
+    ]
+    assert modules == []
 
 
 def test_is_subalgebra_cases(c3):
@@ -234,9 +249,10 @@ def test_fail_fast_matches_report(corpus2, c3):
 
 
 def _report_oracle_cases(corpus3):
-    """Every size-2 table, seeded size-3 and size-4 tables, and size-3 models with one cell changed."""
+    """The size-1 table, every size-2 table, seeded size-3 to size-5 tables, and
+    size-3 models with one cell changed."""
     rng = random.Random(20261018)
-    cases = [(2, alg.table) for alg in all_size2_tables()]
+    cases = [(1, (1,))] + [(2, alg.table) for alg in all_size2_tables()]
     for n, count in ((3, 300), (4, 100)):
         for _ in range(count):
             cases.append((n, tuple(rng.randrange(1, 1 << n) for _ in range(n * n))))
@@ -244,7 +260,16 @@ def _report_oracle_cases(corpus3):
         table = list(alg.table)
         table[rng.randrange(9)] = rng.randrange(1, 8)
         cases.append((3, tuple(table)))
+    five = random.Random(20261019)
+    for _ in range(30):
+        cases.append((5, tuple(five.randrange(1, 32) for _ in range(25))))
     return cases
+
+
+_SIDES_DETAIL = {
+    "HK1": "(x*z)*(y*z) = {} is not below x*y = {}",
+    "HK2": "(x*y)*z = {} but (x*z)*y = {}",
+}
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -255,8 +280,13 @@ def test_full_report_matches_literal_oracle(corpus3, strict):
             alg = HyperBCK(Carrier(labels, zero), masks)
             report = validate_hyper_bck(alg, strict_antisymmetry=strict)
             got = [(v.axiom, v.witness) for v in report.violations]
-            assert got == naive.hk_failures(*naive.table_of(alg), strict)
+            oracle = naive.table_of(alg)
+            assert got == naive.hk_failures(*oracle, strict)
             assert hk_axioms_hold(alg, strict_antisymmetry=strict) == (not got)
+            for v in report.violations:
+                if v.axiom in _SIDES_DETAIL:
+                    lhs, rhs = naive.hk_sides(oracle[2], v.axiom, v.witness)
+                    assert v.detail == _SIDES_DETAIL[v.axiom].format(sorted(lhs), sorted(rhs))
 
 
 # --- oracle agreement and derived invariants ---------------------------------

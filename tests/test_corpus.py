@@ -16,6 +16,7 @@ from hyperbck.corpus import (
     MAX_EXHAUSTIVE_SIZE,
     _search_tables,
     canonical_form,
+    canonical_table,
     chain_example,
     enumerate_fuzzy_assignments,
     enumerate_hyper_bck,
@@ -124,6 +125,19 @@ def test_canonicalizer_idempotent_and_relabeling_invariant(corpus3):
             perm = [0, *images]
             relabeled = HyperBCK(alg.carrier, relabel_table(3, alg.table, perm))
             assert canonical_form(relabeled) == (n, zero, canon)
+
+
+def test_relabeling_matches_literal_oracle(corpus3):
+    """The whole size-3 corpus, and seeded size-4 tables with zero at every index."""
+    rng = random.Random(20261020)
+    cases = [(3, 0, alg.table) for alg in corpus3]
+    for _ in range(200):
+        table = tuple(rng.randrange(1, 16) for _ in range(16))
+        cases.extend((4, zero, table) for zero in range(4))
+    for n, zero, table in cases:
+        assert canonical_table(n, zero, table) == naive.canonical_table(n, zero, table)
+        for perm in permutations(range(n)):
+            assert relabel_table(n, table, perm) == naive.relabeled(n, table, perm)
 
 
 def test_iso_corpus_is_canonical_and_covering(corpus3, corpus3_iso):
