@@ -175,10 +175,7 @@ class HyperBCK:
 
     def restrict(self, subset: Iterable[str]) -> HyperBCK:
         """The subalgebra on ``subset`` with the inherited table and label order."""
-        mask = self.carrier.mask_of(subset)
-        if not self.is_subalgebra_mask(mask):
-            raise InputError(f"{sorted(subset)!r} is not a subalgebra")
-        return self.restrict_mask(mask)
+        return self.restrict_mask(self.carrier.mask_of(subset))
 
     # -- index/mask-level operations (used by the validators and oracles) --
 
@@ -210,6 +207,9 @@ class HyperBCK:
         return None
 
     def restrict_mask(self, mask: int) -> HyperBCK:
+        """The subalgebra on ``mask``; a mask without zero or not closed is refused."""
+        if not self.is_subalgebra_mask(mask):
+            raise InputError(f"{sorted(self.carrier.labels_of(mask))!r} is not a subalgebra")
         old = list(iter_bits(mask))
         remap = {o: i for i, o in enumerate(old)}
         labels = tuple(self.carrier.labels[o] for o in old)

@@ -19,9 +19,10 @@ from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from .core import Carrier, HyperBCK, InputError, hk_axioms_hold_raw, iter_bits
-from .fuzzy import FuzzyHyperBCK, fuzzy_value
+from .fuzzy import FuzzyHyperBCK, _membership_failures, _membership_pairs, fuzzy_value
 
 MAX_EXHAUSTIVE_SIZE = 3
+_MAX_CANONICAL_SIZE = 8
 
 _CORPUS_LABELS = ("O", "a", "b")
 
@@ -74,7 +75,12 @@ def _relabel_plan(n: int, perm: Sequence[int]) -> tuple[tuple[int, ...], tuple[i
 
 @lru_cache(maxsize=8)
 def _relabel_plans(n: int, zero: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The plans of every zero-fixing relabeling of size ``n`` but the identity."""
+    """The plans of every zero-fixing relabeling of size ``n`` but the identity.
+
+    There are (n-1)! of them, so sizes past ``_MAX_CANONICAL_SIZE`` are refused.
+    """
+    if n > _MAX_CANONICAL_SIZE:
+        raise InputError(f"canonical forms are limited to sizes up to {_MAX_CANONICAL_SIZE}")
     perms = permutations([i for i in range(n) if i != zero])
     return tuple(_relabel_plan(n, [*p[:zero], zero, *p[zero:]]) for p in perms)[1:]
 
@@ -159,36 +165,20 @@ def enumerate_fuzzy_assignments(
     """All membership maps into ``grid`` satisfying the fuzzy inequality.
 
     Deterministic: assignments are produced in lexicographic order of the
-    grid as given, element by element in carrier order.  The inner filter
-    compares value *ranks* (the inequality only ever compares degrees), so
-    the hot loop stays on small integers; survivors carry exact rationals.
+    grid as given, element by element in carrier order, duplicates included.
+    The inequality only ever compares degrees, so each map is tested by the
+    membership kernel on the *ranks* of its values, walked in step with the
+    values themselves; survivors carry exact rationals.
     """
     values = [fuzzy_value(v) for v in grid]
     if not values:
         raise InputError("value grid must be non-empty")
     rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
     ranks = tuple(rank_of[v] for v in values)
+    pairs = _membership_pairs(alg)
     n = len(alg.carrier)
-    # singleton cells {x} or {y} can never violate the bound min(mu x, mu y)
-    pairs = [
-        (x, y, cell)
-        for x, y, cell in (
-            (x, y, tuple(iter_bits(alg.cell(x, y)))) for x in range(n) for y in range(n)
-        )
-        if not (len(cell) == 1 and cell[0] in (x, y))
+    return [
+        FuzzyHyperBCK(alg, mu)
+        for mu, mu_r in zip(product(values, repeat=n), product(ranks, repeat=n))
+        if next(_membership_failures(pairs, mu_r), None) is None
     ]
-    out = []
-    for combo in product(range(len(values)), repeat=n):
-        mu_r = tuple(ranks[i] for i in combo)
-        ok = True
-        for x, y, cell in pairs:
-            bound = mu_r[x] if mu_r[x] <= mu_r[y] else mu_r[y]
-            for t in cell:
-                if mu_r[t] < bound:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(FuzzyHyperBCK(alg, tuple(values[i] for i in combo)))
-    return out

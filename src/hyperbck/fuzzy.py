@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from .core import (
     HyperBCK,
@@ -103,39 +103,49 @@ class FuzzyHyperBCK:
 
     def restrict(self, subset: Iterable[str]) -> FuzzyHyperBCK:
         """The fuzzy subalgebra on a star-closed subset, with inherited mu."""
-        mask = self.alg.carrier.mask_of(subset)
-        return self.restrict_mask(mask)
+        return self.restrict_mask(self.alg.carrier.mask_of(subset))
 
     def restrict_mask(self, mask: int) -> FuzzyHyperBCK:
-        if not self.alg.is_subalgebra_mask(mask):
-            labels = sorted(self.alg.carrier.labels_of(mask))
-            raise InputError(f"{labels!r} is not a subalgebra")
         return FuzzyHyperBCK(
             self.alg.restrict_mask(mask),
             tuple(self.mu[i] for i in iter_bits(mask)),
         )
 
 
+def _membership_pairs(alg: HyperBCK) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Every pair (x, y) whose cell can fail the inequality, with the cell's elements.
+
+    A cell {x} or {y} holds the smaller of mu(x) and mu(y), so it never fails
+    and is left out.
+    """
+    n = len(alg.carrier)
+    return tuple(
+        (x, y, cell)
+        for x in range(n)
+        for y in range(n)
+        if (cell := iter_bits(alg.cell(x, y))) not in ((x,), (y,))
+    )
+
+
 def _membership_failures(
-    alg: HyperBCK, mu: tuple[Fraction, ...]
-) -> Iterator[tuple[int, int, Fraction, Fraction]]:
+    pairs: tuple[tuple[int, int, tuple[int, ...]], ...], mu: Sequence[Any]
+) -> Iterator[tuple[int, int, Any, Any]]:
     """Yield ``(x, y, got, bound)`` for every pair where the inequality fails.
 
     ``got`` is the minimum of mu over x*y and ``bound`` is min(mu(x), mu(y)).
+    ``mu`` may hold any totally ordered values: exact degrees, or their ranks.
     """
-    n = len(alg.carrier)
-    for x in range(n):
-        mx = mu[x]
-        for y in range(n):
-            bound = mx if mx <= mu[y] else mu[y]
-            got = min(mu[t] for t in iter_bits(alg.cell(x, y)))
-            if got < bound:
-                yield x, y, got, bound
+    for x, y, cell in pairs:
+        bound = mu[x] if mu[x] <= mu[y] else mu[y]
+        for t in cell:
+            if mu[t] < bound:
+                yield x, y, min(mu[t] for t in cell), bound
+                break
 
 
-def fuzzy_condition_holds(alg: HyperBCK, mu: tuple[Fraction, ...]) -> bool:
+def fuzzy_condition_holds(alg: HyperBCK, mu: Sequence[Any]) -> bool:
     """Fail-fast check of the membership inequality over all pairs."""
-    return next(_membership_failures(alg, mu), None) is None
+    return next(_membership_failures(_membership_pairs(alg), mu), None) is None
 
 
 def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
@@ -154,7 +164,7 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
             (labels[x], labels[y]),
             f"min mu over x*y is {format_fuzzy(got)} < {format_fuzzy(bound)}",
         )
-        for x, y, got, bound in _membership_failures(alg, fz.mu)
+        for x, y, got, bound in _membership_failures(_membership_pairs(alg), fz.mu)
     ]
 
     info = [
@@ -236,17 +246,15 @@ class CutVerdict:
 def equals_some_alpha_cut(fz: FuzzyHyperBCK, subset: Iterable[str]) -> CutVerdict:
     """Test whether a subalgebra equals a level set at some level.
 
-    It suffices to try the minimum of mu over the subset and then every
-    distinct mu value: cuts are piecewise-constant between levels.
+    Only the minimum m of mu over the subset S needs trying: every member of
+    S lies in the cut at m, and if some cut at alpha equals S then alpha <= m,
+    so every element outside S is below alpha and hence below m.
     """
     mask = fz.alg.carrier.mask_of(subset)
     if not fz.alg.is_subalgebra_mask(mask):
         labels = sorted(fz.alg.carrier.labels_of(mask))
         raise InputError(f"{labels!r} is not a subalgebra")
-    candidates = [min(fz.mu[i] for i in iter_bits(mask))]
-    candidates.extend(fz.cut_levels())
-    candidates.append(ZERO)
-    for alpha in candidates:
-        if fz.alpha_cut_mask(alpha) == mask:
-            return CutVerdict(True, alpha, True)
+    alpha = min(fz.mu[i] for i in iter_bits(mask))
+    if fz.alpha_cut_mask(alpha) == mask:
+        return CutVerdict(True, alpha, True)
     return CutVerdict(False, None, False)

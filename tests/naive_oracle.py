@@ -212,3 +212,13 @@ def fuzzy_ok(labels: tuple[str, ...], table: Table, mu: dict[str, object]) -> bo
             if min(mu[t] for t in table[(x, y)]) < min(mu[x], mu[y]):
                 return False
     return True
+
+
+def cut_level(mu: dict[str, object], subset: frozenset[str]):
+    """The highest level among the mu values and 0 whose level set is ``subset``, or None."""
+    hits = [
+        alpha
+        for alpha in set(mu.values()) | {0}
+        if frozenset(x for x in mu if mu[x] >= alpha) == subset
+    ]
+    return max(hits, default=None)

@@ -386,3 +386,10 @@ def test_restrict_preserves_label_order(c3):
     assert sub.star("2", "2") == {"1", "2"}
     with pytest.raises(InputError, match="not a subalgebra"):
         c3.restrict({"2", "3"})
+
+
+def test_restrict_mask_refuses_masks_without_zero_or_not_closed(c3):
+    with pytest.raises(InputError, match=r"\['2', '3'\] is not a subalgebra"):
+        c3.restrict_mask(0b110)  # lacks zero
+    with pytest.raises(InputError, match=r"\['1', '3'\] is not a subalgebra"):
+        c3.restrict_mask(0b101)  # 3*3 holds 2, outside the mask

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -140,6 +141,19 @@ def test_relabeling_matches_literal_oracle(corpus3):
             assert relabel_table(n, table, perm) == naive.relabeled(n, table, perm)
 
 
+def test_canonical_form_refuses_size_nine_quickly():
+    n = 9
+    alg = HyperBCK(Carrier(tuple(str(i) for i in range(n)), 0), (1,) * (n * n))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="limited to sizes up to 8"):
+        canonical_form(alg)
+    with pytest.raises(InputError, match="limited to sizes up to 8"):
+        canonical_table(n, 3, alg.table)
+    assert time.perf_counter() - start < 1.0
+    # a single relabeling builds one plan, so it has no size bound
+    assert relabel_table(n, alg.table, list(range(n))) == alg.table
+
+
 def test_iso_corpus_is_canonical_and_covering(corpus3, corpus3_iso):
     iso_tables = {alg.table for alg in corpus3_iso}
     for alg in corpus3_iso:
@@ -201,6 +215,20 @@ def test_fuzzy_assignments_match_literal_filter(corpus2):
                 mu = {labels[0]: m0, labels[1]: m1}
                 if naive.fuzzy_ok(labels, table, mu):
                     expected.add((m0, m1))
+        assert got == expected
+
+
+def test_fuzzy_assignments_keep_order_and_duplicates_of_an_unsorted_grid(corpus3):
+    grid = [1, 0, "1/2", 1]
+    values = [Fraction(v) for v in grid]
+    for alg in random.Random(31).sample(list(corpus3), 150):
+        labels, _, table = naive.table_of(alg)
+        got = [fz.mu for fz in enumerate_fuzzy_assignments(alg, grid)]
+        expected = [
+            mu
+            for mu in product(values, repeat=alg.size)
+            if naive.fuzzy_ok(labels, table, dict(zip(labels, mu)))
+        ]
         assert got == expected
 
 

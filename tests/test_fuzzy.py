@@ -90,6 +90,8 @@ def test_fail_fast_and_report_agree_with_oracle(corpus_le2, chains):
         for mu in _grid_maps(alg.size, 400, seed):
             expected = naive.fuzzy_ok(labels, table, dict(zip(labels, mu)))
             assert fuzzy_condition_holds(alg, mu) == expected
+            ranks = tuple(sorted(set(mu)).index(v) for v in mu)
+            assert fuzzy_condition_holds(alg, ranks) == expected
             assert validate_fuzzy(FuzzyHyperBCK(alg, mu)).passed == expected
 
 
@@ -161,6 +163,36 @@ def test_equals_some_alpha_cut_examples(c3):
 
     with pytest.raises(InputError, match="not a subalgebra"):
         equals_some_alpha_cut(c3, {"2", "3"})
+
+
+def _assert_cut_verdicts_match_oracle(alg, maps):
+    labels, zero, table = naive.table_of(alg)
+    subalgebras = [
+        frozenset(labels[i] for i in range(alg.size) if mask >> i & 1)
+        for mask in range(1, 1 << alg.size)
+    ]
+    subalgebras = [s for s in subalgebras if naive.is_subalgebra(table, zero, s)]
+    violating = 0
+    for mu in maps:
+        mu_map = dict(zip(labels, mu))
+        violating += not naive.fuzzy_ok(labels, table, mu_map)
+        fz = FuzzyHyperBCK(alg, mu)
+        for subset in subalgebras:
+            level = naive.cut_level(mu_map, subset)
+            verdict = equals_some_alpha_cut(fz, subset)
+            assert verdict.is_cut == verdict.claim_holds == (level is not None)
+            assert verdict.alpha == level
+    return violating
+
+
+def test_equals_some_alpha_cut_matches_literal_level_scan(corpus_le2, corpus3):
+    violating = 0
+    for alg in corpus_le2:
+        violating += _assert_cut_verdicts_match_oracle(alg, list(product(GRID, repeat=alg.size)))
+    rng = random.Random(2024)
+    for seed, alg in enumerate(rng.sample(list(corpus3), 60)):
+        violating += _assert_cut_verdicts_match_oracle(alg, _grid_maps(3, 40, seed))
+    assert violating > 0  # maps that break the inequality are scanned too
 
 
 def test_collapse_properties(c3):
