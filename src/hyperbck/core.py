@@ -12,10 +12,11 @@ at its first item.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from operator import add, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class InputError(ValueError):
@@ -187,8 +188,8 @@ class HyperBCK:
     def set_order_masks(self, a: int, b: int) -> bool:
         if a == 0 or b == 0:
             raise InputError("set arguments of the hyperorder must be non-empty")
-        up, _ = _order_masks(len(self.carrier), self.zero, self.table)
-        return all(up[x] & b for x in iter_bits(a))
+        dn = _down_masks(len(self.carrier), self.zero, self.table)
+        return not a & ~reduce(or_, [dn[v] for v in iter_bits(b)])
 
     def is_subalgebra_mask(self, mask: int) -> bool:
         if mask == 0:
@@ -206,10 +207,14 @@ class HyperBCK:
                     return x, y, (stray & -stray).bit_length() - 1
         return None
 
-    def restrict_mask(self, mask: int) -> HyperBCK:
-        """The subalgebra on ``mask``; a mask without zero or not closed is refused."""
+    def _require_subalgebra(self, mask: int) -> None:
+        """Refuse a mask without zero or not closed, naming its labels."""
         if not self.is_subalgebra_mask(mask):
             raise InputError(f"{sorted(self.carrier.labels_of(mask))!r} is not a subalgebra")
+
+    def restrict_mask(self, mask: int) -> HyperBCK:
+        """The subalgebra on ``mask``; a mask without zero or not closed is refused."""
+        self._require_subalgebra(mask)
         old = list(iter_bits(mask))
         remap = {o: i for i, o in enumerate(old)}
         labels = tuple(self.carrier.labels[o] for o in old)
@@ -258,11 +263,42 @@ class ValidationReport:
         return [v.witness for v in self.violations if v.axiom == axiom]
 
 
+_TABLED_SIZE = 6  # past it a mask table fills entries on lookup instead of all 2**n
+
+
+class _OnLookup(defaultdict):
+    """A mask table that computes entry m as ``default_factory(m)`` and keeps 256 at most."""
+
+    def __missing__(self, mask: int) -> object:
+        value = self.default_factory(mask)
+        if len(self) < 1 << 8:  # bounded, as the cached HK2 plans hold their gather lists
+            self[mask] = value
+        return value
+
+
+def _mask_ors(parts: Sequence, join: Callable = or_, empty: object = 0) -> list | _OnLookup:
+    """Entry B joins ``parts[i]`` over the bits i of mask B in order (OR by default)."""
+    if len(parts) > _TABLED_SIZE:
+        return _OnLookup(lambda b: reduce(join, [parts[i] for i in iter_bits(b)], empty))
+    ors = [empty] * (1 << len(parts))
+    for b in range(1, len(ors)):
+        low = b & -b
+        ors[b] = join(parts[low.bit_length() - 1], ors[b ^ low])
+    return ors
+
+
 @lru_cache(maxsize=16)
-def _hk2_plan(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
-    """The HK2 instances ``(x, y, z, x*n + y, x*n + z)`` of size ``n``, y < z."""
+def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
+    """The HK2 instances ``(x, y, z, x*n + y, x*n + z, gz, gy)`` of size ``n``, y < z.
+
+    ``gz[m]`` lists the positions ``t*n + z`` for t in mask m (``gy`` those of y), so
+    (x*y)*z ORs the cells at ``gz[table[x*n + y]]``.  The zero's row comes last: by
+    HK3 it holds only elements below zero, so it fails least often."""
+    gather = [_mask_ors([(t * n + z,) for t in range(n)], add, ()) for z in range(n)]
     return tuple(
-        (x, y, z, x * n + y, x * n + z) for x in range(n) for y in range(n) for z in range(y + 1, n)
+        (x, y, z, x * n + y, x * n + z, gather[z], gather[y])
+        for x in [*range(zero), *range(zero + 1, n), zero]
+        for y in range(n) for z in range(y + 1, n)
     )
 
 
@@ -273,54 +309,44 @@ def _hk_failures(
 
     Each item is ``(axiom, indices, lhs_mask, rhs_mask)``: for HK1 and HK2 the
     two sides at the triple; for HK3 ``{t}`` escaping x*H and ``{x}``; for HK4
-    ``{x}`` and ``{y}``.  Order: HK2 along the per-size plan, as (x, y, z) and
-    then (x, z, y) with the sides swapped; then HK1 per (x, y, z), HK3 per x,
-    HK4 per pair.  Only tables past HK2 pay for the order masks and, per x, the
-    row images ``img[z][w] = (x*z)*w``: (x*z)*(y*z) is their OR over w in y*z,
-    and the u below x*y the OR of ``dn[v]`` over v in x*y, so HK1 is one AND.
-    :func:`validate_hyper_bck` sorts the items into report order.
+    ``{x}`` and ``{y}``.  HK2 comes first, along the plan, each side an OR over
+    a gather list, as (x, y, z) and then (x, z, y) with the sides swapped.  Only
+    tables past it pay for the masks ``dn`` and per-mask OR tables (row t's gives
+    t*B for every mask B, the one over ``dn`` the elements below some member of
+    B) and go on to HK1 per (x, y, z), HK3 per x and HK4 per pair.
     """
-    for x, y, z, xy, xz in _hk2_plan(n):
+    for x, y, z, xy, xz, gz, gy in _hk2_plan(n, zero):
         lhs = rhs = 0
-        for t in iter_bits(table[xy]):
-            lhs |= table[t * n + z]
-        for t in iter_bits(table[xz]):
-            rhs |= table[t * n + y]
+        for p in gz[table[xy]]:
+            lhs |= table[p]
+        for p in gy[table[xz]]:
+            rhs |= table[p]
         if lhs != rhs:
             yield "HK2", (x, y, z), lhs, rhs
             yield "HK2", (x, z, y), rhs, lhs
 
-    up, dn = _order_masks(n, zero, table)
+    dn = _down_masks(n, zero, table)
+    below = _mask_ors(dn)
     rows = [table[r : r + n] for r in range(0, n * n, n)]
-    for x in range(n):
-        row = x * n
-        img = [[0] * n for _ in range(n)]
-        for z, imgz in enumerate(img):
-            for t in iter_bits(table[row + z]):
-                for w, cell in enumerate(rows[t]):
-                    imgz[w] |= cell
-        for y in range(n):
-            cxy = table[row + y]
-            below = 0
-            for v in iter_bits(cxy):
-                below |= dn[v]
-            for z, imgz in enumerate(img):
+    rowstar = [_mask_ors(row) for row in rows]
+    for x, xrow in enumerate(rows):
+        for y, cxy in enumerate(xrow):
+            for z, (xz, yz) in enumerate(zip(xrow, rows[y])):
                 lhs = 0
-                for w in iter_bits(table[y * n + z]):
-                    lhs |= imgz[w]
-                if lhs & ~below:
+                for t in iter_bits(xz):
+                    lhs |= rowstar[t][yz]
+                if lhs & ~below[cxy]:
                     yield "HK1", (x, y, z), lhs, cxy
 
     for x in range(n):
-        for t in iter_bits(reduce(or_, rows[x])):
-            if not up[t] >> x & 1:
-                yield "HK3", (x,), 1 << t, 1 << x
-                break
+        stray = rowstar[x][(1 << n) - 1] & ~dn[x]
+        if stray:
+            yield "HK3", (x,), stray & -stray, 1 << x
 
     if strict_antisymmetry:
         for x in range(n):
             for y in range(x + 1, n):
-                if up[x] >> y & 1 and up[y] >> x & 1:
+                if dn[y] >> x & 1 and dn[x] >> y & 1:
                     yield "HK4", (x, y), 1 << x, 1 << y
 
 
@@ -367,18 +393,15 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
     return ValidationReport(not violations, tuple(violations))
 
 
-def _order_masks(n: int, zero: int, table: Sequence[int]) -> tuple[list[int], list[int]]:
-    """``(up, dn)``: ``up[u]`` is the mask of v with u < v, so A < B is one AND
-    per element of A, and ``dn[v]`` is the mask of u with u < v."""
-    up = [0] * n
+def _down_masks(n: int, zero: int, table: Sequence[int]) -> list[int]:
+    """``dn[v]`` is the mask of u with u < v, that is with the zero in u*v."""
     dn = [0] * n
     for u in range(n):
         row = u * n
         for v in range(n):
             if table[row + v] >> zero & 1:
-                up[u] |= 1 << v
                 dn[v] |= 1 << u
-    return up, dn
+    return dn
 
 
 def hk_axioms_hold_raw(

@@ -251,9 +251,7 @@ def equals_some_alpha_cut(fz: FuzzyHyperBCK, subset: Iterable[str]) -> CutVerdic
     so every element outside S is below alpha and hence below m.
     """
     mask = fz.alg.carrier.mask_of(subset)
-    if not fz.alg.is_subalgebra_mask(mask):
-        labels = sorted(fz.alg.carrier.labels_of(mask))
-        raise InputError(f"{labels!r} is not a subalgebra")
+    fz.alg._require_subalgebra(mask)
     alpha = min(fz.mu[i] for i in iter_bits(mask))
     if fz.alpha_cut_mask(alpha) == mask:
         return CutVerdict(True, alpha, True)

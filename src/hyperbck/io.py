@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable
 
-from .core import Carrier, HyperBCK, InputError
+from .core import Carrier, HyperBCK, InputError, iter_bits
 from .fuzzy import FuzzyHyperBCK, format_fuzzy, fuzzy_value
 from .morphisms import Hom
 
@@ -142,10 +142,8 @@ def structure_to_dict(obj: Structure) -> dict:
     table = {}
     for x in range(n):
         for y in range(n):
-            cell = alg.cell(x, y)
-            table[f"{labels[x]},{labels[y]}"] = [
-                lab for lab in labels if cell >> labels.index(lab) & 1
-            ]
+            cell = alg.table[x * n + y]
+            table[f"{labels[x]},{labels[y]}"] = [labels[t] for t in iter_bits(cell)]
     doc: dict = {"carrier": list(labels), "zero": alg.carrier.zero_label, "table": table}
     if isinstance(obj, FuzzyHyperBCK):
         doc["mu"] = {lab: format_fuzzy(obj.mu[i]) for i, lab in enumerate(labels)}

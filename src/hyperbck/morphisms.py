@@ -346,9 +346,8 @@ def separation_promotes(
     alg = host.alg
     g_mask = alg.carrier.mask_of(g_subset)
     f_mask = alg.carrier.mask_of(f_subset)
-    for mask, name in ((g_mask, "first"), (f_mask, "second")):
-        if not alg.is_subalgebra_mask(mask):
-            raise InputError(f"{name} subset is not a subalgebra")
+    alg._require_subalgebra(g_mask)
+    alg._require_subalgebra(f_mask)
 
     zbit = 1 << alg.zero
     below = all(host.mu[i] < alpha for i in iter_bits(g_mask & ~zbit))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import pkgutil
 import random
+import tracemalloc
 import types
 
 import pytest
@@ -23,8 +24,9 @@ from hyperbck import (
     trivial_algebra,
     validate_hyper_bck,
 )
-from hyperbck.core import iter_bits
-from hyperbck.corpus import chain_example
+from hyperbck import corpus
+from hyperbck.core import _hk2_plan, _mask_ors, hk_axioms_hold_raw, iter_bits
+from hyperbck.corpus import _search_tables, chain_example
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +251,8 @@ def test_fail_fast_matches_report(corpus2, c3):
 
 
 def _report_oracle_cases(corpus3):
-    """The size-1 table, every size-2 table, seeded size-3 to size-5 tables, and
-    size-3 models with one cell changed."""
+    """The size-1 table, every size-2 table, seeded size-3 to size-5 and size-7
+    tables, size-3 models with one cell changed, and the chains of length 7 and 8."""
     rng = random.Random(20261018)
     cases = [(1, (1,))] + [(2, alg.table) for alg in all_size2_tables()]
     for n, count in ((3, 300), (4, 100)):
@@ -263,7 +265,10 @@ def _report_oracle_cases(corpus3):
     five = random.Random(20261019)
     for _ in range(30):
         cases.append((5, tuple(five.randrange(1, 32) for _ in range(25))))
-    return cases
+    # Past six elements the kernel's mask tables fill entries on lookup.
+    for _ in range(4):
+        cases.append((7, tuple(five.randrange(1, 128) for _ in range(49))))
+    return cases + [(k, chain_example(k).alg.table) for k in (7, 8)]
 
 
 _SIDES_DETAIL = {
@@ -316,6 +321,70 @@ def test_validator_agrees_with_literal_oracle_sampled_size3():
             alg = HyperBCK(carrier, masks)
             labels, zero, table = naive.table_of(alg)
             assert hk_axioms_hold(alg) == naive.hk_valid(labels, zero, table)
+
+
+def test_fail_fast_agrees_with_literal_oracle_on_sampled_size3_leaves(monkeypatch):
+    """The search leaves satisfy HK3, so many get past HK2 into HK1 and HK3."""
+    leaves = []
+    monkeypatch.setattr(corpus, "hk_axioms_hold_raw", lambda n, zero, t: leaves.append(t))
+    _search_tables.__wrapped__(3)
+    assert len(leaves) == 413488
+    carrier = Carrier(("0", "1", "2"), 0)
+    valid = 0
+    for i, masks in enumerate(random.Random(20261018).sample(leaves, 20000)):
+        alg = HyperBCK(carrier, masks)
+        for moved in (alg, zero_moved_to(alg, 1 + i % 2)):
+            labels, _, table = naive.raw_table(3, moved.table)
+            want = naive.hk_valid(labels, labels[moved.zero], table)
+            # HK4 only adds a condition, so a table failing HK1-HK3 fails strictly too.
+            strict = want and naive.hk_valid(labels, labels[moved.zero], table, True)
+            assert hk_axioms_hold_raw(3, moved.zero, moved.table) == want
+            assert hk_axioms_hold_raw(3, moved.zero, moved.table, True) == strict
+            valid += want
+    assert valid > 1000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_hk2_plan_lists_each_instance_once_with_the_zero_row_last(n):
+    for zero in range(n):
+        plan = _hk2_plan(n, zero)
+        triples = [item[:3] for item in plan]
+        assert sorted(triples) == [
+            (x, y, z) for x in range(n) for y in range(n) for z in range(y + 1, n)
+        ]
+        for x, y, z, xy, xz, gz, gy in plan:
+            assert (xy, xz) == (x * n + y, x * n + z)
+            for m in range(1 << n):
+                assert list(gz[m]) == [t * n + z for t in iter_bits(m)]
+                assert list(gy[m]) == [t * n + y for t in iter_bits(m)]
+        rows = [x for x, *_ in plan]
+        assert rows == sorted(rows, key=lambda x: x == zero)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 7, 9])
+def test_mask_ors_matches_a_literal_or_over_the_bits(n):
+    rng = random.Random(n)
+    parts = [rng.randrange(1 << 12) for _ in range(n)]
+    ors = _mask_ors(parts)
+    for mask in [*range(1 << n), *range(1 << n)]:  # twice: filled entries are kept
+        literal = 0
+        for i in iter_bits(mask):
+            literal |= parts[i]
+        assert ors[mask] == literal
+
+
+def test_a_large_carrier_is_checked_without_a_table_of_every_mask():
+    """Tabling all 2**14 masks per row and per plan column would hold about 30 MB."""
+    alg = chain_example(14).alg
+    tracemalloc.start()
+    try:
+        report = validate_hyper_bck(alg, strict_antisymmetry=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    oracle = naive.hk_failures(*naive.table_of(alg), True)
+    assert [(v.axiom, v.witness) for v in report.violations] == oracle
 
 
 def test_subalgebra_masks_agree_with_literal_oracle(corpus_le2, chains):

@@ -252,6 +252,15 @@ def test_separation_promotes_hypothesis_and_conclusion():
         separation_promotes(host, {"a"}, {"O"}, Fraction(1, 2))
 
 
+def test_separation_promotes_names_the_labels_of_a_non_subalgebra():
+    host = FuzzyHyperBCK.from_map(zero_table_host(), {"O": "1", "a": "1/4", "b": "3/4"})
+    with pytest.raises(InputError, match=r"^\['a', 'b'\] is not a subalgebra$"):
+        separation_promotes(host, {"O"}, {"b", "a"}, Fraction(1, 2))  # lacks zero
+    chain = chain_example(3)
+    with pytest.raises(InputError, match=r"^\['1', '3'\] is not a subalgebra$"):
+        separation_promotes(chain, {"1", "2"}, {"1", "3"}, Fraction(1, 2))  # 3*3 holds 2
+
+
 def test_separation_holds_across_enumerated_hosts(corpus2):
     for alg in corpus2:
         for host in grid_assignments(alg)[:5]:
