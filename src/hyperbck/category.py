@@ -7,6 +7,12 @@ homomorphisms, agreement sets are closed, the meet of congruences is
 regular).  A failed guarantee raises :class:`ClaimViolation` with a
 witness instead of returning a silently wrong object: at desk scale these
 checks double as an instrument for finding counterexamples.
+
+A construction of kind ``{kind}`` names the hom checks on its maps
+``{kind}-leg-hom`` / ``{kind}-leg-fuzzy`` for its legs and
+``{kind}-mediator-hom`` / ``{kind}-mediator-fuzzy`` for a mediating map;
+the other claims name the property itself (``equalizer-closed``,
+``coequalizer-factors``, ...).
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .core import (
     ClaimViolation,
     HyperBCK,
     InputError,
+    _image_masks,
+    _mask_ors,
     hk_axioms_hold_raw,
     iter_bits,
     trivial_algebra,
@@ -29,7 +37,7 @@ from .core import (
 from .fuzzy import FuzzyHyperBCK
 from .morphisms import Hom, _never_lowers_membership, is_fuzzy_hom, is_hom
 
-DEFAULT_CONGRUENCE_BOUND = 5
+CONGRUENCE_BOUND = 5  # Bell(5) = 52 partitions; Bell(n) grows too fast past it
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,23 +87,15 @@ class Congruence:
 
 def _quotient_cells(cong: Congruence) -> tuple[int, ...] | None:
     """Block-level table, or None if it depends on representatives."""
-    alg = cong.base
-    to_block = cong._to_block
-    m = len(cong.blocks)
-    cells = [0] * (m * m)
-    for bi, bx in enumerate(cong.blocks):
-        for bj, by in enumerate(cong.blocks):
-            value: int | None = None
-            for x in bx:
-                for y in by:
-                    mask = 0
-                    for t in iter_bits(alg.cell(x, y)):
-                        mask |= 1 << to_block[t]
-                    if value is None:
-                        value = mask
-                    elif value != mask:
-                        return None
-            cells[bi * m + bj] = value  # type: ignore[assignment]
+    image = _image_masks(cong._to_block)
+    cell = cong.base.cell
+    cells = []
+    for bx in cong.blocks:
+        for by in cong.blocks:
+            values = {image[cell(x, y)] for x in bx for y in by}
+            if len(values) > 1:
+                return None
+            cells.append(values.pop())
     return tuple(cells)
 
 
@@ -140,14 +140,12 @@ def _partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 @lru_cache(maxsize=1 << 12)
-def enumerate_regular_congruences(
-    alg: HyperBCK, max_size: int = DEFAULT_CONGRUENCE_BOUND
-) -> tuple[Congruence, ...]:
-    """All regular congruences of a small algebra, in partition order."""
+def enumerate_regular_congruences(alg: HyperBCK) -> tuple[Congruence, ...]:
+    """All regular congruences of an algebra of at most ``CONGRUENCE_BOUND`` elements."""
     n = len(alg.carrier)
-    if n > max_size:
+    if n > CONGRUENCE_BOUND:
         raise InputError(
-            f"carrier size {n} exceeds the congruence enumeration bound {max_size}; "
+            f"carrier size {n} exceeds the congruence enumeration bound {CONGRUENCE_BOUND}; "
             f"partition counts grow too fast beyond it"
         )
     out = []
@@ -182,18 +180,27 @@ def terminal_map(src: HyperBCK) -> Hom:
     return Hom(src, terminal().alg, (0,) * len(src.carrier))
 
 
-def _verify_leg(
-    name: str, leg: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK, kind: str
+def _verify_hom(
+    claim: str, h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK, message: str = ""
 ) -> None:
-    """Raise a claim violation unless ``leg`` is a fuzzy hom.
+    """Raise ``{claim}-hom`` (with ``message``) unless ``h`` is a hom, then ``{claim}-fuzzy``.
 
-    Legs are built on the given structures, so their endpoints need no check,
-    and the hom equation is tested once.
+    Only for maps a construction built itself on the given structures, whose
+    endpoints need no check.
     """
-    if not is_hom(leg) or not _never_lowers_membership(leg, src, dst):
-        raise ClaimViolation(
-            f"{kind}-leg-fuzzy-hom", leg.as_label_map(), f"leg {name} of {kind} is not a fuzzy hom"
-        )
+    if not is_hom(h):
+        raise ClaimViolation(f"{claim}-hom", h.as_label_map(), message)
+    if not _never_lowers_membership(h, src, dst):
+        raise ClaimViolation(f"{claim}-fuzzy", h.as_label_map())
+
+
+def _require_fuzzy_homs(message: str, *maps: tuple[Hom, FuzzyHyperBCK, FuzzyHyperBCK]) -> None:
+    """Refuse the input with ``message`` unless every ``(h, src, dst)`` is a fuzzy hom.
+
+    :func:`is_fuzzy_hom` itself refuses mismatched endpoints and non-homs.
+    """
+    if not all(is_fuzzy_hom(*m) for m in maps):
+        raise InputError(message)
 
 
 def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
@@ -201,34 +208,34 @@ def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
 
     The cell of two tuples is the full componentwise set
     ``{t : t_i in x_i * y_i}``, the choice under which every projection is
-    a homomorphism.  Membership of a tuple is the minimum over components.
+    a homomorphism: the AND over i of the preimage of ``x_i * y_i`` under
+    projection i.  Membership of a tuple is the minimum over components.
     """
     if not factors:
         raise InputError("product needs at least one factor; see terminal()")
     algs = [f.alg for f in factors]
-    sizes = [len(a.carrier) for a in algs]
-    tuples = list(iter_product(*(range(s) for s in sizes)))
-    index_of = {t: i for i, t in enumerate(tuples)}
+    tuples = list(iter_product(*(range(len(a.carrier)) for a in algs)))
     labels = tuple("|".join(a.carrier.labels[c] for a, c in zip(algs, t)) for t in tuples)
-    zero = index_of[tuple(a.zero for a in algs)]
-    n = len(tuples)
-    table = [0] * (n * n)
-    for xi, xt in enumerate(tuples):
-        for yi, yt in enumerate(tuples):
-            component_cells = [
-                list(iter_bits(a.cell(xc, yc))) for a, xc, yc in zip(algs, xt, yt)
-            ]
-            mask = 0
-            for combo in iter_product(*component_cells):
-                mask |= 1 << index_of[combo]
-            table[xi * n + yi] = mask
+    projections = [tuple(t[i] for t in tuples) for i in range(len(algs))]
+    preimages = [
+        _mask_ors([sum(1 << j for j, v in enumerate(p) if v == c) for c in range(len(a.carrier))])
+        for a, p in zip(algs, projections)
+    ]
+    table = []
+    for xt in tuples:
+        for yt in tuples:
+            mask = -1
+            for a, pre, xc, yc in zip(algs, preimages, xt, yt):
+                mask &= pre[a.cell(xc, yc)]
+            table.append(mask)
+    zero = tuples.index(tuple(a.zero for a in algs))
     alg = HyperBCK(Carrier(labels, zero), tuple(table))
     mu = tuple(min(f.mu[c] for f, c in zip(factors, t)) for t in tuples)
     obj = FuzzyHyperBCK(alg, mu)
     legs = {}
-    for i, factor in enumerate(factors):
-        leg = Hom(alg, factor.alg, tuple(t[i] for t in tuples))
-        _verify_leg(f"p{i}", leg, obj, factor, "product")
+    for i, (factor, projection) in enumerate(zip(factors, projections)):
+        leg = Hom(alg, factor.alg, projection)
+        _verify_hom("product-leg", leg, obj, factor)
         legs[f"p{i}"] = leg
     return ConstructionResult(obj, legs, "product", tuple(factors))
 
@@ -247,51 +254,32 @@ def mediate_product(
     factors: tuple[FuzzyHyperBCK, ...] = result.inputs
     if len(cone) != len(factors):
         raise InputError("cone must have one leg per factor")
-    for q, factor in zip(cone, factors):
-        if q.source != source.alg or q.target != factor.alg:
-            raise InputError("cone leg endpoints do not match")
-        if not is_fuzzy_hom(q, source, factor):
-            raise InputError("cone legs must be fuzzy homomorphisms")
-
-    prod_alg = result.object.alg
-    sizes = [len(f.alg.carrier) for f in factors]
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    mapping = tuple(
-        sum(q.mapping[x] * s for q, s in zip(cone, strides))
-        for x in range(len(source.alg.carrier))
+    _require_fuzzy_homs(
+        "cone legs must be fuzzy homomorphisms", *((q, source, f) for q, f in zip(cone, factors))
     )
-    phi = Hom(source.alg, prod_alg, mapping)
+    projections = [leg.mapping for leg in result.legs.values()]
+    position = {t: j for j, t in enumerate(zip(*projections))}
+    mapping = tuple(position[t] for t in zip(*(q.mapping for q in cone)))
+    phi = Hom(source.alg, result.object.alg, mapping)
     for i, q in enumerate(cone):
         if phi.then(result.legs[f"p{i}"]) != q:
             raise ClaimViolation("product-mediator-equations", phi.as_label_map())
-    if not is_hom(phi):
-        raise ClaimViolation(
-            "product-mediator-hom",
-            phi.as_label_map(),
-            "the tupling map of the cone is not a homomorphism, "
-            "so no mediating morphism exists for this cone",
-        )
-    if not _never_lowers_membership(phi, source, result.object):
-        raise ClaimViolation("product-mediator-fuzzy", phi.as_label_map())
+    _verify_hom(
+        "product-mediator", phi, source, result.object,
+        "the tupling map of the cone is not a homomorphism, "
+        "so no mediating morphism exists for this cone",
+    )
     return phi
 
 
-def equalizer(
-    f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK
-) -> ConstructionResult:
+def equalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> ConstructionResult:
     """The agreement subalgebra with its inclusion leg.
 
     Raises a claim violation when the agreement set is not closed under
     the operation; such instances exist and refute the construction.
     """
-    _check_parallel(f, g, src, dst)
-    n = len(src.alg.carrier)
-    k_mask = 0
-    for i in range(n):
-        if f.mapping[i] == g.mapping[i]:
-            k_mask |= 1 << i
+    _require_fuzzy_homs("both maps must be fuzzy homomorphisms", (f, src, dst), (g, src, dst))
+    k_mask = sum(1 << i for i, (u, v) in enumerate(zip(f.mapping, g.mapping)) if u == v)
     escape = src.alg._first_escape(k_mask)
     if escape is not None:
         x, y, t = (src.alg.carrier.labels[i] for i in escape)
@@ -302,18 +290,10 @@ def equalizer(
         )
     obj = src.restrict_mask(k_mask)
     include = Hom(obj.alg, src.alg, tuple(iter_bits(k_mask)))
-    _verify_leg("include", include, obj, src, "equalizer")
+    _verify_hom("equalizer-leg", include, obj, src)
     if include.then(f) != include.then(g):
         raise ClaimViolation("equalizer-commutes", include.as_label_map())
     return ConstructionResult(obj, {"include": include}, "equalizer", (f, g, src, dst))
-
-
-def _check_parallel(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> None:
-    if f.source != src.alg or g.source != src.alg or f.target != dst.alg or g.target != dst.alg:
-        raise InputError("maps are not a parallel pair on the given structures")
-    for h in (f, g):
-        if not is_fuzzy_hom(h, src, dst):
-            raise InputError("both maps must be fuzzy homomorphisms")
 
 
 def partition_meet(congs: Sequence[Congruence]) -> Congruence:
@@ -329,24 +309,18 @@ def partition_meet(congs: Sequence[Congruence]) -> Congruence:
     return Congruence.from_blocks(base, list(keys.values()))
 
 
-def coequalizer(
-    f: Hom,
-    g: Hom,
-    src: FuzzyHyperBCK,
-    dst: FuzzyHyperBCK,
-    max_congruence_size: int = DEFAULT_CONGRUENCE_BOUND,
-) -> ConstructionResult:
+def coequalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> ConstructionResult:
     """Quotient of the target by the meet of all coequalizing regular congruences.
 
     Membership of a block is the maximum over its members.  The meet is
     verified to be regular; a failure is a claim violation with the
-    partition as witness.
+    partition as witness.  Targets past ``CONGRUENCE_BOUND`` elements are
+    refused.
     """
-    _check_parallel(f, g, src, dst)
-    regs = enumerate_regular_congruences(dst.alg, max_congruence_size)
+    _require_fuzzy_homs("both maps must be fuzzy homomorphisms", (f, src, dst), (g, src, dst))
     family = [
         theta
-        for theta in regs
+        for theta in enumerate_regular_congruences(dst.alg)
         if all(theta.relates(f.mapping[i], g.mapping[i]) for i in range(len(f.mapping)))
     ]
     if not family:  # the total congruence always qualifies
@@ -361,7 +335,7 @@ def coequalizer(
     q_alg, project = quotient(rho)
     mu = tuple(max(dst.mu[i] for i in block) for block in rho.blocks)
     obj = FuzzyHyperBCK(q_alg, mu)
-    _verify_leg("project", project, dst, obj, "coequalizer")
+    _verify_hom("coequalizer-leg", project, dst, obj)
     if f.then(project) != g.then(project):
         raise ClaimViolation("coequalizer-commutes", project.as_label_map())
     return ConstructionResult(
@@ -369,9 +343,7 @@ def coequalizer(
     )
 
 
-def mediate_coequalizer(
-    result: ConstructionResult, target: FuzzyHyperBCK, phi: Hom
-) -> Hom:
+def mediate_coequalizer(result: ConstructionResult, target: FuzzyHyperBCK, phi: Hom) -> Hom:
     """Factor a coequalizing map through the canonical surjection.
 
     Well-definedness on blocks is exactly the universal property; when it
@@ -381,10 +353,7 @@ def mediate_coequalizer(
     if result.kind != "coequalizer" or result.congruence is None:
         raise InputError("mediate_coequalizer needs a coequalizer construction result")
     f, g, _src, dst = result.inputs
-    if phi.source != dst.alg or phi.target != target.alg:
-        raise InputError("map endpoints do not match the coequalizer")
-    if not is_fuzzy_hom(phi, dst, target):
-        raise InputError("map must be a fuzzy homomorphism")
+    _require_fuzzy_homs("map must be a fuzzy homomorphism", (phi, dst, target))
     if f.then(phi) != g.then(phi):
         raise InputError("map does not coequalize the parallel pair")
 
@@ -404,10 +373,7 @@ def mediate_coequalizer(
     project = result.legs["project"]
     if project.then(psi) != phi:
         raise ClaimViolation("coequalizer-mediator-equation", psi.as_label_map())
-    if not is_hom(psi):
-        raise ClaimViolation("coequalizer-mediator-hom", psi.as_label_map())
-    if not _never_lowers_membership(psi, result.object, target):
-        raise ClaimViolation("coequalizer-mediator-fuzzy", psi.as_label_map())
+    _verify_hom("coequalizer-mediator", psi, result.object, target)
     return psi
 
 
@@ -420,21 +386,15 @@ def pullback(
     composites need not be closed, and then no subset-style pullback
     exists; the claim violation propagates.
     """
-    if f.source != a.alg or g.source != b.alg or f.target != c.alg or g.target != c.alg:
-        raise InputError("maps are not a cospan on the given structures")
-    for h, s in ((f, a), (g, b)):
-        if not is_fuzzy_hom(h, s, c):
-            raise InputError("cospan maps must be fuzzy homomorphisms")
+    _require_fuzzy_homs("cospan maps must be fuzzy homomorphisms", (f, a, c), (g, b, c))
     prod = product([a, b])
-    eq = equalizer(
-        prod.legs["p0"].then(f), prod.legs["p1"].then(g), prod.object, c
-    )
+    eq = equalizer(prod.legs["p0"].then(f), prod.legs["p1"].then(g), prod.object, c)
     include = eq.legs["include"]
     to_a = include.then(prod.legs["p0"])
     to_b = include.then(prod.legs["p1"])
     obj = eq.object
-    _verify_leg("to_a", to_a, obj, a, "pullback")
-    _verify_leg("to_b", to_b, obj, b, "pullback")
+    _verify_hom("pullback-leg", to_a, obj, a)
+    _verify_hom("pullback-leg", to_b, obj, b)
     if to_a.then(f) != to_b.then(g):
         raise ClaimViolation("pullback-commutes", to_a.as_label_map())
     return ConstructionResult(obj, {"to_a": to_a, "to_b": to_b}, "pullback", (f, g, a, b, c))

@@ -40,12 +40,15 @@ def _emit(record: dict) -> None:
     print(json.dumps(_jsonable(record), sort_keys=True, separators=(",", ":")))
 
 
-def _load_structure(path: str) -> Structure:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return parse_structure(text)
+
+
+def _load_structure(path: str) -> Structure:
+    return parse_structure(_read_text(path))
 
 
 def _as_fuzzy(obj: Structure, path: str) -> FuzzyHyperBCK:
@@ -55,10 +58,7 @@ def _as_fuzzy(obj: Structure, path: str) -> FuzzyHyperBCK:
 
 
 def _load_hom(path: str) -> tuple[Hom, Structure, Structure]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    text = _read_text(path)
     base = Path(path).parent
 
     def load_ref(ref: str) -> Structure:
@@ -117,10 +117,7 @@ def _cmd_hom(args: argparse.Namespace) -> int:
             _emit({"record": "hom", "map": h.as_label_map()})
         _emit({"record": "verdict", "command": "hom-enumerate", "count": len(homs)})
         return 0
-    try:
-        text = Path(args.check).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {args.check}: {exc}") from None
+    text = _read_text(args.check)
     try:
         mapping = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -170,7 +167,7 @@ def _cmd_equalizer(args: argparse.Namespace) -> int:
 
 def _cmd_coequalizer(args: argparse.Namespace) -> int:
     f, g, src, dst = _load_parallel_pair(args.f, args.g)
-    _emit(_construction_record(coequalizer(f, g, src, dst, args.max_size)))
+    _emit(_construction_record(coequalizer(f, g, src, dst)))
     return 0
 
 
@@ -240,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coequalizer", help="quotient by the least coequalizing congruence")
     p.add_argument("f")
     p.add_argument("g")
-    p.add_argument("--max-size", type=int, default=5, help="congruence enumeration bound")
     p.set_defaults(func=_cmd_coequalizer)
 
     p = sub.add_parser("pullback", help="pullback of a cospan (product + equalizer)")

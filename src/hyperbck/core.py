@@ -215,16 +215,12 @@ class HyperBCK:
     def restrict_mask(self, mask: int) -> HyperBCK:
         """The subalgebra on ``mask``; a mask without zero or not closed is refused."""
         self._require_subalgebra(mask)
-        old = list(iter_bits(mask))
-        remap = {o: i for i, o in enumerate(old)}
+        old = iter_bits(mask)  # element old[i] becomes i, so rank[x] counts the kept below x
+        rank = tuple((mask & ((1 << i) - 1)).bit_count() for i in range(len(self.carrier)))
+        image = _image_masks(rank)
         labels = tuple(self.carrier.labels[o] for o in old)
-        carrier = Carrier(labels, remap[self.zero])
-        m = len(old)
-        table = [0] * (m * m)
-        for i, x in enumerate(old):
-            for j, y in enumerate(old):
-                table[i * m + j] = sum(1 << remap[t] for t in iter_bits(self.cell(x, y)))
-        return HyperBCK(carrier, tuple(table))
+        table = tuple(image[self.cell(x, y)] for x in old for y in old)
+        return HyperBCK(Carrier(labels, rank[self.zero]), table)
 
     def encode(self) -> tuple[int, int, tuple[int, ...]]:
         """A hashable exact encoding (size, zero index, cell masks)."""
@@ -285,6 +281,11 @@ def _mask_ors(parts: Sequence, join: Callable = or_, empty: object = 0) -> list 
         low = b & -b
         ors[b] = join(parts[low.bit_length() - 1], ors[b ^ low])
     return ors
+
+
+def _image_masks(mapping: Sequence[int]) -> list | _OnLookup:
+    """Entry B is the image ``{mapping[t] : t in B}`` of mask B, for reading many masks."""
+    return _mask_ors([1 << v for v in mapping])
 
 
 @lru_cache(maxsize=16)

@@ -150,12 +150,15 @@ def structure_to_dict(obj: Structure) -> dict:
     return doc
 
 
-def parse_structure(text: str) -> Structure:
+def _load_json(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("syntax", f"line {exc.lineno} column {exc.colno}", exc.msg) from None
-    return structure_from_dict(doc)
+
+
+def parse_structure(text: str) -> Structure:
+    return structure_from_dict(_load_json(text))
 
 
 def render_structure(obj: Structure, pretty: bool = False) -> str:
@@ -174,10 +177,7 @@ def parse_hom_document(
     ``load`` callback is supplied, path strings resolved through it.
     The map is checked for totality; homomorphism-ness is not decided here.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError("syntax", f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+    doc = _load_json(text)
     _expect(isinstance(doc, dict), "shape", where, "top level must be an object")
     for key in ("source", "target", "map"):
         _expect(key in doc, "shape", where, f"missing required key {key!r}")

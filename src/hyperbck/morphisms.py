@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
-from .core import HyperBCK, InputError, iter_bits
+from .core import HyperBCK, InputError, _image_masks, iter_bits
 from .fuzzy import FuzzyHyperBCK, fuzzy_condition_holds
 
 
@@ -104,7 +104,7 @@ def _maps_cells(src: HyperBCK, dst: HyperBCK, mapping: tuple[int, ...]) -> bool:
     m = len(dst.carrier.labels)
     src_table = src.table
     dst_table = dst.table
-    image = [1 << v for v in mapping]
+    image = [1 << v for v in mapping]  # cell by cell, not _image_masks: most maps fail early
     for x, fx in enumerate(mapping):
         row = x * n
         dst_row = fx * m
@@ -192,10 +192,7 @@ def _probes_by_image(k: int, f: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """
     from .corpus import enumerate_hyper_bck  # deferred: corpus imports fuzzy
 
-    img = [0] * (1 << k)
-    for c in range(1, 1 << k):
-        for t in iter_bits(c):
-            img[c] |= 1 << f[t]
+    img = _image_masks(f)
     groups: dict[tuple[int, ...], list[int]] = {}
     for pos, probe in enumerate(enumerate_hyper_bck(k, up_to_iso=True)):
         groups.setdefault(tuple(img[c] for c in probe.table), []).append(pos)

@@ -222,3 +222,70 @@ def cut_level(mu: dict[str, object], subset: frozenset[str]):
         if frozenset(x for x in mu if mu[x] >= alpha) == subset
     ]
     return max(hits, default=None)
+
+
+def product_cells(
+    factors: list[tuple[tuple[str, ...], str, Table]],
+) -> tuple[list[tuple[str, ...]], tuple[str, ...], dict]:
+    """The product of label tables, spelled out.
+
+    Elements are the tuples of labels in lexicographic order of the carriers,
+    the zero is the tuple of the zeros, and the cell of (x, y) holds every
+    tuple t with t[i] in x[i]*y[i] for each factor i.
+    """
+    elements = list(product(*(labels for labels, _, _ in factors)))
+    zero = tuple(z for _, z, _ in factors)
+    table = {}
+    for x in elements:
+        for y in elements:
+            table[(x, y)] = frozenset(
+                t
+                for t in elements
+                if all(t[i] in cells[(x[i], y[i])] for i, (_, _, cells) in enumerate(factors))
+            )
+    return elements, zero, table
+
+
+def partitions(items: tuple) -> list[list[frozenset]]:
+    """Every set partition of ``items``, as lists of blocks."""
+    if not items:
+        return [[]]
+    first = items[0]
+    out = []
+    for part in partitions(items[1:]):
+        out.append([frozenset({first}), *part])
+        for i in range(len(part)):
+            out.append([*part[:i], part[i] | {first}, *part[i + 1 :]])
+    return out
+
+
+def quotient_table(
+    labels: tuple[str, ...], zero: str, table: Table, blocks: list[frozenset[str]]
+) -> tuple[dict | None, bool]:
+    """The block table of a partition, and whether the partition is a regular congruence.
+
+    The cell of blocks (A, B) is the set of blocks that x*y meets; it must be
+    the same for every x in A and y in B, else the table is None.  The
+    partition is regular when the table exists and satisfies the axioms,
+    with the zero's block as zero.
+    """
+
+    def block_of(t: str) -> frozenset[str]:
+        return next(b for b in blocks if t in b)
+
+    cells = {}
+    for a in blocks:
+        for b in blocks:
+            seen = {frozenset(block_of(t) for t in table[(x, y)]) for x in a for y in b}
+            if len(seen) != 1:
+                return None, False
+            cells[(a, b)] = seen.pop()
+    return cells, hk_valid(tuple(blocks), block_of(zero), cells)
+
+
+def restricted_table(
+    labels: tuple[str, ...], zero: str, table: Table, subset: frozenset[str]
+) -> tuple[tuple[str, ...], str, Table]:
+    """The subset's labels in carrier order, the zero, and the cells among them."""
+    kept = tuple(x for x in labels if x in subset)
+    return kept, zero, {(x, y): table[(x, y)] for x in kept for y in kept}

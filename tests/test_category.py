@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
+import naive_oracle as naive
+from conftest import zero_moved_to
 from hyperbck import (
     ClaimViolation,
     FuzzyHyperBCK,
@@ -332,3 +335,70 @@ def test_pullback_of_identity_cospan_on_trivial():
     ident = Hom.identity(t.alg)
     result = pullback(ident, ident, t, t, t)
     assert result.object.alg.size == 1
+
+
+# --- cells against the literal oracle ------------------------------------------
+
+
+def with_zero_moved(models):
+    """The models, then each of size 2 with its zero moved to index 1."""
+    return list(models) + [zero_moved_to(alg, 1) for alg in models if alg.size == 2]
+
+
+def graded_mu(alg: HyperBCK) -> FuzzyHyperBCK:
+    n = alg.size
+    return FuzzyHyperBCK(alg, tuple(Fraction(n - i, n) for i in range(n)))
+
+
+def assert_product_matches_oracle(algs):
+    result = product([graded_mu(a) for a in algs])
+    got = result.object
+    elements, zero, cells = naive.product_cells([naive.table_of(a) for a in algs])
+    name = "|".join
+    assert got.alg.carrier.labels == tuple(name(t) for t in elements)
+    assert got.alg.carrier.zero_label == name(zero)
+    assert naive.table_of(got.alg)[2] == {
+        (name(x), name(y)): frozenset(name(t) for t in c) for (x, y), c in cells.items()
+    }
+    for t in elements:
+        degrees = [graded_mu(a).mu_of(c) for a, c in zip(algs, t)]
+        assert got.mu_of(name(t)) == min(degrees)
+    for i in range(len(algs)):
+        assert result.legs[f"p{i}"].as_label_map() == {name(t): t[i] for t in elements}
+
+
+def test_product_cells_match_literal_oracle(corpus_le2):
+    models = with_zero_moved(corpus_le2)
+    for a in models:
+        for b in models:
+            assert_product_matches_oracle([a, b])
+    # a ternary product, on eight elements
+    assert_product_matches_oracle([models[1], zero_moved_to(models[5], 1), models[12]])
+
+
+def test_quotients_match_literal_oracle(corpus_le2, corpus3):
+    sample = random.Random(3).sample(corpus3.models, 300)
+    for alg in with_zero_moved(corpus_le2) + sample:
+        labels, zero, table = naive.table_of(alg)
+        regular = set()
+        for blocks in naive.partitions(labels):
+            cong = Congruence.from_blocks(alg, [[labels.index(x) for x in b] for b in blocks])
+            cells, is_regular = naive.quotient_table(labels, zero, table, blocks)
+            assert is_regular_congruence(cong) == is_regular
+            if is_regular:
+                regular.add(frozenset(blocks))
+            if cells is None:
+                with pytest.raises(InputError, match="not regular"):
+                    quotient(cong)
+                continue
+            q_alg, project = quotient(cong)
+            block = dict(zip(q_alg.carrier.labels, cong.label_blocks()))
+            _, q_zero, q_table = naive.table_of(q_alg)
+            assert zero in block[q_zero]
+            assert {
+                (block[x], block[y]): frozenset(block[t] for t in c)
+                for (x, y), c in q_table.items()
+            } == cells
+            assert all(x in block[v] for x, v in project.as_label_map().items())
+        found = {frozenset(c.label_blocks()) for c in enumerate_regular_congruences(alg)}
+        assert found == regular

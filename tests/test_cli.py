@@ -168,6 +168,27 @@ def test_equalizer_and_coequalizer_commands(capsys, tmp_path, chain2_path):
     assert records[0]["object"]["carrier"] == ["[1]"]
 
 
+def test_coequalizer_refuses_targets_past_the_congruence_bound(capsys, tmp_path):
+    assert main(["example", "--chain", "6"]) == 0
+    (tmp_path / "c6.json").write_text(capsys.readouterr().out)
+    labels = chain_example(6).alg.carrier.labels
+    ident = tmp_path / "id.json"
+    ident.write_text(
+        json.dumps({"source": "c6.json", "target": "c6.json", "map": {x: x for x in labels}})
+    )
+    code, records = run(capsys, "coequalizer", str(ident), str(ident))
+    assert code == 2
+    assert records == [
+        {
+            "record": "input-error",
+            "message": "carrier size 6 exceeds the congruence enumeration bound 5; "
+            "partition counts grow too fast beyond it",
+        }
+    ]
+    with pytest.raises(SystemExit):  # the bound is no longer an option
+        main(["coequalizer", str(ident), str(ident), "--max-size", "15"])
+
+
 def test_parallel_pair_endpoint_mismatch(capsys, tmp_path, chain2_path):
     c2, c3 = chain_example(2), chain_example(3)
     f = hom_doc(tmp_path, "f.json", c2, c2, {"1": "1", "2": "2"})

@@ -16,16 +16,18 @@ import naive_oracle as naive
 from conftest import zero_moved_to
 from hyperbck import (
     Carrier,
+    FuzzyHyperBCK,
     HyperBCK,
     InputError,
     ValidationReport,
     Violation,
     hk_axioms_hold,
+    product,
     trivial_algebra,
     validate_hyper_bck,
 )
 from hyperbck import corpus
-from hyperbck.core import _hk2_plan, _mask_ors, hk_axioms_hold_raw, iter_bits
+from hyperbck.core import _TABLED_SIZE, _hk2_plan, _mask_ors, hk_axioms_hold_raw, iter_bits
 from hyperbck.corpus import _search_tables, chain_example
 
 
@@ -431,6 +433,22 @@ def test_subalgebra_restriction_validates(corpus_le3):
         for mask in range(1, alg.carrier.full_mask + 1):
             if alg.is_subalgebra_mask(mask):
                 assert hk_axioms_hold(alg.restrict_mask(mask))
+
+
+def test_restriction_matches_literal_oracle(corpus_le2):
+    # the last carrier has eight elements, past the size whose mask tables are filled ahead
+    factors = [FuzzyHyperBCK(alg, (0,) * alg.size) for alg in corpus_le2[1:4]]
+    big = zero_moved_to(product(factors).object.alg, 5)
+    assert big.size > _TABLED_SIZE
+    for alg in [*corpus_le2, zero_moved_to(corpus_le2[1], 1), big]:
+        labels, zero, table = naive.table_of(alg)
+        for mask in range(1, alg.carrier.full_mask + 1):
+            subset = frozenset(labels[i] for i in range(alg.size) if mask >> i & 1)
+            if not naive.is_subalgebra(table, zero, subset):
+                continue
+            sub = alg.restrict_mask(mask)
+            want = naive.restricted_table(labels, zero, table, subset)
+            assert (sub.carrier.labels, sub.carrier.zero_label, naive.table_of(sub)[2]) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 
 import naive_oracle as naive
 from conftest import grid_assignments, zero_moved_to
-from hyperbck import FuzzyHyperBCK, HyperBCK, InputError, trivial_algebra
+from hyperbck import Carrier, FuzzyHyperBCK, HyperBCK, InputError, trivial_algebra
 from hyperbck.category import terminal, terminal_map
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.morphisms import (
@@ -87,6 +87,21 @@ def test_fuzzy_hom_via_cuts_examples(c3):
     alpha = Fraction(1, 3)
     image = to_terminal.image_mask(c3.alpha_cut_mask(alpha))
     assert image & ~terminal().alpha_cut_mask(alpha)
+
+
+def test_image_mask_matches_literal_image(c3):
+    # every map of the 3-chain into itself, and seeded maps out of eight elements
+    eight = HyperBCK(Carrier(tuple("abcdefgh"), 0), (255,) * 64)
+    rng = random.Random(5)
+    homs = [Hom(c3.alg, c3.alg, m) for m in product(range(3), repeat=3)]
+    homs += [Hom(eight, c3.alg, tuple(rng.randrange(3) for _ in range(8))) for _ in range(8)]
+    for h in homs:
+        labels = h.source.carrier.labels
+        label_map = h.as_label_map()
+        for mask in range(1 << len(labels)):
+            got = h.image_mask(mask)
+            got_labels = {lab for t, lab in enumerate(h.target.carrier.labels) if got >> t & 1}
+            assert got_labels == {label_map[x] for i, x in enumerate(labels) if mask >> i & 1}
 
 
 def test_via_cuts_agrees_with_direct_check(corpus2):
