@@ -146,7 +146,7 @@ def enumerate_regular_congruences(alg: HyperBCK) -> tuple[Congruence, ...]:
     if n > CONGRUENCE_BOUND:
         raise InputError(
             f"carrier size {n} exceeds the congruence enumeration bound {CONGRUENCE_BOUND}; "
-            f"partition counts grow too fast beyond it"
+            "partition counts grow too fast beyond it", code="too-large", location="carrier"
         )
     out = []
     for blocks in _partitions(n):
@@ -229,7 +229,7 @@ def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
                 mask &= pre[a.cell(xc, yc)]
             table.append(mask)
     zero = tuples.index(tuple(a.zero for a in algs))
-    alg = HyperBCK(Carrier(labels, zero), tuple(table))
+    alg = HyperBCK(Carrier(labels, zero), table)
     mu = tuple(min(f.mu[c] for f, c in zip(factors, t)) for t in tuples)
     obj = FuzzyHyperBCK(alg, mu)
     legs = {}
@@ -369,7 +369,7 @@ def mediate_coequalizer(result: ConstructionResult, target: FuzzyHyperBCK, phi: 
                 "it cannot factor through the canonical surjection",
             )
         mapping.append(images.pop())
-    psi = Hom(result.object.alg, target.alg, tuple(mapping))
+    psi = Hom(result.object.alg, target.alg, mapping)
     project = result.legs["project"]
     if project.then(psi) != phi:
         raise ClaimViolation("coequalizer-mediator-equation", psi.as_label_map())

@@ -20,7 +20,8 @@ from .core import ClaimViolation, InputError, ValidationReport, validate_hyper_b
 from .corpus import chain_example, enumerate_hyper_bck
 from .category import coequalizer, equalizer, product, pullback
 from .fuzzy import FuzzyHyperBCK, format_fuzzy, fuzzy_value, validate_fuzzy
-from .io import Structure, parse_hom_document, parse_structure, render_structure, structure_to_dict
+from .io import FormatError, Structure, _load_json, parse_hom_document, parse_structure
+from .io import render_structure, structure_to_dict
 from .morphisms import Hom, enumerate_homs, is_fuzzy_hom, is_hom
 
 
@@ -117,13 +118,9 @@ def _cmd_hom(args: argparse.Namespace) -> int:
             _emit({"record": "hom", "map": h.as_label_map()})
         _emit({"record": "verdict", "command": "hom-enumerate", "count": len(homs)})
         return 0
-    text = _read_text(args.check)
-    try:
-        mapping = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"map file {args.check}: {exc}") from None
+    mapping = _load_json(_read_text(args.check))
     if not isinstance(mapping, dict):
-        raise InputError("map file must be a JSON object of label pairs")
+        raise FormatError("shape", args.check, "map file must be a JSON object of label pairs")
     h = Hom.from_labels(src_alg, dst_alg, mapping)
     crisp = is_hom(h)
     fuzzy_ok = None
@@ -266,9 +263,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except InputError as exc:
         record = {"record": "input-error", "message": str(exc)}
-        if hasattr(exc, "code"):
-            record["code"] = exc.code
-            record["location"] = exc.location
+        if exc.code is not None:
+            record.update(code=exc.code, location=exc.location)
         _emit(record)
         return 2
 

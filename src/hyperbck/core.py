@@ -5,9 +5,10 @@ of the carrier.  Subsets are stored as bitmasks over carrier indices, which
 keeps the heavy triple loops of the axiom checks exact and fast; the
 public API speaks element labels and frozensets.
 
-The axioms are tested in one place, a generator of falsified instances over
-a raw table.  The reporting validator lists it and the fail-fast checks stop
-at its first item.
+The axioms are tested in one place: ``_hk2_mismatch`` scans the HK2 plan and
+``_past_hk2_failures`` yields the HK1, HK3 and HK4 failures of a table past it.
+The reporting validator lists every failure both find; the fail-fast check runs
+the same two and stops at the first, so the two verdicts cannot disagree.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 
 class InputError(ValueError):
-    """Raised when an operation is handed structurally invalid input."""
+    """Invalid input; a refusal with a stable ``code`` names the failing part in ``location``."""
+
+    def __init__(self, message: str, code: str | None = None, location: str | None = None):
+        super().__init__(message)
+        self.code, self.location = code, location
 
 
 class ClaimViolation(RuntimeError):
@@ -60,6 +65,7 @@ class Carrier:
     zero_index: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
         if not self.labels:
             raise InputError("carrier must be non-empty")
         if len(set(self.labels)) != len(self.labels):
@@ -107,6 +113,7 @@ class HyperBCK:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "table", tuple(self.table))
         n = len(self.carrier)
         if len(self.table) != n * n:
             raise InputError(f"table must have {n * n} cells, got {len(self.table)}")
@@ -134,7 +141,7 @@ class HyperBCK:
         table = [0] * (n * n)
         for (x, y), subset in cells.items():
             table[carrier.index(x) * n + carrier.index(y)] = carrier.mask_of(subset)
-        return cls(carrier, tuple(table))
+        return cls(carrier, table)
 
     @property
     def size(self) -> int:
@@ -303,40 +310,55 @@ def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
     )
 
 
-def _hk_failures(
-    n: int, zero: int, table: tuple[int, ...], strict_antisymmetry: bool = False
-) -> Iterator[tuple[str, tuple[int, ...], int, int]]:
-    """Yield every falsified axiom instance of a raw cell-mask table, cheapest first.
-
-    Each item is ``(axiom, indices, lhs_mask, rhs_mask)``: for HK1 and HK2 the
-    two sides at the triple; for HK3 ``{t}`` escaping x*H and ``{x}``; for HK4
-    ``{x}`` and ``{y}``.  HK2 comes first, along the plan, each side an OR over
-    a gather list, as (x, y, z) and then (x, z, y) with the sides swapped.  Only
-    tables past it pay for the masks ``dn`` and per-mask OR tables (row t's gives
-    t*B for every mask B, the one over ``dn`` the elements below some member of
-    B) and go on to HK1 per (x, y, z), HK3 per x and HK4 per pair.
-    """
-    for x, y, z, xy, xz, gz, gy in _hk2_plan(n, zero):
+def _hk2_mismatch(table: Sequence[int], instances: Iterable[tuple]) -> tuple | None:
+    """The next HK2 plan instance with unequal sides, as ``((x, y, z), (x*y)*z, (x*z)*y)``;
+    each side ORs a gather list's cells.  On a shared plan iterator a scan resumes past its hit."""
+    for x, y, z, xy, xz, gz, gy in instances:
         lhs = rhs = 0
         for p in gz[table[xy]]:
             lhs |= table[p]
         for p in gy[table[xz]]:
             rhs |= table[p]
         if lhs != rhs:
-            yield "HK2", (x, y, z), lhs, rhs
-            yield "HK2", (x, z, y), rhs, lhs
+            return (x, y, z), lhs, rhs
 
+
+@lru_cache(maxsize=1 << 10)  # up to _TABLED_SIZE, tables share their rows and down masks
+def _tabled_ors(parts: tuple[int, ...]) -> tuple:
+    return tuple(_mask_ors(parts))
+
+
+def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False) -> Iterator:
+    """Yield every falsified axiom instance of a raw cell-mask table, cheapest first.
+
+    Each item is ``(axiom, indices, lhs_mask, rhs_mask)``: for HK1 and HK2 the two sides at
+    the triple; for HK3 ``{t}`` escaping x*H and ``{x}``; for HK4 ``{x}`` and ``{y}``.  HK2
+    comes first, as (x, y, z) and then (x, z, y) with the sides swapped, from ``_hk2_mismatch``
+    scans of one plan iterator; then ``_past_hk2_failures`` yields the rest."""
+    instances = iter(_hk2_plan(n, zero))
+    while hit := _hk2_mismatch(table, instances):
+        (x, y, z), lhs, rhs = hit
+        yield "HK2", (x, y, z), lhs, rhs
+        yield "HK2", (x, z, y), rhs, lhs
+    yield from _past_hk2_failures(n, zero, table, strict)
+
+
+def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) -> Iterator:
+    """HK1 per (x, y, z), HK3 per x and HK4 per pair if ``strict``, from ``dn`` and mask OR
+    tables: row t's gives t*B for each mask B, the one over ``dn`` what is below a member of B."""
+    ors = _tabled_ors if n <= _TABLED_SIZE else _mask_ors
     dn = _down_masks(n, zero, table)
-    below = _mask_ors(dn)
+    below = ors(tuple(dn))
     rows = [table[r : r + n] for r in range(0, n * n, n)]
-    rowstar = [_mask_ors(row) for row in rows]
+    rowstar = [ors(row) for row in rows]
     for x, xrow in enumerate(rows):
         for y, cxy in enumerate(xrow):
+            outside = ~below[cxy]
             for z, (xz, yz) in enumerate(zip(xrow, rows[y])):
                 lhs = 0
                 for t in iter_bits(xz):
                     lhs |= rowstar[t][yz]
-                if lhs & ~below[cxy]:
+                if lhs & outside:
                     yield "HK1", (x, y, z), lhs, cxy
 
     for x in range(n):
@@ -344,7 +366,7 @@ def _hk_failures(
         if stray:
             yield "HK3", (x,), stray & -stray, 1 << x
 
-    if strict_antisymmetry:
+    if strict:
         for x in range(n):
             for y in range(x + 1, n):
                 if dn[y] >> x & 1 and dn[x] >> y & 1:
@@ -408,8 +430,10 @@ def _down_masks(n: int, zero: int, table: Sequence[int]) -> list[int]:
 def hk_axioms_hold_raw(
     n: int, zero: int, table: tuple[int, ...], strict_antisymmetry: bool = False
 ) -> bool:
-    """Fail-fast axiom check on a raw cell-mask table (enumeration inner loop)."""
-    return next(_hk_failures(n, zero, table, strict_antisymmetry), None) is None
+    """Fail-fast axiom check on a raw cell-mask table: true iff ``_hk_failures`` yields nothing."""
+    if _hk2_mismatch(table, _hk2_plan(n, zero)) is not None:
+        return False
+    return next(_past_hk2_failures(n, zero, table, strict_antisymmetry), None) is None
 
 
 def hk_axioms_hold(alg: HyperBCK, strict_antisymmetry: bool = False) -> bool:

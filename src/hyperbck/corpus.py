@@ -155,7 +155,7 @@ def chain_example(k: int) -> FuzzyHyperBCK:
             else:
                 mask = ((1 << y) - 1) & ~1
             table[(x - 1) * k + (y - 1)] = mask
-    alg = HyperBCK(carrier, tuple(table))
+    alg = HyperBCK(carrier, table)
     return FuzzyHyperBCK(alg, tuple(Fraction(1, x) for x in range(1, k + 1)))
 
 

@@ -67,6 +67,7 @@ class FuzzyHyperBCK:
     mu: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mu", tuple(self.mu))
         if len(self.mu) != len(self.alg.carrier):
             raise InputError("membership map must cover every carrier element")
         for v in self.mu:

@@ -29,9 +29,7 @@ class FormatError(InputError):
     """A document error with a stable code and a location within the text."""
 
     def __init__(self, code: str, location: str, message: str):
-        self.code = code
-        self.location = location
-        super().__init__(f"{code} at {location}: {message}")
+        super().__init__(f"{code} at {location}: {message}", code, location)
 
 
 Structure = HyperBCK | FuzzyHyperBCK
@@ -129,7 +127,7 @@ def structure_from_dict(doc: Any, where: str = "document") -> Structure:
         except InputError as exc:
             code = "mu-range" if "outside" in str(exc) else "mu-syntax"
             raise FormatError(code, loc, str(exc)) from None
-    return FuzzyHyperBCK(alg, tuple(mu))
+    return FuzzyHyperBCK(alg, mu)
 
 
 def structure_to_dict(obj: Structure) -> dict:

@@ -35,6 +35,7 @@ class Hom:
     mapping: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mapping", tuple(self.mapping))
         if len(self.mapping) != len(self.source.carrier):
             raise InputError("map must be total on the source carrier")
         m = len(self.target.carrier)

@@ -183,6 +183,8 @@ def test_coequalizer_refuses_targets_past_the_congruence_bound(capsys, tmp_path)
             "record": "input-error",
             "message": "carrier size 6 exceeds the congruence enumeration bound 5; "
             "partition counts grow too fast beyond it",
+            "code": "too-large",
+            "location": "carrier",
         }
     ]
     with pytest.raises(SystemExit):  # the bound is no longer an option
@@ -247,6 +249,18 @@ def test_format_error_carries_code_and_location(capsys, tmp_path):
     code, records = run(capsys, "verify", str(path))
     assert code == 2
     assert records[0]["code"] == "shape"
+
+
+def test_malformed_map_file_carries_code_and_location(capsys, tmp_path, chain2_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"1": "1",\n')
+    code, records = run(capsys, "hom", "--check", str(bad), chain2_path, chain2_path)
+    assert code == 2
+    assert (records[0]["code"], records[0]["location"]) == ("syntax", "line 2 column 1")
+    bad.write_text('["1", "2"]')
+    code, records = run(capsys, "hom", "--check", str(bad), chain2_path, chain2_path)
+    assert code == 2
+    assert (records[0]["code"], records[0]["location"]) == ("shape", str(bad))
 
 
 def test_output_bytes_deterministic(capsys, chain3_path):

@@ -27,13 +27,32 @@ from hyperbck import (
     validate_hyper_bck,
 )
 from hyperbck import corpus
-from hyperbck.core import _TABLED_SIZE, _hk2_plan, _mask_ors, hk_axioms_hold_raw, iter_bits
+from hyperbck.core import (
+    _TABLED_SIZE,
+    _hk2_mismatch,
+    _hk2_plan,
+    _mask_ors,
+    _tabled_ors,
+    hk_axioms_hold_raw,
+    iter_bits,
+)
 from hyperbck.corpus import _search_tables, chain_example
+from hyperbck.morphisms import enumerate_homs
 
 
 @pytest.fixture(scope="module")
 def c3():
     return chain_example(3).alg
+
+
+@pytest.fixture(scope="module")
+def search_leaves():
+    """Every table the size-3 search hands to the fail-fast check, in search order."""
+    leaves = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus, "hk_axioms_hold_raw", lambda n, zero, t: leaves.append(t))
+        _search_tables.__wrapped__(3)
+    return leaves
 
 
 # --- structural validation -------------------------------------------------
@@ -56,6 +75,18 @@ def test_table_must_be_total_with_nonempty_cells():
         HyperBCK(carrier, (1, 0, 1, 1))
     with pytest.raises(InputError, match="out of range"):
         HyperBCK(carrier, (1, 1, 1, 4))
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    alg = HyperBCK(Carrier(["O", "a"], 0), [1, 1, 2, 1])
+    want = HyperBCK(Carrier(("O", "a"), 0), (1, 1, 2, 1))
+    assert (alg.carrier.labels, alg.table) == (("O", "a"), (1, 1, 2, 1))
+    assert alg == want and hash(alg) == hash(want)
+    assert enumerate_homs(alg, alg) == enumerate_homs(want, want)
+    before = _tabled_ors.cache_info()
+    assert hk_axioms_hold(alg) and validate_hyper_bck(alg).passed  # reads the cached row tables
+    after = _tabled_ors.cache_info()
+    assert after.hits + after.misses > before.hits + before.misses
 
 
 def test_unknown_labels_are_input_errors(c3):
@@ -125,6 +156,7 @@ def test_every_cache_in_the_package_is_bounded():
     assert {
         "core.iter_bits",
         "core._hk2_plan",
+        "core._tabled_ors",
         "corpus.enumerate_hyper_bck",
         "corpus._relabel_plans",
         "morphisms.enumerate_homs",
@@ -325,15 +357,12 @@ def test_validator_agrees_with_literal_oracle_sampled_size3():
             assert hk_axioms_hold(alg) == naive.hk_valid(labels, zero, table)
 
 
-def test_fail_fast_agrees_with_literal_oracle_on_sampled_size3_leaves(monkeypatch):
+def test_fail_fast_agrees_with_literal_oracle_on_sampled_size3_leaves(search_leaves):
     """The search leaves satisfy HK3, so many get past HK2 into HK1 and HK3."""
-    leaves = []
-    monkeypatch.setattr(corpus, "hk_axioms_hold_raw", lambda n, zero, t: leaves.append(t))
-    _search_tables.__wrapped__(3)
-    assert len(leaves) == 413488
+    assert len(search_leaves) == 413488
     carrier = Carrier(("0", "1", "2"), 0)
     valid = 0
-    for i, masks in enumerate(random.Random(20261018).sample(leaves, 20000)):
+    for i, masks in enumerate(random.Random(20261018).sample(search_leaves, 20000)):
         alg = HyperBCK(carrier, masks)
         for moved in (alg, zero_moved_to(alg, 1 + i % 2)):
             labels, _, table = naive.raw_table(3, moved.table)
@@ -344,6 +373,48 @@ def test_fail_fast_agrees_with_literal_oracle_on_sampled_size3_leaves(monkeypatc
             assert hk_axioms_hold_raw(3, moved.zero, moved.table, True) == strict
             valid += want
     assert valid > 1000
+
+
+def test_fail_fast_matches_report_on_every_size3_leaf_past_hk2(search_leaves):
+    """Only these leaves reach the past-HK2 generator in the fail-fast check."""
+    plan = _hk2_plan(3, 0)
+    past = [t for t in search_leaves if _hk2_mismatch(t, plan) is None]
+    assert len(past) == 17015
+    carrier = Carrier(("0", "1", "2"), 0)
+    failing = 0
+    for t in past:
+        report = validate_hyper_bck(HyperBCK(carrier, t))
+        assert hk_axioms_hold_raw(3, 0, t) == report.passed
+        if not report.passed:
+            assert {v.axiom for v in report.violations} == {"HK1"}
+            failing += 1
+    assert failing == 1079
+
+
+def test_cached_row_tables_are_pure_functions_of_their_key(corpus_le2, corpus3):
+    """Sizes 3, 4 and 7 interleaved, zero moved: the row-table cache, warmed by the other
+    sizes and zeros, never changes a verdict or a report against the literal oracle."""
+    rng = random.Random(20261020)
+    factors = [FuzzyHyperBCK(alg, (0,) * alg.size) for alg in corpus_le2 if alg.size == 2]
+    models = {
+        3: corpus3.models,
+        4: [product([f, g]).object.alg for f in factors for g in factors],
+        7: [chain_example(7).alg],
+    }
+    assert 4 <= _TABLED_SIZE < 7
+    for i in range(90):
+        n = (3, 4, 7)[i % 3]
+        if i % 2:
+            alg = rng.choice(models[n])
+        else:  # a random table, listed past HK2 by the reporting validator all the same
+            masks = [rng.randrange(1, 1 << n) for _ in range(n * n)]
+            alg = HyperBCK(Carrier(tuple(map(str, range(n))), 0), masks)
+        alg = zero_moved_to(alg, rng.randrange(n))
+        oracle = naive.hk_failures(*naive.table_of(alg), True)
+        report = validate_hyper_bck(alg, strict_antisymmetry=True)
+        assert [(v.axiom, v.witness) for v in report.violations] == oracle
+        assert hk_axioms_hold(alg, strict_antisymmetry=True) == (not oracle)
+        assert hk_axioms_hold(alg) == (not [f for f in oracle if f[0] != "HK4"])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

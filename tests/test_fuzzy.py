@@ -46,6 +46,12 @@ def test_fuzzy_value_parsing_and_range():
     assert format_fuzzy(Fraction(1)) == "1"
 
 
+def test_list_membership_is_stored_as_a_tuple(c3):
+    listed = FuzzyHyperBCK(c3.alg, list(c3.mu))
+    assert listed.mu == c3.mu
+    assert listed == c3 and hash(listed) == hash(c3)
+
+
 def test_from_map_totality(c3):
     with pytest.raises(InputError, match="missing"):
         FuzzyHyperBCK.from_map(c3.alg, {"1": 1})

@@ -55,6 +55,13 @@ def test_hom_structural_errors(c2, c3):
         Hom(c2.alg, c2.alg, (0, 0)).inverse()
 
 
+def test_list_mapping_is_stored_as_a_tuple(c3):
+    h = Hom(c3.alg, c3.alg, [0, 2, 1])
+    want = Hom.from_labels(c3.alg, c3.alg, {"1": "1", "2": "3", "3": "2"})
+    assert h.mapping == (0, 2, 1)
+    assert h == want and hash(h) == hash(want)
+
+
 def test_is_hom_examples(c3):
     assert is_hom(Hom.identity(c3.alg))
     constant = terminal_map(c3.alg)
