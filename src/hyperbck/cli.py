@@ -20,8 +20,8 @@ from .core import ClaimViolation, InputError, ValidationReport, validate_hyper_b
 from .corpus import chain_example, enumerate_hyper_bck
 from .category import coequalizer, equalizer, product, pullback
 from .fuzzy import FuzzyHyperBCK, format_fuzzy, fuzzy_value, validate_fuzzy
-from .io import FormatError, Structure, _load_json, parse_hom_document, parse_structure
-from .io import render_structure, structure_to_dict
+from .io import FormatError, Structure, _hom_from_label_map, _load_json, parse_hom_document
+from .io import parse_structure, render_structure, structure_to_dict
 from .morphisms import Hom, enumerate_homs, is_fuzzy_hom, is_hom
 
 
@@ -49,7 +49,13 @@ def _read_text(path: str) -> str:
 
 
 def _load_structure(path: str) -> Structure:
-    return parse_structure(_read_text(path))
+    text = _read_text(path)
+    try:
+        return parse_structure(text)
+    except FormatError as exc:
+        if exc.code == "syntax":
+            _load_json(text, path)  # raises the same syntax error, naming the file
+        raise
 
 
 def _as_fuzzy(obj: Structure, path: str) -> FuzzyHyperBCK:
@@ -118,10 +124,8 @@ def _cmd_hom(args: argparse.Namespace) -> int:
             _emit({"record": "hom", "map": h.as_label_map()})
         _emit({"record": "verdict", "command": "hom-enumerate", "count": len(homs)})
         return 0
-    mapping = _load_json(_read_text(args.check))
-    if not isinstance(mapping, dict):
-        raise FormatError("shape", args.check, "map file must be a JSON object of label pairs")
-    h = Hom.from_labels(src_alg, dst_alg, mapping)
+    mapping = _load_json(_read_text(args.check), args.check)
+    h = _hom_from_label_map(mapping, src_alg, dst_alg, args.check)
     crisp = is_hom(h)
     fuzzy_ok = None
     if crisp and isinstance(src, FuzzyHyperBCK) and isinstance(dst, FuzzyHyperBCK):

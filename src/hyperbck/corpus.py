@@ -15,14 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from typing import Iterable, Sequence
+from itertools import combinations, permutations, product, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .core import Carrier, HyperBCK, InputError, hk_axioms_hold_raw, iter_bits
 from .fuzzy import FuzzyHyperBCK, _membership_failures, _membership_pairs, fuzzy_value
 
 MAX_EXHAUSTIVE_SIZE = 3
 _MAX_CANONICAL_SIZE = 8
+_TABLED_ORDER_SIZE = 6  # 4,683 weak orders of six elements are cached; seven would be 47,293
 
 _CORPUS_LABELS = ("O", "a", "b")
 
@@ -159,6 +160,34 @@ def chain_example(k: int) -> FuzzyHyperBCK:
     return FuzzyHyperBCK(alg, tuple(Fraction(1, x) for x in range(1, k + 1)))
 
 
+def _weak_orders(n: int, levels: int) -> Iterator[tuple[int, ...]]:
+    """Every weak order of ``n`` elements with at most ``levels`` levels, each once.
+
+    An order is its dense rank vector: a map of the elements onto ``0..k-1``.
+    """
+    for ranks in product(range(min(n, levels)), repeat=n):
+        if len(set(ranks)) == max(ranks) + 1:
+            yield ranks
+
+
+@lru_cache(maxsize=16)
+def _weak_order_table(n: int, levels: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_weak_orders(n, levels))
+
+
+@lru_cache(maxsize=16)
+def _grid_levels(grid: tuple) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+    """A grid's checked values, and the positions of each distinct value in increasing order."""
+    values = tuple(fuzzy_value(v) for v in grid)
+    if not values:
+        raise InputError("value grid must be non-empty")
+    rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
+    positions: list[list[int]] = [[] for _ in rank_of]
+    for p, v in enumerate(values):
+        positions[rank_of[v]].append(p)
+    return values, tuple(map(tuple, positions))
+
+
 def enumerate_fuzzy_assignments(
     alg: HyperBCK, grid: Iterable[int | str | Fraction]
 ) -> list[FuzzyHyperBCK]:
@@ -166,19 +195,24 @@ def enumerate_fuzzy_assignments(
 
     Deterministic: assignments are produced in lexicographic order of the
     grid as given, element by element in carrier order, duplicates included.
-    The inequality only ever compares degrees, so each map is tested by the
-    membership kernel on the *ranks* of its values, walked in step with the
-    values themselves; survivors carry exact rationals.
+    The inequality only ever compares degrees, so the membership kernel runs
+    once per weak order of the elements with at most as many levels as the
+    grid has distinct values.  A passing order with k levels takes every
+    increasing choice of k distinct values, each at every grid position that
+    holds it; sorting the position tuples restores the grid order.
     """
-    values = [fuzzy_value(v) for v in grid]
-    if not values:
-        raise InputError("value grid must be non-empty")
-    rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
-    ranks = tuple(rank_of[v] for v in values)
-    pairs = _membership_pairs(alg)
+    values, levels = _grid_levels(tuple(grid))
+    pairs = _membership_pairs(alg.table)
     n = len(alg.carrier)
+    depth = min(n, len(levels))
+    orders = _weak_order_table(n, depth) if n <= _TABLED_ORDER_SIZE else _weak_orders(n, depth)
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for order in orders:
+        if next(_membership_failures(pairs, order), None) is None:
+            for chosen in combinations(levels, max(order) + 1):
+                found.extend(zip(product(*[chosen[r] for r in order]), repeat(order)))
+    found.sort()  # positions are distinct, so the orders are never compared
     return [
-        FuzzyHyperBCK(alg, mu)
-        for mu, mu_r in zip(product(values, repeat=n), product(ranks, repeat=n))
-        if next(_membership_failures(pairs, mu_r), None) is None
+        FuzzyHyperBCK._ranked(alg, tuple(map(values.__getitem__, pos)), order)
+        for pos, order in found
     ]

@@ -7,12 +7,21 @@ floats: level-set boundaries and the defining inequality
 
 hinge on exact comparisons.  On a finite carrier the infimum over a cell is
 a minimum, which is what the checks below compute.
+
+Degrees are exact; comparisons within one structure run on ranks.  The
+inequality, the collapse checks and the level list read only the weak order
+of mu, so each structure carries a rank vector (equal ranks for equal
+degrees, ordered as the degrees are) and those checks compare small ints.
+Wherever two structures meet (fuzzy homs, products, quotients) the exact
+degrees are compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import isqrt
 from typing import Any, Iterable, Iterator, Sequence
 
 from .core import (
@@ -61,10 +70,13 @@ class FuzzyHyperBCK:
     ``mu`` is indexed by carrier position.  Construction checks totality and
     range only; whether the membership inequality holds is the business of
     :func:`validate_fuzzy`, so violating structures can be built and reported.
+    The rank vector of ``mu`` is kept apart from equality, hashing and repr;
+    it is filled on first use unless the builder already knows it.
     """
 
     alg: HyperBCK
     mu: tuple[Fraction, ...]
+    _rank_cache: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", tuple(self.mu))
@@ -73,6 +85,26 @@ class FuzzyHyperBCK:
         for v in self.mu:
             if not ZERO <= v <= ONE:
                 raise InputError(f"membership value {v} outside [0, 1]")
+
+    @classmethod
+    def _ranked(
+        cls, alg: HyperBCK, mu: tuple[Fraction, ...], ranks: tuple[int, ...]
+    ) -> FuzzyHyperBCK:
+        """Build from degrees already checked and ranks order-isomorphic to them."""
+        fz = object.__new__(cls)
+        object.__setattr__(fz, "alg", alg)
+        object.__setattr__(fz, "mu", mu)
+        object.__setattr__(fz, "_rank_cache", ranks)
+        return fz
+
+    def _ranks(self) -> tuple[int, ...]:
+        """Ranks of ``mu``: ``ranks[i] <= ranks[j]`` exactly when ``mu[i] <= mu[j]``."""
+        ranks = self._rank_cache
+        if ranks is None:
+            rank_of = {v: r for r, v in enumerate(sorted(set(self.mu)))}
+            ranks = tuple(rank_of[v] for v in self.mu)
+            object.__setattr__(self, "_rank_cache", ranks)
+        return ranks
 
     @classmethod
     def from_map(cls, alg: HyperBCK, mu: dict[str, int | str | Fraction]) -> FuzzyHyperBCK:
@@ -100,31 +132,36 @@ class FuzzyHyperBCK:
 
     def cut_levels(self) -> tuple[Fraction, ...]:
         """Sorted distinct membership values; cuts are constant between them."""
-        return tuple(sorted(set(self.mu)))
+        by_rank = dict(zip(self._ranks(), self.mu))
+        return tuple(by_rank[r] for r in sorted(by_rank))
 
     def restrict(self, subset: Iterable[str]) -> FuzzyHyperBCK:
         """The fuzzy subalgebra on a star-closed subset, with inherited mu."""
         return self.restrict_mask(self.alg.carrier.mask_of(subset))
 
     def restrict_mask(self, mask: int) -> FuzzyHyperBCK:
-        return FuzzyHyperBCK(
-            self.alg.restrict_mask(mask),
-            tuple(self.mu[i] for i in iter_bits(mask)),
+        sub = self.alg.restrict_mask(mask)
+        bits = iter_bits(mask)
+        ranks = self._ranks()
+        return FuzzyHyperBCK._ranked(
+            sub, tuple(self.mu[i] for i in bits), tuple(ranks[i] for i in bits)
         )
 
 
-def _membership_pairs(alg: HyperBCK) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Every pair (x, y) whose cell can fail the inequality, with the cell's elements.
+@lru_cache(maxsize=1 << 8)
+def _membership_pairs(table: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Every pair (x, y) of a table whose cell can fail the inequality, with the cell's elements.
 
     A cell {x} or {y} holds the smaller of mu(x) and mu(y), so it never fails
-    and is left out.
+    and is left out.  Cached per table, since every structure on one algebra
+    reads the same pairs.
     """
-    n = len(alg.carrier)
+    n = isqrt(len(table))
     return tuple(
         (x, y, cell)
         for x in range(n)
         for y in range(n)
-        if (cell := iter_bits(alg.cell(x, y))) not in ((x,), (y,))
+        if (cell := iter_bits(table[x * n + y])) not in ((x,), (y,))
     )
 
 
@@ -146,7 +183,7 @@ def _membership_failures(
 
 def fuzzy_condition_holds(alg: HyperBCK, mu: Sequence[Any]) -> bool:
     """Fail-fast check of the membership inequality over all pairs."""
-    return next(_membership_failures(_membership_pairs(alg), mu), None) is None
+    return next(_membership_failures(_membership_pairs(alg.table), mu), None) is None
 
 
 def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
@@ -159,19 +196,21 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
     """
     alg = fz.alg
     labels = alg.carrier.labels
+    ranks = fz._ranks()
+    degree = dict(zip(ranks, fz.mu))
     violations = [
         Violation(
             "MU",
             (labels[x], labels[y]),
-            f"min mu over x*y is {format_fuzzy(got)} < {format_fuzzy(bound)}",
+            f"min mu over x*y is {format_fuzzy(degree[got])} < {format_fuzzy(degree[bound])}",
         )
-        for x, y, got, bound in _membership_failures(_membership_pairs(alg), fz.mu)
+        for x, y, got, bound in _membership_failures(_membership_pairs(alg.table), ranks)
     ]
 
     info = [
         InfoCheck(
             "zero-max",
-            all(fz.mu[alg.zero] >= v for v in fz.mu),
+            ranks[alg.zero] == max(ranks),
             f"mu at zero is {format_fuzzy(fz.mu[alg.zero])}",
         )
     ]
@@ -214,17 +253,19 @@ class CollapseVerdict:
 def check_collapse_properties(fz: FuzzyHyperBCK) -> CollapseVerdict:
     alg = fz.alg
     n = len(alg.carrier)
-    zbit_shift = alg.zero
+    zero = alg.zero
+    ranks = fz._ranks()
     monotone = all(
-        fz.mu[x] <= fz.mu[y]
-        for x in range(n)
-        for y in range(n)
-        if alg.cell(x, y) >> zbit_shift & 1
+        ranks[pos // n] <= ranks[pos % n]
+        for pos, cell in enumerate(alg.table)
+        if cell >> zero & 1
     )
-    constant = all(v == fz.mu[alg.zero] for v in fz.mu) if monotone else None
-    zero_applies = fz.mu[alg.zero] == ZERO
-    vanishes = all(v == ZERO for v in fz.mu) if zero_applies else None
-    return CollapseVerdict(monotone, constant, zero_applies, vanishes)
+    # both conclusions say that mu is constant: at mu(zero), or at 0 = mu(zero)
+    constant = min(ranks) == max(ranks)
+    zero_applies = fz.mu[zero] == ZERO
+    return CollapseVerdict(
+        monotone, constant if monotone else None, zero_applies, constant if zero_applies else None
+    )
 
 
 @dataclass(frozen=True, slots=True)

@@ -148,11 +148,13 @@ def structure_to_dict(obj: Structure) -> dict:
     return doc
 
 
-def _load_json(text: str) -> Any:
+def _load_json(text: str, source: str | None = None) -> Any:
+    """Decode JSON text; a syntax error is located by line and column, after ``source``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError("syntax", f"line {exc.lineno} column {exc.colno}", exc.msg) from None
+        at = f"line {exc.lineno} column {exc.colno}"
+        raise FormatError("syntax", f"{source} {at}" if source else at, exc.msg) from None
 
 
 def parse_structure(text: str) -> Structure:
@@ -175,7 +177,7 @@ def parse_hom_document(
     ``load`` callback is supplied, path strings resolved through it.
     The map is checked for totality; homomorphism-ness is not decided here.
     """
-    doc = _load_json(text)
+    doc = _load_json(text, where)
     _expect(isinstance(doc, dict), "shape", where, "top level must be an object")
     for key in ("source", "target", "map"):
         _expect(key in doc, "shape", where, f"missing required key {key!r}")
@@ -190,15 +192,27 @@ def parse_hom_document(
 
     src = endpoint("source")
     dst = endpoint("target")
-    mapping = doc["map"]
+    src_alg = src.alg if isinstance(src, FuzzyHyperBCK) else src
+    dst_alg = dst.alg if isinstance(dst, FuzzyHyperBCK) else dst
+    return _hom_from_label_map(doc["map"], src_alg, dst_alg, f"{where}.map"), src, dst
+
+
+def _hom_from_label_map(mapping: Any, source: HyperBCK, target: HyperBCK, where: str) -> Hom:
+    """The map a label object names, refused with a code at ``where`` unless it is total.
+
+    Every source label must map to a target label, and no other key may appear.
+    """
     _expect(
         isinstance(mapping, dict)
         and all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()),
         "shape",
-        f"{where}.map",
+        where,
         "map must be an object of label pairs",
     )
-    src_alg = src.alg if isinstance(src, FuzzyHyperBCK) else src
-    dst_alg = dst.alg if isinstance(dst, FuzzyHyperBCK) else dst
-    hom = Hom.from_labels(src_alg, dst_alg, mapping)
-    return hom, src, dst
+    missing = sorted(set(source.carrier.labels) - set(mapping))
+    _expect(not missing, "shape", where, f"map missing source elements {missing}")
+    extra = sorted(set(mapping) - set(source.carrier.labels))
+    _expect(not extra, "unknown-label", where, f"map names unknown source elements {extra}")
+    unknown = sorted(set(mapping.values()) - set(target.carrier.labels))
+    _expect(not unknown, "unknown-label", where, f"map names unknown target elements {unknown}")
+    return Hom.from_labels(source, target, mapping)

@@ -31,6 +31,18 @@ def grid_assignments(alg):
     return _ASSIGNMENT_CACHE[key]
 
 
+def cut_masks(fz):
+    """The level set at each of ``fz.cut_levels()``, in the same order, read from its ranks."""
+    at_rank = {}
+    for i, r in enumerate(fz._ranks()):
+        at_rank[r] = at_rank.get(r, 0) | 1 << i
+    masks, cut = [], 0
+    for r in sorted(at_rank, reverse=True):  # each cut adds one rank to the one above
+        cut |= at_rank[r]
+        masks.append(cut)
+    return tuple(reversed(masks))
+
+
 def zero_moved_to(alg, k):
     """``alg`` with its zero and element ``k`` swapped, labels travelling along."""
     n = alg.size

@@ -214,6 +214,27 @@ def fuzzy_ok(labels: tuple[str, ...], table: Table, mu: dict[str, object]) -> bo
     return True
 
 
+def fuzzy_report(labels: tuple[str, ...], zero: str, table: Table, mu: dict[str, object]):
+    """The membership report spelled out: its violations and its informational checks.
+
+    Violations are ``((x, y), min of mu over x*y, min(mu(x), mu(y)))`` in label
+    order; checks are ``(name, holds)``, the collapse ones only where they apply.
+    """
+    violations = []
+    for x in labels:
+        for y in labels:
+            got = min(mu[t] for t in table[(x, y)])
+            bound = min(mu[x], mu[y])
+            if got < bound:
+                violations.append(((x, y), got, bound))
+    checks = [("zero-max", all(mu[zero] >= mu[x] for x in labels))]
+    if all(mu[x] <= mu[y] for x in labels for y in labels if less(table, zero, x, y)):
+        checks.append(("collapse-monotone", all(mu[x] == mu[zero] for x in labels)))
+    if mu[zero] == 0:
+        checks.append(("collapse-zero", all(mu[x] == 0 for x in labels)))
+    return violations, checks
+
+
 def cut_level(mu: dict[str, object], subset: frozenset[str]):
     """The highest level among the mu values and 0 whose level set is ``subset``, or None."""
     hits = [

@@ -32,7 +32,7 @@ from itertools import product as iprod
 import pytest
 
 import naive_oracle as naive
-from conftest import grid_assignments
+from conftest import cut_masks, grid_assignments
 from hyperbck import (
     Carrier,
     ClaimViolation,
@@ -65,6 +65,7 @@ from hyperbck.morphisms import (
 )
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def criterion(number: int, ok: bool, description: str, detail: str = "") -> None:
@@ -146,28 +147,40 @@ def test_c02_zero_maximality_suite(corpus_le3):
 # --- criterion 3: level-set suite ----------------------------------------------
 
 
+def _cuts_at_levels_and_ends(fz):
+    """``(alpha, cut mask)`` for alpha in the levels plus {0, 1}, in increasing alpha.
+
+    Read from the structure's ranks: every degree is at least 0, so the cut at
+    0 is the whole carrier, and the cut at 1 is empty unless 1 is a level.
+    """
+    levels = fz.cut_levels()
+    cuts = list(zip(levels, cut_masks(fz)))
+    if levels[0] != 0:
+        cuts.insert(0, (ZERO, fz.alg.carrier.full_mask))
+    if levels[-1] != 1:
+        cuts.append((ONE, 0))
+    return cuts
+
+
 def _cut_suite_failures(corpus_le3, collect_all: bool = False):
     failures = []
     for alg, fuzzies in fuzzy_objects(corpus_le3):
+        n, table = alg.size, alg.table
         for fz in fuzzies:
             # the inequality compares degrees only, so the loop below compares ranks
-            rank = {v: r for r, v in enumerate(fz.cut_levels())}
-            mu = [rank[v] for v in fz.mu]
-            levels = set(fz.cut_levels()) | {ZERO, Fraction(1)}
-            for alpha in sorted(levels):
-                mask = fz.alpha_cut_mask(alpha)
+            mu = fz._ranks()
+            for alpha, mask in _cuts_at_levels_and_ends(fz):
                 if mask == 0 or not alg.is_subalgebra_mask(mask):
                     failures.append((alg, fz, alpha, mask))
                     if not collect_all:
                         return failures
                     continue
                 # inherited membership bound inside the cut
-                for x in range(alg.size):
-                    if mask >> x & 1:
-                        for y in range(alg.size):
-                            if mask >> y & 1:
-                                bound = min(mu[x], mu[y])
-                                assert min(mu[t] for t in iter_bits(alg.cell(x, y))) >= bound
+                members = iter_bits(mask)
+                for x in members:
+                    for y in members:
+                        bound = mu[x] if mu[x] <= mu[y] else mu[y]
+                        assert min(map(mu.__getitem__, iter_bits(table[x * n + y]))) >= bound
     return failures
 
 
@@ -199,8 +212,7 @@ def test_c03_companion_cut_suite_with_nonemptiness(corpus_le3):
     for alg, fuzzies in fuzzy_objects(corpus_le3):
         zbit = 1 << alg.zero
         for fz in fuzzies:
-            for alpha in sorted(set(fz.cut_levels()) | {ZERO, Fraction(1)}):
-                mask = fz.alpha_cut_mask(alpha)
+            for alpha, mask in _cuts_at_levels_and_ends(fz):
                 assert (mask == 0) == (alpha > fz.mu[alg.zero])
                 if mask:
                     assert mask & zbit
@@ -580,10 +592,10 @@ def test_c10_cut_claim_rate(corpus_le3):
             m for m in range(1, alg.carrier.full_mask + 1) if alg.is_subalgebra_mask(m)
         ]
         for fz in fuzzies:
-            cut_masks = {fz.alpha_cut_mask(alpha): alpha for alpha in fz.cut_levels()}
+            cuts = set(cut_masks(fz))
             for mask in sub_masks:
                 instances += 1
-                is_cut = mask in cut_masks
+                is_cut = mask in cuts
                 holds += is_cut
                 if not is_cut and counterexample is None:
                     counterexample = (alg, fz, mask)

@@ -256,11 +256,61 @@ def test_malformed_map_file_carries_code_and_location(capsys, tmp_path, chain2_p
     bad.write_text('{"1": "1",\n')
     code, records = run(capsys, "hom", "--check", str(bad), chain2_path, chain2_path)
     assert code == 2
-    assert (records[0]["code"], records[0]["location"]) == ("syntax", "line 2 column 1")
+    assert (records[0]["code"], records[0]["location"]) == ("syntax", f"{bad} line 2 column 1")
     bad.write_text('["1", "2"]')
     code, records = run(capsys, "hom", "--check", str(bad), chain2_path, chain2_path)
     assert code == 2
     assert (records[0]["code"], records[0]["location"]) == ("shape", str(bad))
+
+
+@pytest.mark.parametrize(
+    "mapping, code",
+    [
+        ({"1": 2, "2": "2"}, "shape"),  # a non-string label
+        ({"1": "1"}, "shape"),  # a missing source label
+        ({"1": "1", "2": "2", "3": "1"}, "unknown-label"),  # an unknown source label
+        ({"1": "1", "2": "9"}, "unknown-label"),  # an unknown target label
+    ],
+)
+def test_bad_label_maps_get_one_coded_refusal(capsys, tmp_path, chain2_path, mapping, code):
+    c2 = chain_example(2)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps(mapping))
+    exit_code, records = run(capsys, "hom", "--check", str(map_path), chain2_path, chain2_path)
+    assert exit_code == 2
+    in_file = records[0]
+    assert (in_file["code"], in_file["location"]) == (code, str(map_path))
+    doc = hom_doc(tmp_path, "f.json", c2, c2, mapping)
+    exit_code, records = run(capsys, "equalizer", doc, doc)
+    assert exit_code == 2
+    in_doc = records[0]
+    assert (in_doc["code"], in_doc["location"]) == (code, f"{doc}.map")
+    # one check: the same reason after "<code> at <location>: "
+    assert in_file["message"].split(": ", 1)[1] == in_doc["message"].split(": ", 1)[1]
+
+
+def test_syntax_errors_name_the_broken_file(capsys, tmp_path, chain2_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"carrier": ["1"],\n')
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"1": "1", "2": "2"}))
+    code, records = run(capsys, "hom", "--check", str(map_path), str(broken), chain2_path)
+    assert code == 2
+    assert (records[0]["code"], records[0]["location"]) == ("syntax", f"{broken} line 2 column 1")
+
+    doc = tmp_path / "f.json"
+    doc.write_text(json.dumps({"source": "broken.json", "target": "c2.json", "map": {}}))
+    for command in ("equalizer", "coequalizer", "pullback"):
+        code, records = run(capsys, command, str(doc), str(doc))
+        assert code == 2
+        assert (records[0]["code"], records[0]["location"]) == (
+            "syntax",
+            f"{broken} line 2 column 1",
+        )
+
+    doc.write_text('{"source": ')
+    code, records = run(capsys, "equalizer", str(doc), str(doc))
+    assert (records[0]["code"], records[0]["location"]) == ("syntax", f"{doc} line 1 column 12")
 
 
 def test_output_bytes_deterministic(capsys, chain3_path):

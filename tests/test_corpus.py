@@ -11,11 +11,23 @@ from itertools import permutations, product
 import pytest
 
 import naive_oracle as naive
-from hyperbck import Carrier, HyperBCK, InputError, corpus, hk_axioms_hold, validate_fuzzy
+from conftest import GRID, grid_assignments, zero_moved_to
+from hyperbck import (
+    Carrier,
+    FuzzyHyperBCK,
+    HyperBCK,
+    InputError,
+    corpus,
+    hk_axioms_hold,
+    validate_fuzzy,
+)
 from hyperbck.core import hk_axioms_hold_raw
 from hyperbck.corpus import (
+    _TABLED_ORDER_SIZE,
     MAX_EXHAUSTIVE_SIZE,
     _search_tables,
+    _weak_order_table,
+    _weak_orders,
     canonical_form,
     canonical_table,
     chain_example,
@@ -230,6 +242,88 @@ def test_fuzzy_assignments_keep_order_and_duplicates_of_an_unsorted_grid(corpus3
             if naive.fuzzy_ok(labels, table, dict(zip(labels, mu)))
         ]
         assert got == expected
+
+
+def _literal_assignments(alg, grid):
+    """Every map of the carrier into ``grid`` that the literal inequality accepts, in grid order."""
+    values = [Fraction(v) for v in grid]
+    labels, _, table = naive.table_of(alg)
+    return [
+        mu
+        for mu in product(values, repeat=alg.size)
+        if naive.fuzzy_ok(labels, table, dict(zip(labels, mu)))
+    ]
+
+
+def _assert_assignments_match_literal_filter(alg, grid):
+    got = enumerate_fuzzy_assignments(alg, grid)
+    assert [fz.mu for fz in got] == _literal_assignments(alg, grid)
+    for fz in got:  # each carries ranks of its own degrees
+        assert fz == FuzzyHyperBCK(alg, fz.mu) and fz._ranks() == FuzzyHyperBCK(alg, fz.mu)._ranks()
+
+
+def test_fuzzy_assignments_match_literal_filter_on_the_corpus(corpus_le2, corpus3):
+    # every model of size <= 2 and a systematic sample of size 3, list for list
+    for alg in corpus_le2:
+        _assert_assignments_match_literal_filter(alg, GRID)
+    for alg in corpus3.models[::79]:
+        _assert_assignments_match_literal_filter(alg, GRID)
+
+
+def test_grid_assignment_total_over_the_corpus_is_frozen(corpus_le3):
+    assert sum(len(grid_assignments(alg)) for alg in corpus_le3) == 338695
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["1/2"],  # one value: every map is constant
+        [1, "1/3", 0, "1/3", 1],  # unsorted, with duplicates
+        [Fraction(2, 3), 0],
+    ],
+)
+def test_fuzzy_assignments_match_literal_filter_on_other_grids(corpus_le2, corpus3, grid):
+    for alg in list(corpus_le2) + list(corpus3.models[::397]):
+        _assert_assignments_match_literal_filter(alg, grid)
+
+
+def test_fuzzy_assignments_on_four_element_products_with_zero_moved(corpus2):
+    from hyperbck.category import product as fuzzy_product
+
+    rng = random.Random(4242)
+    for _ in range(12):
+        a, b = rng.choice(corpus2.models), rng.choice(corpus2.models)
+        zero = tuple(FuzzyHyperBCK(f, (Fraction(0),) * 2) for f in (a, b))
+        alg = fuzzy_product(zero).object.alg
+        for k in range(alg.size):
+            moved = zero_moved_to(alg, k)
+            _assert_assignments_match_literal_filter(moved, [0, "1/2", 1, "1/2"])
+
+
+def test_fuzzy_assignments_with_more_elements_than_levels():
+    chain7 = chain_example(7).alg
+    got = enumerate_fuzzy_assignments(chain7, ["1/3", 1])
+    assert [fz.mu for fz in got] == _literal_assignments(chain7, ["1/3", 1])
+    assert len(got) > 1
+
+
+def test_weak_order_counts_are_the_fubini_numbers():
+    # ordered set partitions of n elements: 1, 3, 13, 75, 541
+    for n, fubini in zip(range(1, 6), (1, 3, 13, 75, 541)):
+        for levels in (n, n + 2):
+            orders = list(_weak_orders(n, levels))
+            assert len(orders) == len(set(orders)) == fubini
+        # at most two levels: constant, or a proper non-empty upper set
+        assert len(list(_weak_orders(n, 2))) == 2**n - 1
+        assert list(_weak_orders(n, 1)) == [(0,) * n]
+
+
+def test_weak_order_tables_stay_small_and_large_carriers_are_not_cached():
+    assert len(_weak_order_table(_TABLED_ORDER_SIZE, _TABLED_ORDER_SIZE)) == 4683
+    before = _weak_order_table.cache_info()
+    enumerate_fuzzy_assignments(chain_example(_TABLED_ORDER_SIZE + 1).alg, [0, 1])
+    after = _weak_order_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_fuzzy_assignments_satisfy_zero_maximality(corpus2):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracle as naive
-from conftest import GRID, grid_assignments
+from conftest import GRID, cut_masks, grid_assignments
 from hyperbck import (
     FuzzyHyperBCK,
     InputError,
@@ -22,6 +22,7 @@ from hyperbck import (
     trivial_algebra,
     validate_fuzzy,
 )
+from hyperbck.core import iter_bits
 from hyperbck.corpus import chain_example
 from hyperbck.fuzzy import fuzzy_condition_holds
 
@@ -99,6 +100,74 @@ def test_fail_fast_and_report_agree_with_oracle(corpus_le2, chains):
             ranks = tuple(sorted(set(mu)).index(v) for v in mu)
             assert fuzzy_condition_holds(alg, ranks) == expected
             assert validate_fuzzy(FuzzyHyperBCK(alg, mu)).passed == expected
+
+
+def _literal_report(alg, mu):
+    labels, zero, table = naive.table_of(alg)
+    violations, checks = naive.fuzzy_report(labels, zero, table, dict(zip(labels, mu)))
+    return (
+        [("MU", xy, f"min mu over x*y is {got} < {bound}") for xy, got, bound in violations],
+        checks,
+        f"mu at zero is {mu[alg.zero]}",
+    )
+
+
+def _report_of(fz):
+    report = validate_fuzzy(fz)
+    assert report.info[0].check == "zero-max"
+    return (
+        [(v.axiom, v.witness, v.detail) for v in report.violations],
+        [(c.check, c.holds) for c in report.info],
+        report.info[0].detail,
+    )
+
+
+def test_membership_reports_match_the_literal_report(corpus_le2, corpus3, chains):
+    # violating maps with repeated values included; both the ranks a structure
+    # finds itself and the ranks handed over by a builder give the same bytes
+    algebras = list(corpus_le2) + random.Random(5).sample(list(corpus3), 40)
+    algebras += [chains[k].alg for k in range(1, 6)]
+    violating = repeated = 0
+    for seed, alg in enumerate(algebras):
+        for mu in _grid_maps(alg.size, 200, seed):
+            expected = _literal_report(alg, mu)
+            assert _report_of(FuzzyHyperBCK(alg, mu)) == expected
+            grid_ranks = tuple(GRID.index(v) for v in mu)
+            assert _report_of(FuzzyHyperBCK._ranked(alg, mu, grid_ranks)) == expected
+            violating += bool(expected[0])
+            repeated += len(set(mu)) < len(mu)
+    assert violating > 1000 and repeated > 1000
+
+
+def test_a_rank_built_structure_is_the_plain_one(c3):
+    mu = (Fraction(1), Fraction(1, 4), Fraction(1, 4))
+    plain = FuzzyHyperBCK(c3.alg, mu)
+    ranked = FuzzyHyperBCK._ranked(c3.alg, mu, (6, 1, 1))
+    assert ranked == plain and hash(ranked) == hash(plain) and repr(ranked) == repr(plain)
+    assert plain._ranks() == (1, 0, 0) and ranked._ranks() == (6, 1, 1)
+    assert "_rank" not in repr(plain)
+    assert ranked.cut_levels() == plain.cut_levels() == (Fraction(1, 4), Fraction(1))
+    assert check_collapse_properties(ranked) == check_collapse_properties(plain)
+
+
+def test_restriction_carries_the_parent_ranks(corpus2, c3):
+    sub = c3.restrict({"1", "2"})
+    assert sub._rank_cache == c3._ranks()[:2]
+    for alg in corpus2:
+        for fz in grid_assignments(alg):
+            for mask in range(1, alg.carrier.full_mask + 1):
+                if alg.is_subalgebra_mask(mask):
+                    sub = fz.restrict_mask(mask)
+                    assert sub._rank_cache == tuple(fz._ranks()[i] for i in iter_bits(mask))
+                    assert sub == FuzzyHyperBCK(sub.alg, sub.mu)
+
+
+def test_cut_masks_are_the_cuts_at_the_levels(corpus_le2, chains):
+    for seed, alg in enumerate(list(corpus_le2) + [chains[k].alg for k in range(1, 6)]):
+        for mu in _grid_maps(alg.size, 100, seed):
+            fz = FuzzyHyperBCK(alg, mu)
+            assert cut_masks(fz) == tuple(fz.alpha_cut_mask(a) for a in fz.cut_levels())
+            assert fz.cut_levels() == tuple(sorted(set(mu)))
 
 
 def test_validate_fuzzy_reports_zero_max_info(c3):

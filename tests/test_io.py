@@ -147,5 +147,6 @@ def test_hom_document_inline_and_by_reference(tmp_path):
     assert exc.value.code == "shape"
 
     incomplete = dict(inline, map={"1": "1"})
-    with pytest.raises(Exception, match="missing"):
+    with pytest.raises(FormatError, match="missing") as exc:
         parse_hom_document(json.dumps(incomplete))
+    assert (exc.value.code, exc.value.location) == ("shape", "document.map")
