@@ -20,8 +20,8 @@ from .core import ClaimViolation, InputError, ValidationReport, validate_hyper_b
 from .corpus import chain_example, enumerate_hyper_bck
 from .category import coequalizer, equalizer, product, pullback
 from .fuzzy import FuzzyHyperBCK, format_fuzzy, fuzzy_value, validate_fuzzy
-from .io import FormatError, Structure, _hom_from_label_map, _load_json, parse_hom_document
-from .io import parse_structure, render_structure, structure_to_dict
+from .io import Structure, _hom_from_label_map, _load_json, parse_hom_document
+from .io import render_structure, structure_from_dict, structure_to_dict
 from .morphisms import Hom, enumerate_homs, is_fuzzy_hom, is_hom
 
 
@@ -49,13 +49,7 @@ def _read_text(path: str) -> str:
 
 
 def _load_structure(path: str) -> Structure:
-    text = _read_text(path)
-    try:
-        return parse_structure(text)
-    except FormatError as exc:
-        if exc.code == "syntax":
-            _load_json(text, path)  # raises the same syntax error, naming the file
-        raise
+    return structure_from_dict(_load_json(_read_text(path), path))
 
 
 def _as_fuzzy(obj: Structure, path: str) -> FuzzyHyperBCK:

@@ -23,7 +23,6 @@ from .fuzzy import FuzzyHyperBCK, _membership_failures, _membership_pairs, fuzzy
 
 MAX_EXHAUSTIVE_SIZE = 3
 _MAX_CANONICAL_SIZE = 8
-_TABLED_ORDER_SIZE = 6  # 4,683 weak orders of six elements are cached; seven would be 47,293
 
 _CORPUS_LABELS = ("O", "a", "b")
 
@@ -170,24 +169,6 @@ def _weak_orders(n: int, levels: int) -> Iterator[tuple[int, ...]]:
             yield ranks
 
 
-@lru_cache(maxsize=16)
-def _weak_order_table(n: int, levels: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(_weak_orders(n, levels))
-
-
-@lru_cache(maxsize=16)
-def _grid_levels(grid: tuple) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
-    """A grid's checked values, and the positions of each distinct value in increasing order."""
-    values = tuple(fuzzy_value(v) for v in grid)
-    if not values:
-        raise InputError("value grid must be non-empty")
-    rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
-    positions: list[list[int]] = [[] for _ in rank_of]
-    for p, v in enumerate(values):
-        positions[rank_of[v]].append(p)
-    return values, tuple(map(tuple, positions))
-
-
 def enumerate_fuzzy_assignments(
     alg: HyperBCK, grid: Iterable[int | str | Fraction]
 ) -> list[FuzzyHyperBCK]:
@@ -201,13 +182,16 @@ def enumerate_fuzzy_assignments(
     increasing choice of k distinct values, each at every grid position that
     holds it; sorting the position tuples restores the grid order.
     """
-    values, levels = _grid_levels(tuple(grid))
+    values = [fuzzy_value(v) for v in grid]
+    if not values:
+        raise InputError("value grid must be non-empty")
+    rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
+    levels: list[list[int]] = [[] for _ in rank_of]  # the grid positions of each distinct value
+    for p, v in enumerate(values):
+        levels[rank_of[v]].append(p)
     pairs = _membership_pairs(alg.table)
-    n = len(alg.carrier)
-    depth = min(n, len(levels))
-    orders = _weak_order_table(n, depth) if n <= _TABLED_ORDER_SIZE else _weak_orders(n, depth)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for order in orders:
+    for order in _weak_orders(len(alg.carrier), len(levels)):
         if next(_membership_failures(pairs, order), None) is None:
             for chosen in combinations(levels, max(order) + 1):
                 found.extend(zip(product(*[chosen[r] for r in order]), repeat(order)))

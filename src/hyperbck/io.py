@@ -198,10 +198,7 @@ def parse_hom_document(
 
 
 def _hom_from_label_map(mapping: Any, source: HyperBCK, target: HyperBCK, where: str) -> Hom:
-    """The map a label object names, refused with a code at ``where`` unless it is total.
-
-    Every source label must map to a target label, and no other key may appear.
-    """
+    """The map a label object names; any refusal is located at ``where``."""
     _expect(
         isinstance(mapping, dict)
         and all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()),
@@ -209,10 +206,7 @@ def _hom_from_label_map(mapping: Any, source: HyperBCK, target: HyperBCK, where:
         where,
         "map must be an object of label pairs",
     )
-    missing = sorted(set(source.carrier.labels) - set(mapping))
-    _expect(not missing, "shape", where, f"map missing source elements {missing}")
-    extra = sorted(set(mapping) - set(source.carrier.labels))
-    _expect(not extra, "unknown-label", where, f"map names unknown source elements {extra}")
-    unknown = sorted(set(mapping.values()) - set(target.carrier.labels))
-    _expect(not unknown, "unknown-label", where, f"map names unknown target elements {unknown}")
-    return Hom.from_labels(source, target, mapping)
+    try:
+        return Hom.from_labels(source, target, mapping)
+    except InputError as exc:
+        raise FormatError(exc.code, where, str(exc)) from None

@@ -44,12 +44,20 @@ class Hom:
 
     @classmethod
     def from_labels(cls, source: HyperBCK, target: HyperBCK, mapping: dict[str, str]) -> Hom:
+        """The map a label dict names.
+
+        Refused with code ``shape`` when a source label is missing, and with
+        ``unknown-label`` when a key or a value names no element.
+        """
         missing = set(source.carrier.labels) - set(mapping)
         if missing:
-            raise InputError(f"map missing source elements {sorted(missing)}")
+            raise InputError(f"map missing source elements {sorted(missing)}", "shape")
         extra = set(mapping) - set(source.carrier.labels)
         if extra:
-            raise InputError(f"map names unknown source elements {sorted(extra)}")
+            raise InputError(f"map names unknown source elements {sorted(extra)}", "unknown-label")
+        unknown = set(mapping.values()) - set(target.carrier.labels)
+        if unknown:
+            raise InputError(f"map names unknown target elements {sorted(unknown)}", "unknown-label")
         return cls(
             source,
             target,

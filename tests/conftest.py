@@ -21,6 +21,7 @@ GRID = tuple(
 )
 
 _ASSIGNMENT_CACHE: dict = {}
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def grid_assignments(alg):
@@ -41,6 +42,21 @@ def cut_masks(fz):
         cut |= at_rank[r]
         masks.append(cut)
     return tuple(reversed(masks))
+
+
+def cuts_at_levels_and_ends(fz):
+    """``(alpha, cut mask)`` for alpha in the levels plus {0, 1}, in increasing alpha.
+
+    Read from the structure's ranks: every degree is at least 0, so the cut at
+    0 is the whole carrier, and the cut at 1 is empty unless 1 is a level.
+    """
+    levels = fz.cut_levels()
+    cuts = list(zip(levels, cut_masks(fz)))
+    if levels[0] != 0:
+        cuts.insert(0, (_ZERO, fz.alg.carrier.full_mask))
+    if levels[-1] != 1:
+        cuts.append((_ONE, 0))
+    return cuts
 
 
 def zero_moved_to(alg, k):

@@ -32,7 +32,7 @@ from itertools import product as iprod
 import pytest
 
 import naive_oracle as naive
-from conftest import cut_masks, grid_assignments
+from conftest import cut_masks, cuts_at_levels_and_ends, grid_assignments
 from hyperbck import (
     Carrier,
     ClaimViolation,
@@ -65,7 +65,6 @@ from hyperbck.morphisms import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def criterion(number: int, ok: bool, description: str, detail: str = "") -> None:
@@ -147,21 +146,6 @@ def test_c02_zero_maximality_suite(corpus_le3):
 # --- criterion 3: level-set suite ----------------------------------------------
 
 
-def _cuts_at_levels_and_ends(fz):
-    """``(alpha, cut mask)`` for alpha in the levels plus {0, 1}, in increasing alpha.
-
-    Read from the structure's ranks: every degree is at least 0, so the cut at
-    0 is the whole carrier, and the cut at 1 is empty unless 1 is a level.
-    """
-    levels = fz.cut_levels()
-    cuts = list(zip(levels, cut_masks(fz)))
-    if levels[0] != 0:
-        cuts.insert(0, (ZERO, fz.alg.carrier.full_mask))
-    if levels[-1] != 1:
-        cuts.append((ONE, 0))
-    return cuts
-
-
 def _cut_suite_failures(corpus_le3, collect_all: bool = False):
     failures = []
     for alg, fuzzies in fuzzy_objects(corpus_le3):
@@ -169,7 +153,7 @@ def _cut_suite_failures(corpus_le3, collect_all: bool = False):
         for fz in fuzzies:
             # the inequality compares degrees only, so the loop below compares ranks
             mu = fz._ranks()
-            for alpha, mask in _cuts_at_levels_and_ends(fz):
+            for alpha, mask in cuts_at_levels_and_ends(fz):
                 if mask == 0 or not alg.is_subalgebra_mask(mask):
                     failures.append((alg, fz, alpha, mask))
                     if not collect_all:
@@ -212,7 +196,7 @@ def test_c03_companion_cut_suite_with_nonemptiness(corpus_le3):
     for alg, fuzzies in fuzzy_objects(corpus_le3):
         zbit = 1 << alg.zero
         for fz in fuzzies:
-            for alpha, mask in _cuts_at_levels_and_ends(fz):
+            for alpha, mask in cuts_at_levels_and_ends(fz):
                 assert (mask == 0) == (alpha > fz.mu[alg.zero])
                 if mask:
                     assert mask & zbit

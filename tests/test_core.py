@@ -159,8 +159,6 @@ def test_every_cache_in_the_package_is_bounded():
         "core._tabled_ors",
         "corpus.enumerate_hyper_bck",
         "corpus._relabel_plans",
-        "corpus._weak_order_table",
-        "corpus._grid_levels",
         "fuzzy._membership_pairs",
         "morphisms.enumerate_homs",
     } <= set(cached)

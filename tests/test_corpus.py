@@ -23,10 +23,8 @@ from hyperbck import (
 )
 from hyperbck.core import hk_axioms_hold_raw
 from hyperbck.corpus import (
-    _TABLED_ORDER_SIZE,
     MAX_EXHAUSTIVE_SIZE,
     _search_tables,
-    _weak_order_table,
     _weak_orders,
     canonical_form,
     canonical_table,
@@ -316,14 +314,6 @@ def test_weak_order_counts_are_the_fubini_numbers():
         # at most two levels: constant, or a proper non-empty upper set
         assert len(list(_weak_orders(n, 2))) == 2**n - 1
         assert list(_weak_orders(n, 1)) == [(0,) * n]
-
-
-def test_weak_order_tables_stay_small_and_large_carriers_are_not_cached():
-    assert len(_weak_order_table(_TABLED_ORDER_SIZE, _TABLED_ORDER_SIZE)) == 4683
-    before = _weak_order_table.cache_info()
-    enumerate_fuzzy_assignments(chain_example(_TABLED_ORDER_SIZE + 1).alg, [0, 1])
-    after = _weak_order_table.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_fuzzy_assignments_satisfy_zero_maximality(corpus2):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracle as naive
-from conftest import GRID, cut_masks, grid_assignments
+from conftest import GRID, cut_masks, cuts_at_levels_and_ends, grid_assignments
 from hyperbck import (
     FuzzyHyperBCK,
     InputError,
@@ -162,12 +162,26 @@ def test_restriction_carries_the_parent_ranks(corpus2, c3):
                     assert sub == FuzzyHyperBCK(sub.alg, sub.mu)
 
 
-def test_cut_masks_are_the_cuts_at_the_levels(corpus_le2, chains):
+def _library_cuts(fz):
+    """``(alpha, alpha_cut_mask(alpha))`` for alpha in the degrees plus {0, 1}, increasing."""
+    return [(a, fz.alpha_cut_mask(a)) for a in sorted(set(fz.mu) | {0, 1})]
+
+
+def test_cut_masks_are_the_cuts_at_the_levels(corpus_le2, corpus_le3, chains):
     for seed, alg in enumerate(list(corpus_le2) + [chains[k].alg for k in range(1, 6)]):
         for mu in _grid_maps(alg.size, 100, seed):
             fz = FuzzyHyperBCK(alg, mu)
             assert cut_masks(fz) == tuple(fz.alpha_cut_mask(a) for a in fz.cut_levels())
             assert fz.cut_levels() == tuple(sorted(set(mu)))
+            assert cuts_at_levels_and_ends(fz) == _library_cuts(fz)
+    # the structures the level-set criteria (c03, its companion, c10) read their cuts from;
+    # a cut reads mu alone, so the library's cuts are taken once per distinct map
+    library_cuts = {}
+    for alg in corpus_le3:
+        for fz in grid_assignments(alg):
+            if fz.mu not in library_cuts:
+                library_cuts[fz.mu] = _library_cuts(fz)
+            assert cuts_at_levels_and_ends(fz) == library_cuts[fz.mu]
 
 
 def test_validate_fuzzy_reports_zero_max_info(c3):

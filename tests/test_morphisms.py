@@ -46,8 +46,14 @@ def test_hom_structural_errors(c2, c3):
         Hom(c3.alg, c3.alg, (0, 1))
     with pytest.raises(InputError, match="range"):
         Hom(c2.alg, c2.alg, (0, 5))
-    with pytest.raises(InputError, match="missing"):
-        Hom.from_labels(c2.alg, c2.alg, {"1": "1"})
+    for mapping, code, reason in (
+        ({"1": "1"}, "shape", "missing source"),
+        ({"1": "1", "2": "2", "3": "1"}, "unknown-label", "unknown source"),
+        ({"1": "1", "2": "9"}, "unknown-label", "unknown target"),
+    ):
+        with pytest.raises(InputError, match=reason) as refused:
+            Hom.from_labels(c2.alg, c2.alg, mapping)
+        assert refused.value.code == code
     f = Hom.identity(c2.alg)
     with pytest.raises(InputError, match="endpoints"):
         f.then(Hom.identity(c3.alg))
