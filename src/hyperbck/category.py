@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
+from math import prod
 from typing import Iterator, Sequence
 
 from .core import (
@@ -38,6 +39,7 @@ from .fuzzy import FuzzyHyperBCK
 from .morphisms import Hom, _never_lowers_membership, is_fuzzy_hom, is_hom
 
 CONGRUENCE_BOUND = 5  # Bell(5) = 52 partitions; Bell(n) grows too fast past it
+PRODUCT_BOUND = 256  # 65,536 cells; the table grows with the square of the carrier
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,10 +212,16 @@ def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
     ``{t : t_i in x_i * y_i}``, the choice under which every projection is
     a homomorphism: the AND over i of the preimage of ``x_i * y_i`` under
     projection i.  Membership of a tuple is the minimum over components.
+    Products of more than ``PRODUCT_BOUND`` elements are refused unbuilt.
     """
     if not factors:
         raise InputError("product needs at least one factor; see terminal()")
     algs = [f.alg for f in factors]
+    size = prod(len(a.carrier) for a in algs)
+    if size > PRODUCT_BOUND:
+        why = "the table grows with the square of the carrier"
+        message = f"carrier size {size} exceeds the product bound {PRODUCT_BOUND}; {why}"
+        raise InputError(message, "too-large", "carrier")
     tuples = list(iter_product(*(range(len(a.carrier)) for a in algs)))
     labels = tuple("|".join(a.carrier.labels[c] for a, c in zip(algs, t)) for t in tuples)
     projections = [tuple(t[i] for t in tuples) for i in range(len(algs))]

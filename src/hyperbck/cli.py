@@ -12,16 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .core import ClaimViolation, InputError, ValidationReport, validate_hyper_bck
 from .corpus import chain_example, enumerate_hyper_bck
 from .category import coequalizer, equalizer, product, pullback
 from .fuzzy import FuzzyHyperBCK, format_fuzzy, fuzzy_value, validate_fuzzy
 from .io import Structure, _hom_from_label_map, _load_json, parse_hom_document
-from .io import render_structure, structure_from_dict, structure_to_dict
+from .io import parse_structure, render_structure, structure_to_dict
 from .morphisms import Hom, enumerate_homs, is_fuzzy_hom, is_hom
 
 
@@ -49,7 +50,16 @@ def _read_text(path: str) -> str:
 
 
 def _load_structure(path: str) -> Structure:
-    return structure_from_dict(_load_json(_read_text(path), path))
+    return parse_structure(_read_text(path), path)
+
+
+@contextmanager
+def _at_flag(flag: str) -> Iterator[None]:
+    """Locate a refusal raised in the block at the command-line ``flag``."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(str(exc), exc.code, flag) from None
 
 
 def _as_fuzzy(obj: Structure, path: str) -> FuzzyHyperBCK:
@@ -100,7 +110,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_cut(args: argparse.Namespace) -> int:
     obj = _as_fuzzy(_load_structure(args.structure), args.structure)
-    alpha = fuzzy_value(args.alpha)
+    with _at_flag("--alpha"):
+        alpha = fuzzy_value(args.alpha)
     members = obj.alpha_cut(alpha)
     ordered = [lab for lab in obj.alg.carrier.labels if lab in members]
     _emit({"record": "alpha-cut", "alpha": format_fuzzy(alpha), "members": ordered})
@@ -183,14 +194,17 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    corpus = enumerate_hyper_bck(args.size, up_to_iso=args.up_to_iso)
+    with _at_flag("--size"):
+        corpus = enumerate_hyper_bck(args.size, up_to_iso=args.up_to_iso)
     for model in corpus:
         print(render_structure(model))
     return 0
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    print(render_structure(chain_example(args.chain), pretty=True), end="")
+    with _at_flag("--chain"):
+        chain = chain_example(args.chain)
+    print(render_structure(chain, pretty=True), end="")
     return 0
 
 

@@ -65,13 +65,16 @@ class Carrier:
     zero_index: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if not self.labels:
-            raise InputError("carrier must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
-            raise InputError("carrier labels must be pairwise distinct")
-        if not 0 <= self.zero_index < len(self.labels):
-            raise InputError(f"zero index {self.zero_index} out of range")
+        labels = self.labels
+        named = isinstance(labels, (list, tuple)) and all(isinstance(s, str) and s for s in labels)
+        if not (named and labels):
+            message = "carrier must be a non-empty list of non-empty strings"
+            raise InputError(message, "carrier", "carrier")
+        object.__setattr__(self, "labels", tuple(labels))
+        if len(set(labels)) != len(labels):
+            raise InputError("carrier labels must be distinct", "carrier", "carrier")
+        if not 0 <= self.zero_index < len(labels):
+            raise InputError(f"zero index {self.zero_index} out of range", "zero-unknown", "zero")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -88,7 +91,7 @@ class Carrier:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise InputError(f"unknown element label {label!r}") from None
+            raise InputError(f"unknown element label {label!r}", "unknown-label") from None
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
@@ -116,32 +119,41 @@ class HyperBCK:
         object.__setattr__(self, "table", tuple(self.table))
         n = len(self.carrier)
         if len(self.table) != n * n:
-            raise InputError(f"table must have {n * n} cells, got {len(self.table)}")
+            message = f"table has {len(self.table)} of {n * n} required cells"
+            raise InputError(message, "table-incomplete", "table")
         full = self.carrier.full_mask
         for pos, cell in enumerate(self.table):
-            if cell == 0:
-                x, y = divmod(pos, n)
-                raise InputError(
-                    f"empty hyperoperation cell at "
-                    f"({self.carrier.labels[x]},{self.carrier.labels[y]})"
-                )
-            if cell & ~full:
-                raise InputError(f"table cell at position {pos} out of range")
+            if cell == 0 or cell & ~full:
+                x, y = (self.carrier.labels[i] for i in divmod(pos, n))
+                at = f"table[{f'{x},{y}'!r}]"
+                if cell == 0:
+                    raise InputError("empty hyperoperation cell", "empty-cell", at)
+                raise InputError(f"table cell at position {pos} out of range", "unknown-label", at)
 
     @classmethod
     def from_sets(
         cls,
-        labels: Iterable[str],
+        labels: Sequence[str],
         zero: str,
         cells: dict[tuple[str, str], Iterable[str]],
     ) -> HyperBCK:
-        """Build from a ``(x, y) -> subset`` mapping given with labels."""
-        carrier = Carrier(tuple(labels), tuple(labels).index(zero))
-        n = len(carrier)
-        table = [0] * (n * n)
+        """Build from a ``(x, y) -> subset`` mapping given with labels.
+
+        Refusals are located at ``carrier``, ``zero``, ``table['x,y']`` or ``table``.
+        """
+        carrier = Carrier(labels, 0)  # a bad carrier is refused before its zero is sought
+        if zero not in carrier.labels:
+            raise InputError(f"zero {zero!r} is not a carrier label", "zero-unknown", "zero")
+        carrier = Carrier(carrier.labels, carrier.labels.index(zero))
+        masks = {}
         for (x, y), subset in cells.items():
-            table[carrier.index(x) * n + carrier.index(y)] = carrier.mask_of(subset)
-        return cls(carrier, table)
+            for lab in (x, y, *subset):
+                if lab not in carrier.labels:
+                    at = f"table[{f'{x},{y}'!r}]"
+                    raise InputError(f"label {lab!r} not in carrier", "unknown-label", at)
+            masks[x, y] = carrier.mask_of(subset)
+        labels = carrier.labels  # a missing cell leaves the table short, and so refused
+        return cls(carrier, [masks[x, y] for x in labels for y in labels if (x, y) in masks])
 
     @property
     def size(self) -> int:

@@ -125,9 +125,8 @@ def enumerate_hyper_bck(n: int, up_to_iso: bool = False) -> ModelCorpus:
     sizes beyond the exhaustive range.
     """
     if not 1 <= n <= MAX_EXHAUSTIVE_SIZE:
-        raise InputError(
-            f"exhaustive enumeration is limited to sizes 1..{MAX_EXHAUSTIVE_SIZE}"
-        )
+        message = f"exhaustive enumeration is limited to sizes 1..{MAX_EXHAUSTIVE_SIZE}"
+        raise InputError(message, "too-large" if n > MAX_EXHAUSTIVE_SIZE else "carrier", "carrier")
     carrier = Carrier(_CORPUS_LABELS[:n], 0)
     tables = _search_tables(n)
     if up_to_iso:
@@ -142,7 +141,7 @@ def chain_example(k: int) -> FuzzyHyperBCK:
     x*y is {1..x} when x <= y, {2..y} when x > y != 1, and {x} when y = 1.
     """
     if k < 1:
-        raise InputError("chain length must be at least 1")
+        raise InputError("chain length must be at least 1", "carrier", "carrier")
     labels = tuple(str(i) for i in range(1, k + 1))
     carrier = Carrier(labels, 0)
     table = [0] * (k * k)

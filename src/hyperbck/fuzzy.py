@@ -38,21 +38,22 @@ ONE = Fraction(1)
 
 
 def fuzzy_value(value: int | str | Fraction, denominator: int | None = None) -> Fraction:
-    """Coerce to an exact membership degree, enforcing the [0, 1] range.
+    """An exact membership degree: the one rule every degree passes.
 
-    Accepts a Fraction, an int, or a string like ``"2/3"`` or ``"1"``.
+    Accepts a Fraction (returned as it is), an int, a string like ``"2/3"``
+    or ``"1"``, or a numerator with an int ``denominator``.  Anything else,
+    floats included, is refused with ``mu-syntax``; a degree outside
+    [0, 1] with ``mu-range``.
     """
-    if denominator is not None:
-        value = Fraction(value, denominator)  # type: ignore[arg-type]
-    elif isinstance(value, str):
+    if denominator is not None or not isinstance(value, Fraction):
         try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad membership value {value!r}: {exc}") from None
-    else:
-        value = Fraction(value)
+            if not isinstance(value, (int, str, Fraction)):
+                raise TypeError("a degree is an int, a string or a Fraction")
+            value = Fraction(value, denominator)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad membership value {value!r}: {exc}", "mu-syntax") from None
     if not ZERO <= value <= ONE:
-        raise InputError(f"membership value {value} outside [0, 1]")
+        raise InputError(f"membership value {value} outside [0, 1]", "mu-range")
     return value
 
 
@@ -68,8 +69,9 @@ class FuzzyHyperBCK:
     """A hyper BCK-algebra paired with a total membership map.
 
     ``mu`` is indexed by carrier position.  Construction checks totality and
-    range only; whether the membership inequality holds is the business of
-    :func:`validate_fuzzy`, so violating structures can be built and reported.
+    passes each degree through :func:`fuzzy_value`; whether the membership
+    inequality holds is the business of :func:`validate_fuzzy`, so violating
+    structures can be built and reported.
     The rank vector of ``mu`` is kept apart from equality, hashing and repr;
     it is filled on first use unless the builder already knows it.
     """
@@ -79,12 +81,16 @@ class FuzzyHyperBCK:
     _rank_cache: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", tuple(self.mu))
-        if len(self.mu) != len(self.alg.carrier):
-            raise InputError("membership map must cover every carrier element")
-        for v in self.mu:
-            if not ZERO <= v <= ONE:
-                raise InputError(f"membership value {v} outside [0, 1]")
+        labels, mu = self.alg.carrier.labels, tuple(self.mu)
+        if len(mu) != len(labels):
+            raise InputError("membership map must cover every carrier element", "mu-incomplete", "mu")
+        degrees = []
+        for lab, value in zip(labels, mu):
+            try:
+                degrees.append(fuzzy_value(value))
+            except InputError as exc:
+                raise InputError(str(exc), exc.code, f"mu[{lab!r}]") from None
+        object.__setattr__(self, "mu", tuple(degrees))
 
     @classmethod
     def _ranked(
@@ -108,13 +114,15 @@ class FuzzyHyperBCK:
 
     @classmethod
     def from_map(cls, alg: HyperBCK, mu: dict[str, int | str | Fraction]) -> FuzzyHyperBCK:
-        missing = set(alg.carrier.labels) - set(mu)
+        """Build from a label -> degree dict; refusals are located at ``mu`` or ``mu['x']``."""
+        labels = alg.carrier.labels
+        missing = set(labels) - set(mu)
         if missing:
-            raise InputError(f"membership map missing elements {sorted(missing)}")
-        extra = set(mu) - set(alg.carrier.labels)
+            raise InputError(f"mu missing {sorted(missing)}", "mu-incomplete", "mu")
+        extra = set(mu) - set(labels)
         if extra:
-            raise InputError(f"membership map names unknown elements {sorted(extra)}")
-        return cls(alg, tuple(fuzzy_value(mu[lab]) for lab in alg.carrier.labels))
+            raise InputError(f"mu names unknown labels {sorted(extra)}", "unknown-label", "mu")
+        return cls(alg, tuple(mu[lab] for lab in labels))
 
     def mu_of(self, label: str) -> Fraction:
         return self.mu[self.alg.carrier.index(label)]

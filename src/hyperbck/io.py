@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 from typing import Any, Callable
 
-from .core import Carrier, HyperBCK, InputError, iter_bits
-from .fuzzy import FuzzyHyperBCK, format_fuzzy, fuzzy_value
+from .core import HyperBCK, InputError, iter_bits
+from .fuzzy import FuzzyHyperBCK, format_fuzzy
 from .morphisms import Hom
 
 
@@ -40,102 +40,49 @@ def _expect(cond: bool, code: str, location: str, message: str) -> None:
         raise FormatError(code, location, message)
 
 
+def _comma_free(labels: Any, location: str) -> None:
+    """Labels appear inside ``"x,y"`` cell keys, so none may hold a comma."""
+    for lab in labels:
+        if isinstance(lab, str) and "," in lab:
+            raise FormatError("label-comma", location, f"label {lab!r} contains a comma")
+
+
 def structure_from_dict(doc: Any, where: str = "document") -> Structure:
+    """The structure a decoded document names.  Only its JSON shape is checked here: the
+    library constructors own every other rule, and their refusals are located in ``where``."""
     _expect(isinstance(doc, dict), "shape", where, "top level must be an object")
     for key in ("carrier", "zero", "table"):
         _expect(key in doc, "shape", where, f"missing required key {key!r}")
     unknown = set(doc) - {"carrier", "zero", "table", "mu"}
     _expect(not unknown, "shape", where, f"unknown keys {sorted(unknown)}")
-
-    carrier_raw = doc["carrier"]
-    _expect(
-        isinstance(carrier_raw, list)
-        and carrier_raw
-        and all(isinstance(lab, str) and lab for lab in carrier_raw),
-        "carrier",
-        f"{where}.carrier",
-        "carrier must be a non-empty list of non-empty strings",
-    )
-    _expect(
-        len(set(carrier_raw)) == len(carrier_raw),
-        "carrier",
-        f"{where}.carrier",
-        "carrier labels must be distinct",
-    )
-    for lab in carrier_raw:
-        _expect("," not in lab, "label-comma", f"{where}.carrier", f"label {lab!r} contains a comma")
-    labels = tuple(carrier_raw)
-
-    zero = doc["zero"]
-    _expect(
-        isinstance(zero, str) and zero in labels,
-        "zero-unknown",
-        f"{where}.zero",
-        f"zero {zero!r} is not a carrier label",
-    )
-    carrier = Carrier(labels, labels.index(zero))
-
-    table_raw = doc["table"]
-    _expect(isinstance(table_raw, dict), "shape", f"{where}.table", "table must be an object")
-    n = len(labels)
-    cells = [0] * (n * n)
-    seen = set()
-    for key, value in table_raw.items():
+    if isinstance(doc["carrier"], list):
+        _comma_free(doc["carrier"], f"{where}.carrier")
+    table = doc["table"]
+    _expect(isinstance(table, dict), "shape", f"{where}.table", "table must be an object")
+    cells = {}
+    for key, value in table.items():
         loc = f"{where}.table[{key!r}]"
-        parts = key.split(",")
-        _expect(len(parts) == 2, "shape", loc, "cell keys must be 'x,y' pairs")
-        for lab in parts:
-            _expect(lab in labels, "unknown-label", loc, f"label {lab!r} not in carrier")
+        pair = tuple(key.split(","))
+        _expect(len(pair) == 2, "shape", loc, "cell keys must be 'x,y' pairs")
         _expect(isinstance(value, list), "shape", loc, "cell value must be a label list")
-        _expect(bool(value), "empty-cell", loc, "empty hyperoperation cell")
-        mask = 0
-        for lab in value:
-            _expect(
-                isinstance(lab, str) and lab in labels,
-                "unknown-label",
-                loc,
-                f"label {lab!r} not in carrier",
-            )
-            mask |= 1 << labels.index(lab)
-        x, y = labels.index(parts[0]), labels.index(parts[1])
-        _expect((x, y) not in seen, "shape", loc, "duplicate cell key")
-        seen.add((x, y))
-        cells[x * n + y] = mask
-    _expect(
-        len(seen) == n * n,
-        "table-incomplete",
-        f"{where}.table",
-        f"table has {len(seen)} of {n * n} required cells",
-    )
-    alg = HyperBCK(carrier, tuple(cells))
-
-    if "mu" not in doc:
-        return alg
-    mu_raw = doc["mu"]
-    _expect(isinstance(mu_raw, dict), "shape", f"{where}.mu", "mu must be an object")
-    missing = set(labels) - set(mu_raw)
-    _expect(not missing, "mu-incomplete", f"{where}.mu", f"mu missing {sorted(missing)}")
-    extra = set(mu_raw) - set(labels)
-    _expect(not extra, "unknown-label", f"{where}.mu", f"mu names unknown labels {sorted(extra)}")
-    mu = []
-    for lab in labels:
-        loc = f"{where}.mu[{lab!r}]"
-        value = mu_raw[lab]
-        _expect(isinstance(value, str), "mu-syntax", loc, "mu values must be rational strings")
-        try:
-            mu.append(fuzzy_value(value))
-        except InputError as exc:
-            code = "mu-range" if "outside" in str(exc) else "mu-syntax"
-            raise FormatError(code, loc, str(exc)) from None
-    return FuzzyHyperBCK(alg, mu)
+        cells[pair] = value
+    mu = doc.get("mu")
+    if "mu" in doc:
+        _expect(isinstance(mu, dict), "shape", f"{where}.mu", "mu must be an object")
+        for lab, value in mu.items():
+            loc = f"{where}.mu[{lab!r}]"
+            _expect(isinstance(value, str), "mu-syntax", loc, "mu values must be rational strings")
+    try:
+        alg = HyperBCK.from_sets(doc["carrier"], doc["zero"], cells)
+        return FuzzyHyperBCK.from_map(alg, mu) if "mu" in doc else alg
+    except InputError as exc:
+        raise FormatError(exc.code, f"{where}.{exc.location}", str(exc)) from None
 
 
 def structure_to_dict(obj: Structure) -> dict:
     alg = obj.alg if isinstance(obj, FuzzyHyperBCK) else obj
     labels = alg.carrier.labels
-    for lab in labels:
-        if "," in lab:
-            raise FormatError("label-comma", "carrier", f"label {lab!r} contains a comma")
+    _comma_free(labels, "carrier")
     n = len(labels)
     table = {}
     for x in range(n):
@@ -157,8 +104,9 @@ def _load_json(text: str, source: str | None = None) -> Any:
         raise FormatError("syntax", f"{source} {at}" if source else at, exc.msg) from None
 
 
-def parse_structure(text: str) -> Structure:
-    return structure_from_dict(_load_json(text))
+def parse_structure(text: str, source: str | None = None) -> Structure:
+    """The structure a document names; a syntax error is located after ``source``."""
+    return structure_from_dict(_load_json(text, source))
 
 
 def render_structure(obj: Structure, pretty: bool = False) -> str:

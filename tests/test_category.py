@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -402,3 +403,17 @@ def test_quotients_match_literal_oracle(corpus_le2, corpus3):
             assert all(x in block[v] for x, v in project.as_label_map().items())
         found = {frozenset(c.label_blocks()) for c in enumerate_regular_congruences(alg)}
         assert found == regular
+
+
+def test_products_past_the_bound_are_refused_unbuilt():
+    from hyperbck.category import PRODUCT_BOUND
+
+    c9 = chain_example(9)
+    start = time.perf_counter()
+    with pytest.raises(InputError) as exc:
+        product([c9, c9, c9])
+    assert time.perf_counter() - start < 1.0
+    assert (exc.value.code, exc.value.location) == ("too-large", "carrier")
+    assert "729" in str(exc.value)
+    c16 = chain_example(16)
+    assert len(product([c16, c16]).object.alg.carrier) == PRODUCT_BOUND

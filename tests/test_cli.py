@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -319,3 +320,118 @@ def test_output_bytes_deterministic(capsys, chain3_path):
     main(["verify", chain3_path])
     second = capsys.readouterr().out
     assert first == second
+
+
+_C2 = structure_to_dict(chain_example(2))
+_T2 = _C2["table"]
+
+# One malformed document per line, each with the whole record `verify` prints for it.
+# Every structure-document code of docs/format.md appears; `too-large` has its own tests.
+MALFORMED_DOCUMENTS = [
+    ('{"carrier": ["1"],\n', "syntax", "<file> line 2 column 1",
+     "Expecting property name enclosed in double quotes"),
+    ([], "shape", "document", "top level must be an object"),
+    ({k: v for k, v in _C2.items() if k != "zero"}, "shape", "document",
+     "missing required key 'zero'"),
+    (dict(_C2, extra=1), "shape", "document", "unknown keys ['extra']"),
+    (dict(_C2, carrier="12"), "carrier", "document.carrier",
+     "carrier must be a non-empty list of non-empty strings"),
+    (dict(_C2, carrier=[]), "carrier", "document.carrier",
+     "carrier must be a non-empty list of non-empty strings"),
+    (dict(_C2, carrier=["", "2"]), "carrier", "document.carrier",
+     "carrier must be a non-empty list of non-empty strings"),
+    (dict(_C2, carrier=[1, "2"]), "carrier", "document.carrier",
+     "carrier must be a non-empty list of non-empty strings"),
+    (dict(_C2, carrier=["1", "1"]), "carrier", "document.carrier",
+     "carrier labels must be distinct"),
+    (dict(_C2, carrier=["1", "a,b"]), "label-comma", "document.carrier",
+     "label 'a,b' contains a comma"),
+    (dict(_C2, zero="9"), "zero-unknown", "document.zero", "zero '9' is not a carrier label"),
+    (dict(_C2, zero=1), "zero-unknown", "document.zero", "zero 1 is not a carrier label"),
+    (dict(_C2, table=[]), "shape", "document.table", "table must be an object"),
+    (dict(_C2, table=dict(_T2, **{"1,1,1": ["1"]})), "shape", "document.table['1,1,1']",
+     "cell keys must be 'x,y' pairs"),
+    (dict(_C2, table=dict(_T2, **{"1,7": ["1"]})), "unknown-label", "document.table['1,7']",
+     "label '7' not in carrier"),
+    (dict(_C2, table=dict(_T2, **{"1,1": "1"})), "shape", "document.table['1,1']",
+     "cell value must be a label list"),
+    (dict(_C2, table=dict(_T2, **{"2,2": []})), "empty-cell", "document.table['2,2']",
+     "empty hyperoperation cell"),
+    (dict(_C2, table=dict(_T2, **{"1,1": ["7"]})), "unknown-label", "document.table['1,1']",
+     "label '7' not in carrier"),
+    (dict(_C2, table=dict(_T2, **{"1,1": [1]})), "unknown-label", "document.table['1,1']",
+     "label 1 not in carrier"),
+    (dict(_C2, table={"1,1": ["1"]}), "table-incomplete", "document.table",
+     "table has 1 of 4 required cells"),
+    (dict(_C2, mu=["1", "1/2"]), "shape", "document.mu", "mu must be an object"),
+    (dict(_C2, mu={"1": "1"}), "mu-incomplete", "document.mu", "mu missing ['2']"),
+    (dict(_C2, mu={"1": "1", "2": "1/2", "3": "0"}), "unknown-label", "document.mu",
+     "mu names unknown labels ['3']"),
+    (dict(_C2, mu={"1": "1", "2": 0.5}), "mu-syntax", "document.mu['2']",
+     "mu values must be rational strings"),
+    (dict(_C2, mu={"1": "1", "2": "half"}), "mu-syntax", "document.mu['2']",
+     "bad membership value 'half': Invalid literal for Fraction: 'half'"),
+    (dict(_C2, mu={"1": "1", "2": "1/0"}), "mu-syntax", "document.mu['2']",
+     "bad membership value '1/0': Fraction(1, 0)"),
+    (dict(_C2, mu={"1": "1", "2": "3/2"}), "mu-range", "document.mu['2']",
+     "membership value 3/2 outside [0, 1]"),
+    (dict(_C2, mu={"1": "1", "2": "-1/2"}), "mu-range", "document.mu['2']",
+     "membership value -1/2 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("doc, code, location, reason", MALFORMED_DOCUMENTS)
+def test_malformed_documents_print_frozen_records(capsys, tmp_path, doc, code, location, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    location = location.replace("<file>", str(path))
+    record = {
+        "code": code,
+        "location": location,
+        "message": f"{code} at {location}: {reason}",
+        "record": "input-error",
+    }
+    assert capsys.readouterr().out == json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def test_product_past_the_bound_exits_two_before_building(capsys, tmp_path):
+    assert main(["example", "--chain", "9"]) == 0
+    path = tmp_path / "c9.json"
+    path.write_text(capsys.readouterr().out)
+    start = time.perf_counter()
+    code, records = run(capsys, "product", *[str(path)] * 4)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert records == [
+        {
+            "record": "input-error",
+            "message": "carrier size 6561 exceeds the product bound 256; "
+            "the table grows with the square of the carrier",
+            "code": "too-large",
+            "location": "carrier",
+        }
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, code, location, message",
+    [
+        (["enumerate", "--size", "4"], "too-large", "--size",
+         "exhaustive enumeration is limited to sizes 1..3"),
+        (["enumerate", "--size", "0"], "carrier", "--size",
+         "exhaustive enumeration is limited to sizes 1..3"),
+        (["example", "--chain", "0"], "carrier", "--chain", "chain length must be at least 1"),
+        (["cut", "--alpha", "2"], "mu-range", "--alpha", "membership value 2 outside [0, 1]"),
+        (["cut", "--alpha", "half"], "mu-syntax", "--alpha",
+         "bad membership value 'half': Invalid literal for Fraction: 'half'"),
+    ],
+)
+def test_bad_flag_values_are_located_at_the_flag(capsys, chain3_path, argv, code, location, message):
+    if argv[0] == "cut":
+        argv = [*argv, chain3_path]
+    exit_code, records = run(capsys, *argv)
+    assert exit_code == 2
+    assert records == [
+        {"record": "input-error", "message": message, "code": code, "location": location}
+    ]

@@ -552,3 +552,32 @@ def test_restrict_mask_refuses_masks_without_zero_or_not_closed(c3):
         c3.restrict_mask(0b110)  # lacks zero
     with pytest.raises(InputError, match=r"\['1', '3'\] is not a subalgebra"):
         c3.restrict_mask(0b101)  # 3*3 holds 2, outside the mask
+
+
+def test_structure_refusals_carry_codes_and_locations():
+    with pytest.raises(InputError) as exc:
+        HyperBCK.from_sets(["O", "a"], "z", {})
+    assert (exc.value.code, exc.value.location) == ("zero-unknown", "zero")
+    with pytest.raises(InputError) as exc:  # the carrier's own rule comes first
+        HyperBCK.from_sets([], "z", {})
+    assert (exc.value.code, exc.value.location) == ("carrier", "carrier")
+    carrier = Carrier(("O", "a"), 0)
+    for table, code, location in [
+        ((1, 1, 1), "table-incomplete", "table"),
+        ((1, 1, 0, 1), "empty-cell", "table['a,O']"),
+        ((1, 1, 1, 4), "unknown-label", "table['a,a']"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            HyperBCK(carrier, table)
+        assert (exc.value.code, exc.value.location) == (code, location)
+    with pytest.raises(InputError) as exc:
+        Carrier(("O", "a"), 2)
+    assert (exc.value.code, exc.value.location) == ("zero-unknown", "zero")
+    with pytest.raises(InputError) as exc:
+        HyperBCK.from_sets(["O", "a"], "O", {("O", "O"): ["O"], ("a", "a"): ["O"]})
+    assert (exc.value.code, exc.value.location, str(exc.value)) == (
+        "table-incomplete", "table", "table has 2 of 4 required cells"
+    )
+    with pytest.raises(InputError) as exc:
+        trivial_algebra().star("O", "9")
+    assert exc.value.code == "unknown-label"

@@ -324,3 +324,43 @@ def test_zero_max_and_cut_closure_on_random_assignments(data, corpus2):
             assert mask  # levels come from mu values, so cuts there are inhabited
             assert mask >> alg.zero & 1
             assert alg.is_subalgebra_mask(mask)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        ((1, 0), "mu-syntax"),
+        ((0.1,), "mu-syntax"),
+        (("1/2", 2), "mu-syntax"),
+        ((None,), "mu-syntax"),
+        (("1/0",), "mu-syntax"),
+        ((3, 2), "mu-range"),
+        (("-1",), "mu-range"),
+    ],
+)
+def test_fuzzy_value_is_the_one_coded_degree_rule(args, code):
+    with pytest.raises(InputError) as exc:
+        fuzzy_value(*args)
+    assert exc.value.code == code
+
+
+def test_float_degrees_are_refused_by_every_constructor():
+    c2 = chain_example(2)
+    with pytest.raises(InputError) as exc:
+        FuzzyHyperBCK(c2.alg, (0.5, 0.25))
+    assert (exc.value.code, exc.value.location) == ("mu-syntax", "mu['1']")
+    with pytest.raises(InputError) as exc:
+        FuzzyHyperBCK.from_map(c2.alg, {"1": 0.1, "2": 0})
+    assert (exc.value.code, exc.value.location) == ("mu-syntax", "mu['1']")
+    with pytest.raises(InputError) as exc:
+        FuzzyHyperBCK(c2.alg, (1, Fraction(3, 2)))
+    assert (exc.value.code, exc.value.location) == ("mu-range", "mu['2']")
+
+
+def test_degrees_are_stored_as_fractions_and_fractions_are_kept():
+    c2 = chain_example(2)
+    from_ints = FuzzyHyperBCK(c2.alg, (1, 0))
+    assert all(type(v) is Fraction for v in from_ints.mu)
+    assert format_fuzzy(from_ints.mu[1]) == "0"
+    half = Fraction(1, 2)
+    assert FuzzyHyperBCK(c2.alg, (1, half)).mu[1] is half

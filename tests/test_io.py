@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hyperbck import FuzzyHyperBCK
+from hyperbck import FuzzyHyperBCK, HyperBCK, InputError
 from hyperbck.category import product
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.io import (
@@ -150,3 +150,56 @@ def test_hom_document_inline_and_by_reference(tmp_path):
     with pytest.raises(FormatError, match="missing") as exc:
         parse_hom_document(json.dumps(incomplete))
     assert (exc.value.code, exc.value.location) == ("shape", "document.map")
+
+
+_CELLS2 = {
+    tuple(key.split(",")): value
+    for key, value in structure_to_dict(chain_example(2))["table"].items()
+}
+
+
+def _with(cells=_CELLS2, **changes):
+    return {"carrier": ["1", "2"], "zero": "1", "cells": cells, **changes}
+
+
+@pytest.mark.parametrize(
+    "given, code, location",
+    [
+        (_with(carrier=[]), "carrier", "carrier"),
+        (_with(carrier=["1", "1"]), "carrier", "carrier"),
+        (_with(carrier=[1, "2"]), "carrier", "carrier"),
+        (_with(zero="9"), "zero-unknown", "zero"),
+        (_with(cells={**_CELLS2, ("1", "7"): ["1"]}), "unknown-label", "table['1,7']"),
+        (_with(cells={**_CELLS2, ("1", "1"): ["7"]}), "unknown-label", "table['1,1']"),
+        (_with(cells={**_CELLS2, ("2", "2"): []}), "empty-cell", "table['2,2']"),
+        (_with(cells={("1", "1"): ["1"]}), "table-incomplete", "table"),
+        (_with(mu={"1": "1"}), "mu-incomplete", "mu"),
+        (_with(mu={"1": "1", "2": "0", "3": "0"}), "unknown-label", "mu"),
+        (_with(mu={"1": "1", "2": "half"}), "mu-syntax", "mu['2']"),
+        (_with(mu={"1": "1", "2": "1/0"}), "mu-syntax", "mu['2']"),
+        (_with(mu={"1": "1", "2": "3/2"}), "mu-range", "mu['2']"),
+    ],
+)
+def test_library_and_parser_refuse_with_one_code(given, code, location):
+    """Each rule has one implementation: the parser only adds ``document.`` to its location."""
+    with pytest.raises(InputError) as lib:
+        alg = HyperBCK.from_sets(given["carrier"], given["zero"], given["cells"])
+        if "mu" in given:
+            FuzzyHyperBCK.from_map(alg, given["mu"])
+    assert (lib.value.code, lib.value.location) == (code, location)
+    doc = {
+        "carrier": given["carrier"],
+        "zero": given["zero"],
+        "table": {f"{x},{y}": value for (x, y), value in given["cells"].items()},
+    }
+    if "mu" in given:
+        doc["mu"] = given["mu"]
+    err = expect_code(json.dumps(doc), code)
+    assert err.location == f"document.{location}"
+    assert str(err) == f"{code} at document.{location}: {lib.value}"
+
+
+def test_parse_structure_names_its_source_in_syntax_errors():
+    with pytest.raises(FormatError) as exc:
+        parse_structure('{"carrier": ', "c2.json")
+    assert (exc.value.code, exc.value.location) == ("syntax", "c2.json line 1 column 13")
