@@ -45,8 +45,8 @@ def _emit(record: dict) -> None:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}", "unreadable", path) from None
 
 
 def _load_structure(path: str) -> Structure:
@@ -62,9 +62,11 @@ def _at_flag(flag: str) -> Iterator[None]:
         raise InputError(str(exc), exc.code, flag) from None
 
 
-def _as_fuzzy(obj: Structure, path: str) -> FuzzyHyperBCK:
+def _as_fuzzy(obj: Structure, where: str) -> FuzzyHyperBCK:
+    """``obj`` if it has a membership map; else refused at ``where``, the file or endpoint."""
     if not isinstance(obj, FuzzyHyperBCK):
-        raise InputError(f"{path} has no mu block; this command needs fuzzy structures")
+        message = f"{where} has no mu block; this command needs fuzzy structures"
+        raise InputError(message, "mu-incomplete", where)
     return obj
 
 
@@ -161,8 +163,9 @@ def _load_parallel_pair(f_path: str, g_path: str):
     f, f_src, f_dst = _load_hom(f_path)
     g, g_src, g_dst = _load_hom(g_path)
     if f_src != g_src or f_dst != g_dst:
-        raise InputError("the two morphisms must share source and target")
-    return f, g, _as_fuzzy(f_src, f_path), _as_fuzzy(f_dst, f_path)
+        at = f"{g_path}.source" if f_src != g_src else f"{g_path}.target"
+        raise InputError("the two morphisms must share source and target", "endpoint-mismatch", at)
+    return f, g, _as_fuzzy(f_src, f"{f_path}.source"), _as_fuzzy(f_dst, f"{f_path}.target")
 
 
 def _cmd_equalizer(args: argparse.Namespace) -> int:
@@ -181,13 +184,14 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
     f, f_src, f_dst = _load_hom(args.f)
     g, g_src, g_dst = _load_hom(args.g)
     if f_dst != g_dst:
-        raise InputError("the two morphisms must share their target")
+        at = f"{args.g}.target"
+        raise InputError("the two morphisms must share their target", "endpoint-mismatch", at)
     result = pullback(
         f,
         g,
-        _as_fuzzy(f_src, args.f),
-        _as_fuzzy(g_src, args.g),
-        _as_fuzzy(f_dst, args.f),
+        _as_fuzzy(f_src, f"{args.f}.source"),
+        _as_fuzzy(g_src, f"{args.g}.source"),
+        _as_fuzzy(f_dst, f"{args.f}.target"),
     )
     _emit(_construction_record(result))
     return 0

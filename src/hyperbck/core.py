@@ -142,16 +142,17 @@ class HyperBCK:
         Refusals are located at ``carrier``, ``zero``, ``table['x,y']`` or ``table``.
         """
         carrier = Carrier(labels, 0)  # a bad carrier is refused before its zero is sought
-        if zero not in carrier.labels:
+        index = {lab: i for i, lab in enumerate(carrier.labels)}  # labels are strings
+        if not (isinstance(zero, str) and zero in index):
             raise InputError(f"zero {zero!r} is not a carrier label", "zero-unknown", "zero")
-        carrier = Carrier(carrier.labels, carrier.labels.index(zero))
+        carrier = Carrier(carrier.labels, index[zero])
         masks = {}
         for (x, y), subset in cells.items():
             for lab in (x, y, *subset):
-                if lab not in carrier.labels:
+                if not (isinstance(lab, str) and lab in index):
                     at = f"table[{f'{x},{y}'!r}]"
                     raise InputError(f"label {lab!r} not in carrier", "unknown-label", at)
-            masks[x, y] = carrier.mask_of(subset)
+            masks[x, y] = reduce(or_, [1 << index[lab] for lab in subset], 0)
         labels = carrier.labels  # a missing cell leaves the table short, and so refused
         return cls(carrier, [masks[x, y] for x in labels for y in labels if (x, y) in masks])
 
@@ -232,14 +233,15 @@ class HyperBCK:
             raise InputError(f"{sorted(self.carrier.labels_of(mask))!r} is not a subalgebra")
 
     def restrict_mask(self, mask: int) -> HyperBCK:
-        """The subalgebra on ``mask``; a mask without zero or not closed is refused."""
+        """The subalgebra on ``mask`` (``self`` if whole); refused without zero or if not closed."""
         self._require_subalgebra(mask)
-        old = iter_bits(mask)  # element old[i] becomes i, so rank[x] counts the kept below x
-        rank = tuple((mask & ((1 << i) - 1)).bit_count() for i in range(len(self.carrier)))
-        image = _image_masks(rank)
+        if mask == self.carrier.full_mask:
+            return self
+        old = iter_bits(mask)
+        bit = {o: 1 << i for i, o in enumerate(old)}  # element old[i] becomes i
         labels = tuple(self.carrier.labels[o] for o in old)
-        table = tuple(image[self.cell(x, y)] for x in old for y in old)
-        return HyperBCK(Carrier(labels, rank[self.zero]), table)
+        table = [reduce(or_, map(bit.get, iter_bits(self.cell(x, y)))) for x in old for y in old]
+        return HyperBCK(Carrier(labels, old.index(self.zero)), table)
 
     def encode(self) -> tuple[int, int, tuple[int, ...]]:
         """A hashable exact encoding (size, zero index, cell masks)."""

@@ -116,14 +116,19 @@ def canonical_form(alg: HyperBCK) -> tuple[int, int, tuple[int, ...]]:
     return (n, alg.zero, canonical_table(n, alg.zero, alg.table))
 
 
-@lru_cache(maxsize=4 * MAX_EXHAUSTIVE_SIZE)
 def enumerate_hyper_bck(n: int, up_to_iso: bool = False) -> ModelCorpus:
     """Every hyper BCK-algebra on an ``n``-element carrier with fixed zero.
 
     Labels are O, a, b; zero is O.  With ``up_to_iso`` only canonical
     representatives of zero-fixing relabeling classes are kept.  Refuses
-    sizes beyond the exhaustive range.
+    sizes beyond the exhaustive range.  One process builds each corpus once,
+    however the arguments are spelled.
     """
+    return _corpus(n, bool(up_to_iso))
+
+
+@lru_cache(maxsize=2 * MAX_EXHAUSTIVE_SIZE)
+def _corpus(n: int, up_to_iso: bool) -> ModelCorpus:
     if not 1 <= n <= MAX_EXHAUSTIVE_SIZE:
         message = f"exhaustive enumeration is limited to sizes 1..{MAX_EXHAUSTIVE_SIZE}"
         raise InputError(message, "too-large" if n > MAX_EXHAUSTIVE_SIZE else "carrier", "carrier")
@@ -196,6 +201,6 @@ def enumerate_fuzzy_assignments(
                 found.extend(zip(product(*[chosen[r] for r in order]), repeat(order)))
     found.sort()  # positions are distinct, so the orders are never compared
     return [
-        FuzzyHyperBCK._ranked(alg, tuple(map(values.__getitem__, pos)), order)
+        FuzzyHyperBCK._trusted(alg, tuple(map(values.__getitem__, pos)), order)
         for pos, order in found
     ]

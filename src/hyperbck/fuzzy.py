@@ -18,6 +18,7 @@ degrees are compared.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -72,13 +73,14 @@ class FuzzyHyperBCK:
     passes each degree through :func:`fuzzy_value`; whether the membership
     inequality holds is the business of :func:`validate_fuzzy`, so violating
     structures can be built and reported.
-    The rank vector of ``mu`` is kept apart from equality, hashing and repr;
-    it is filled on first use unless the builder already knows it.
+    The rank vector of ``mu`` and its cut masks are kept apart from equality,
+    hashing and repr; they are filled on first use unless a builder knows the ranks.
     """
 
     alg: HyperBCK
     mu: tuple[Fraction, ...]
     _rank_cache: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _cut_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         labels, mu = self.alg.carrier.labels, tuple(self.mu)
@@ -93,14 +95,13 @@ class FuzzyHyperBCK:
         object.__setattr__(self, "mu", tuple(degrees))
 
     @classmethod
-    def _ranked(
-        cls, alg: HyperBCK, mu: tuple[Fraction, ...], ranks: tuple[int, ...]
+    def _trusted(
+        cls, alg: HyperBCK, mu: tuple[Fraction, ...], ranks: tuple[int, ...] | None = None
     ) -> FuzzyHyperBCK:
-        """Build from degrees already checked and ranks order-isomorphic to them."""
+        """Build from degrees already checked, with ranks order-isomorphic to them if known."""
         fz = object.__new__(cls)
-        object.__setattr__(fz, "alg", alg)
-        object.__setattr__(fz, "mu", mu)
-        object.__setattr__(fz, "_rank_cache", ranks)
+        for name, value in (("alg", alg), ("mu", mu), ("_rank_cache", ranks), ("_cut_cache", None)):
+            object.__setattr__(fz, name, value)
         return fz
 
     def _ranks(self) -> tuple[int, ...]:
@@ -128,11 +129,13 @@ class FuzzyHyperBCK:
         return self.mu[self.alg.carrier.index(label)]
 
     def alpha_cut_mask(self, alpha: Fraction) -> int:
-        mask = 0
-        for i, v in enumerate(self.mu):
-            if v >= alpha:
-                mask |= 1 << i
-        return mask
+        """The mask of ``{x : mu(x) >= alpha}``: the cut at the first level not below alpha."""
+        if self._cut_cache is None:  # the levels; the cut at each, then the empty one past the top
+            ranks = self._ranks()
+            cuts = [sum(1 << i for i, r in enumerate(ranks) if r >= s) for s in sorted(set(ranks))]
+            object.__setattr__(self, "_cut_cache", (self.cut_levels(), (*cuts, 0)))
+        levels, cuts = self._cut_cache
+        return cuts[bisect_left(levels, alpha)]
 
     def alpha_cut(self, alpha: int | str | Fraction) -> frozenset[str]:
         """The level set ``{x : mu(x) >= alpha}``; may be empty for high alpha."""
@@ -149,9 +152,11 @@ class FuzzyHyperBCK:
 
     def restrict_mask(self, mask: int) -> FuzzyHyperBCK:
         sub = self.alg.restrict_mask(mask)
+        if sub is self.alg:  # the whole carrier
+            return self
         bits = iter_bits(mask)
         ranks = self._ranks()
-        return FuzzyHyperBCK._ranked(
+        return FuzzyHyperBCK._trusted(
             sub, tuple(self.mu[i] for i in bits), tuple(ranks[i] for i in bits)
         )
 

@@ -65,6 +65,14 @@ class Hom:
         )
 
     @classmethod
+    def _trusted(cls, source: HyperBCK, target: HyperBCK, mapping: tuple[int, ...]) -> Hom:
+        """Build from a mapping tuple already known to be total and in range."""
+        h = object.__new__(cls)
+        for name, value in (("source", source), ("target", target), ("mapping", mapping)):
+            object.__setattr__(h, name, value)
+        return h
+
+    @classmethod
     def identity(cls, alg: HyperBCK) -> Hom:
         return cls(alg, alg, tuple(range(len(alg.carrier))))
 
@@ -84,7 +92,8 @@ class Hom:
         """Composition ``other after self`` (source of other = target of self)."""
         if other.source != self.target:
             raise InputError("composition endpoints do not match")
-        return Hom(self.source, other.target, tuple(other.mapping[v] for v in self.mapping))
+        outer = other.mapping.__getitem__
+        return Hom._trusted(self.source, other.target, tuple(map(outer, self.mapping)))
 
     def is_bijective(self) -> bool:
         return len(self.source.carrier) == len(self.target.carrier) and len(
@@ -140,8 +149,11 @@ def is_fuzzy_hom(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
 
 
 def _never_lowers_membership(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
-    """The membership inequality of a fuzzy hom, for a map already known to be a hom."""
-    return all(dst.mu[h.mapping[i]] >= v for i, v in enumerate(src.mu))
+    """The fuzzy-hom inequality of a hom; each ``w >= v`` is Fraction's exact test, undispatched."""
+    return all(
+        w is v or w.numerator * v.denominator >= v.numerator * w.denominator
+        for v, w in zip(src.mu, map(dst.mu.__getitem__, h.mapping))
+    )
 
 
 def fuzzy_hom_via_cuts(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import naive_oracle as naive
-from conftest import zero_moved_to
+from conftest import grid_assignments, zero_moved_to
 from hyperbck import (
     ClaimViolation,
     FuzzyHyperBCK,
@@ -19,6 +19,7 @@ from hyperbck import (
     validate_fuzzy,
     validate_hyper_bck,
 )
+from hyperbck import category
 from hyperbck.category import (
     Congruence,
     coequalizer,
@@ -417,3 +418,63 @@ def test_products_past_the_bound_are_refused_unbuilt():
     assert "729" in str(exc.value)
     c16 = chain_example(16)
     assert len(product([c16, c16]).object.alg.carrier) == PRODUCT_BOUND
+
+
+def test_products_over_grid_memberships_match_the_literal_product(corpus_le2):
+    models = with_zero_moved(corpus_le2)
+    rng = random.Random(14)
+    name = "|".join
+    for a in models:
+        for b in models:
+            elements, zero, cells = naive.product_cells([naive.table_of(a), naive.table_of(b)])
+            crisp = None
+            for _ in range(4):
+                fa, fb = rng.choice(grid_assignments(a)), rng.choice(grid_assignments(b))
+                got = product([fa, fb]).object
+                crisp = crisp or got.alg
+                assert got.alg is crisp  # one crisp product per factor tuple
+                assert got.alg.carrier.labels == tuple(name(t) for t in elements)
+                assert got.alg.carrier.zero_label == name(zero)
+                assert naive.table_of(got.alg)[2] == {
+                    (name(x), name(y)): frozenset(name(t) for t in c) for (x, y), c in cells.items()
+                }
+                degrees = {name((x, y)): min(fa.mu_of(x), fb.mu_of(y)) for x, y in elements}
+                assert dict(zip(got.alg.carrier.labels, got.mu)) == degrees
+
+
+def test_derived_values_equal_what_the_public_constructors_build(corpus_le2):
+    rng = random.Random(7)
+    for a in corpus_le2:
+        for b in corpus_le2:
+            fa, fb = rng.choice(grid_assignments(a)), rng.choice(grid_assignments(b))
+            result = product([fa, fb])
+            got = result.object
+            built = FuzzyHyperBCK(got.alg, got.mu)
+            assert got == built and hash(got) == hash(built) and repr(got) == repr(built)
+            assert all(type(v) is Fraction for v in got.mu)
+            assert got._ranks() == built._ranks()
+            for h in enumerate_homs(a, got.alg):
+                for name, leg in result.legs.items():
+                    composite = h.then(leg)
+                    literal = tuple(leg.mapping[v] for v in h.mapping)
+                    assert composite == Hom(a, leg.target, literal)
+                    assert type(composite.mapping) is tuple
+
+
+def test_the_crisp_leg_check_runs_once_per_factor_tuple_and_the_fuzzy_one_every_call(
+    monkeypatch, c2
+):
+    hom_checks, fuzzy_checks = [], []
+    is_hom_, never_lowers = category.is_hom, category._never_lowers_membership
+    monkeypatch.setattr(category, "is_hom", lambda h: hom_checks.append(h) or is_hom_(h))
+    monkeypatch.setattr(
+        category,
+        "_never_lowers_membership",
+        lambda *args: fuzzy_checks.append(args) or never_lowers(*args),
+    )
+    category._crisp_product.cache_clear()
+    factors = [c2, FuzzyHyperBCK(c2.alg, (Fraction(1), Fraction(1, 4)))]
+    first, second = product(factors), product(factors[::-1])
+    assert first.object.alg is second.object.alg and first.object != second.object
+    assert len(hom_checks) == 2 and len(fuzzy_checks) == 4
+    assert category._crisp_product.cache_info().maxsize == 16

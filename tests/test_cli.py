@@ -435,3 +435,56 @@ def test_bad_flag_values_are_located_at_the_flag(capsys, chain3_path, argv, code
     assert records == [
         {"record": "input-error", "message": message, "code": code, "location": location}
     ]
+
+
+def test_unreadable_input_is_coded_at_its_path(capsys, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    for path in (str(tmp_path / "missing.json"), str(binary)):
+        code, records = run(capsys, "verify", path)
+        assert code == 2
+        assert (records[0]["code"], records[0]["location"]) == ("unreadable", path)
+        assert records[0]["message"].startswith(f"cannot read {path}: ")
+
+
+def test_a_missing_mu_block_is_coded_at_the_file_or_endpoint(capsys, tmp_path):
+    crisp = chain_example(2).alg
+    path = tmp_path / "crisp.json"
+    path.write_text(render_structure(crisp))
+    f = hom_doc(tmp_path, "f.json", crisp, crisp, {"1": "1", "2": "2"})
+    for argv, where in [
+        (["cut", "--alpha", "1/2", str(path)], str(path)),
+        (["product", str(path)], str(path)),
+        (["equalizer", f, f], f"{f}.source"),
+        (["pullback", f, f], f"{f}.source"),
+    ]:
+        code, records = run(capsys, *argv)
+        assert code == 2
+        assert records == [
+            {
+                "record": "input-error",
+                "message": f"{where} has no mu block; this command needs fuzzy structures",
+                "code": "mu-incomplete",
+                "location": where,
+            }
+        ]
+
+
+def test_endpoint_mismatches_are_coded_at_the_second_morphism(capsys, tmp_path):
+    c2, c3 = chain_example(2), chain_example(3)
+    ident = hom_doc(tmp_path, "id.json", c2, c2, {"1": "1", "2": "2"})
+    into_c3 = hom_doc(tmp_path, "g.json", c2, c3, {"1": "1", "2": "2"})
+    out_of_c3 = hom_doc(tmp_path, "h.json", c3, c2, {"1": "1", "2": "2", "3": "2"})
+    share_both = "the two morphisms must share source and target"
+    for argv, message, where in [
+        (["equalizer", ident, into_c3], share_both, f"{into_c3}.target"),
+        (["coequalizer", ident, out_of_c3], share_both, f"{out_of_c3}.source"),
+        (["pullback", ident, into_c3], "the two morphisms must share their target",
+         f"{into_c3}.target"),
+    ]:
+        code, records = run(capsys, *argv)
+        assert code == 2
+        assert records == [
+            {"record": "input-error", "message": message, "code": "endpoint-mismatch",
+             "location": where}
+        ]

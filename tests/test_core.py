@@ -154,13 +154,18 @@ def test_every_cache_in_the_package_is_bounded():
             if hasattr(obj, "cache_info"):
                 cached[f"{info.name}.{name}"] = obj.cache_info().maxsize
     assert {
+        "category._crisp_product",
+        "category.enumerate_regular_congruences",
         "core.iter_bits",
         "core._hk2_plan",
         "core._tabled_ors",
-        "corpus.enumerate_hyper_bck",
+        "corpus._corpus",
         "corpus._relabel_plans",
+        "corpus._search_tables",
         "fuzzy._membership_pairs",
         "morphisms.enumerate_homs",
+        "morphisms._probe_hom_maps",
+        "morphisms._probes_by_image",
     } <= set(cached)
     assert {name: size for name, size in cached.items() if size is None} == {}
 

@@ -325,3 +325,21 @@ def test_fuzzy_assignments_satisfy_zero_maximality(corpus2):
 def test_fuzzy_assignments_empty_grid_refused(corpus1):
     with pytest.raises(InputError):
         enumerate_fuzzy_assignments(corpus1.models[0], [])
+
+
+def test_every_spelling_of_the_arguments_returns_one_corpus():
+    iso = [
+        enumerate_hyper_bck(2, True),
+        enumerate_hyper_bck(2, up_to_iso=True),
+        enumerate_hyper_bck(n=2, up_to_iso=True),
+        enumerate_hyper_bck(2, 1),
+    ]
+    full = [
+        enumerate_hyper_bck(2),
+        enumerate_hyper_bck(2, False),
+        enumerate_hyper_bck(2, up_to_iso=False),
+        enumerate_hyper_bck(n=2),
+        enumerate_hyper_bck(2, 0),
+    ]
+    assert all(c is iso[0] for c in iso) and all(c is full[0] for c in full)
+    assert iso[0].up_to_iso is True and full[0].up_to_iso is False

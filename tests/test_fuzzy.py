@@ -133,7 +133,7 @@ def test_membership_reports_match_the_literal_report(corpus_le2, corpus3, chains
             expected = _literal_report(alg, mu)
             assert _report_of(FuzzyHyperBCK(alg, mu)) == expected
             grid_ranks = tuple(GRID.index(v) for v in mu)
-            assert _report_of(FuzzyHyperBCK._ranked(alg, mu, grid_ranks)) == expected
+            assert _report_of(FuzzyHyperBCK._trusted(alg, mu, grid_ranks)) == expected
             violating += bool(expected[0])
             repeated += len(set(mu)) < len(mu)
     assert violating > 1000 and repeated > 1000
@@ -142,7 +142,7 @@ def test_membership_reports_match_the_literal_report(corpus_le2, corpus3, chains
 def test_a_rank_built_structure_is_the_plain_one(c3):
     mu = (Fraction(1), Fraction(1, 4), Fraction(1, 4))
     plain = FuzzyHyperBCK(c3.alg, mu)
-    ranked = FuzzyHyperBCK._ranked(c3.alg, mu, (6, 1, 1))
+    ranked = FuzzyHyperBCK._trusted(c3.alg, mu, (6, 1, 1))
     assert ranked == plain and hash(ranked) == hash(plain) and repr(ranked) == repr(plain)
     assert plain._ranks() == (1, 0, 0) and ranked._ranks() == (6, 1, 1)
     assert "_rank" not in repr(plain)
@@ -364,3 +364,40 @@ def test_degrees_are_stored_as_fractions_and_fractions_are_kept():
     assert format_fuzzy(from_ints.mu[1]) == "0"
     half = Fraction(1, 2)
     assert FuzzyHyperBCK(c2.alg, (1, half)).mu[1] is half
+
+
+def _structures_with_repeated_and_varied_levels(corpus_le2, corpus3, chains):
+    structures = [fz for alg in corpus_le2 for fz in grid_assignments(alg)]
+    rng = random.Random(14)
+    for alg in rng.sample(list(corpus3), 30):
+        structures += rng.sample(grid_assignments(alg), 5)
+    return structures + [chains[k] for k in range(1, 7)]
+
+
+def test_alpha_cut_mask_is_the_literal_level_set(corpus_le2, corpus3, chains):
+    ends = {Fraction(0), Fraction(1, 5), Fraction(1), Fraction(-1, 2), Fraction(3, 2)}
+    for fz in _structures_with_repeated_and_varied_levels(corpus_le2, corpus3, chains):
+        levels = sorted(set(fz.mu))
+        between = {(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])}
+        for alpha in sorted(set(levels) | between | ends):
+            literal = sum(1 << i for i, v in enumerate(fz.mu) if v >= alpha)
+            assert fz.alpha_cut_mask(alpha) == literal
+            if 0 <= alpha <= 1:
+                labels = fz.alg.carrier.labels
+                assert fz.alpha_cut(alpha) == {x for x in labels if fz.mu_of(x) >= alpha}
+
+
+def test_restriction_is_the_whole_structure_or_the_literal_subalgebra(corpus_le2, corpus3, chains):
+    for fz in _structures_with_repeated_and_varied_levels(corpus_le2, corpus3, chains):
+        labels, zero, table = naive.table_of(fz.alg)
+        full = fz.alg.carrier.full_mask
+        assert fz.restrict_mask(full) is fz and fz.alg.restrict_mask(full) is fz.alg
+        for mask in range(1, full):
+            subset = frozenset(labels[i] for i in range(len(labels)) if mask >> i & 1)
+            if not naive.is_subalgebra(table, zero, subset):
+                continue
+            sub = fz.restrict_mask(mask)
+            kept, sub_zero, cells = naive.restricted_table(labels, zero, table, subset)
+            assert (sub.alg.carrier.labels, sub.alg.carrier.zero_label) == (kept, sub_zero)
+            assert naive.table_of(sub.alg)[2] == cells
+            assert sub.mu == tuple(fz.mu_of(x) for x in kept)

@@ -203,3 +203,11 @@ def test_parse_structure_names_its_source_in_syntax_errors():
     with pytest.raises(FormatError) as exc:
         parse_structure('{"carrier": ', "c2.json")
     assert (exc.value.code, exc.value.location) == ("syntax", "c2.json line 1 column 13")
+
+
+def test_round_trip_of_the_largest_product():
+    # 256 elements, 65,536 cells: label lookups must not scan the carrier
+    c16 = chain_example(16)
+    obj = product([c16, c16]).object
+    back = parse_structure(render_structure(obj))
+    assert back == obj and back.alg.carrier.labels == obj.alg.carrier.labels

@@ -22,6 +22,7 @@ from hyperbck.morphisms import (
     is_fuzzy_iso,
     is_hom,
     _colliding_pairs,
+    _never_lowers_membership,
     _probe_hom_maps,
     separation_promotes,
 )
@@ -303,3 +304,21 @@ def test_separation_holds_across_enumerated_hosts(corpus2):
                         verdict = separation_promotes(host, g_labels, f_labels, alpha)
                         if verdict.hypothesis_holds:
                             assert verdict.conclusion_holds
+
+
+def test_never_lowers_membership_agrees_with_fraction_comparison(corpus_le2):
+    equal_apart = 0
+    for a in corpus_le2:
+        for b in corpus_le2:
+            homs = enumerate_homs(a, b)
+            for fb in grid_assignments(b):
+                # the same degrees held in new objects, so equal degrees meet unshared
+                copy = FuzzyHyperBCK(b, tuple(Fraction(v.numerator, v.denominator) for v in fb.mu))
+                for fa in grid_assignments(a):
+                    for h in homs:
+                        for dst in (fb, copy):
+                            pairs = [(dst.mu[h.mapping[i]], v) for i, v in enumerate(fa.mu)]
+                            literal = all(w >= v for w, v in pairs)
+                            assert _never_lowers_membership(h, fa, dst) == literal
+                            equal_apart += any(w is not v and w == v for w, v in pairs)
+    assert equal_apart > 1000
