@@ -14,6 +14,7 @@ import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -168,15 +169,10 @@ def _load_parallel_pair(f_path: str, g_path: str):
     return f, g, _as_fuzzy(f_src, f"{f_path}.source"), _as_fuzzy(f_dst, f"{f_path}.target")
 
 
-def _cmd_equalizer(args: argparse.Namespace) -> int:
+def _cmd_parallel(args: argparse.Namespace) -> int:
+    """``equalizer`` or ``coequalizer``: ``args.construct`` applied to a parallel pair."""
     f, g, src, dst = _load_parallel_pair(args.f, args.g)
-    _emit(_construction_record(equalizer(f, g, src, dst)))
-    return 0
-
-
-def _cmd_coequalizer(args: argparse.Namespace) -> int:
-    f, g, src, dst = _load_parallel_pair(args.f, args.g)
-    _emit(_construction_record(coequalizer(f, g, src, dst)))
+    _emit(_construction_record(args.construct(f, g, src, dst)))
     return 0
 
 
@@ -212,7 +208,9 @@ def _cmd_example(args: argparse.Namespace) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hyperbck",
         description="Validate and reason about finite hyper BCK-algebras "
@@ -245,12 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equalizer", help="agreement subalgebra of a parallel pair")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=_cmd_equalizer)
+    p.set_defaults(func=_cmd_parallel, construct=equalizer)
 
     p = sub.add_parser("coequalizer", help="quotient by the least coequalizing congruence")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=_cmd_coequalizer)
+    p.set_defaults(func=_cmd_parallel, construct=coequalizer)
 
     p = sub.add_parser("pullback", help="pullback of a cospan (product + equalizer)")
     p.add_argument("f")

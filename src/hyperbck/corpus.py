@@ -80,7 +80,8 @@ def _relabel_plans(n: int, zero: int) -> tuple[tuple[tuple[int, ...], ...], ...]
     There are (n-1)! of them, so sizes past ``_MAX_CANONICAL_SIZE`` are refused.
     """
     if n > _MAX_CANONICAL_SIZE:
-        raise InputError(f"canonical forms are limited to sizes up to {_MAX_CANONICAL_SIZE}")
+        message = f"canonical forms are limited to sizes up to {_MAX_CANONICAL_SIZE}"
+        raise InputError(message, "too-large", "carrier")
     perms = permutations([i for i in range(n) if i != zero])
     return tuple(_relabel_plan(n, [*p[:zero], zero, *p[zero:]]) for p in perms)[1:]
 

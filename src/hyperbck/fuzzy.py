@@ -128,13 +128,19 @@ class FuzzyHyperBCK:
     def mu_of(self, label: str) -> Fraction:
         return self.mu[self.alg.carrier.index(label)]
 
+    def _cuts(self) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """The sorted levels, and the cut mask at each followed by the empty one past the top."""
+        if self._cut_cache is None:
+            ranks = self._ranks()
+            by_rank = dict(zip(ranks, self.mu))
+            order = sorted(by_rank)
+            cuts = (*(sum(1 << i for i, r in enumerate(ranks) if r >= s) for s in order), 0)
+            object.__setattr__(self, "_cut_cache", (tuple(map(by_rank.__getitem__, order)), cuts))
+        return self._cut_cache
+
     def alpha_cut_mask(self, alpha: Fraction) -> int:
         """The mask of ``{x : mu(x) >= alpha}``: the cut at the first level not below alpha."""
-        if self._cut_cache is None:  # the levels; the cut at each, then the empty one past the top
-            ranks = self._ranks()
-            cuts = [sum(1 << i for i, r in enumerate(ranks) if r >= s) for s in sorted(set(ranks))]
-            object.__setattr__(self, "_cut_cache", (self.cut_levels(), (*cuts, 0)))
-        levels, cuts = self._cut_cache
+        levels, cuts = self._cuts()
         return cuts[bisect_left(levels, alpha)]
 
     def alpha_cut(self, alpha: int | str | Fraction) -> frozenset[str]:
@@ -143,8 +149,7 @@ class FuzzyHyperBCK:
 
     def cut_levels(self) -> tuple[Fraction, ...]:
         """Sorted distinct membership values; cuts are constant between them."""
-        by_rank = dict(zip(self._ranks(), self.mu))
-        return tuple(by_rank[r] for r in sorted(by_rank))
+        return self._cuts()[0]
 
     def restrict(self, subset: Iterable[str]) -> FuzzyHyperBCK:
         """The fuzzy subalgebra on a star-closed subset, with inherited mu."""

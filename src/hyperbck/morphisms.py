@@ -19,7 +19,10 @@ from itertools import product
 from typing import Iterator, Sequence
 
 from .core import HyperBCK, InputError, _image_masks, iter_bits
-from .fuzzy import FuzzyHyperBCK, fuzzy_condition_holds
+from .corpus import enumerate_hyper_bck
+from .fuzzy import FuzzyHyperBCK
+
+HOM_MAP_BOUND = 1 << 18  # zero-fixing maps enumerate_homs may try; each costs microseconds
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,16 +162,14 @@ def _never_lowers_membership(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> 
 def fuzzy_hom_via_cuts(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
     """Level-set criterion: each level set maps into the matching level set.
 
-    Checking every level occurring in either structure suffices because
-    cuts are piecewise-constant between levels; this must agree with
-    :func:`is_fuzzy_hom` on every input.
+    The source's levels suffice: x lies in the source cut at mu_src(x) and in
+    no higher one, so if each of those cuts maps into the target cut at the
+    same level, every cut does.  This must agree with :func:`is_fuzzy_hom`
+    on every input.
     """
     _require_fuzzy_endpoints(h, src, dst)
-    for alpha in sorted(set(src.cut_levels()) | set(dst.cut_levels())):
-        image = h.image_mask(src.alpha_cut_mask(alpha))
-        if image & ~dst.alpha_cut_mask(alpha):
-            return False
-    return True
+    levels, cuts = src._cuts()
+    return not any(h.image_mask(c) & ~dst.alpha_cut_mask(a) for a, c in zip(levels, cuts))
 
 
 def is_fuzzy_iso(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
@@ -194,11 +195,16 @@ def _zero_fixing_maps(n: int, zero: int, m: int, dst_zero: int) -> Iterator[tupl
 def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
     """All homomorphisms src -> dst, in lexicographic order of the value tuple.
 
-    Only maps sending zero to zero are tried.
+    Only maps sending zero to zero are tried: m^(n-1) of them, refused with
+    ``too-large`` before any is tried when that passes ``HOM_MAP_BOUND``.
     """
+    n, m = len(src.carrier), len(dst.carrier)
+    if m ** (n - 1) > HOM_MAP_BOUND:
+        message = f"{m}^{n - 1} zero-fixing maps exceed the hom enumeration bound {HOM_MAP_BOUND}"
+        raise InputError(message, "too-large", "carrier")
     return tuple(
         Hom(src, dst, mapping)
-        for mapping in _zero_fixing_maps(len(src.carrier), src.zero, len(dst.carrier), dst.zero)
+        for mapping in _zero_fixing_maps(n, src.zero, m, dst.zero)
         if _maps_cells(src, dst, mapping)
     )
 
@@ -211,8 +217,6 @@ def _probes_by_image(k: int, f: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     (index 0 in the corpus), so the probes of one group share the verdict
     of ``f`` into any target.  Groups come in order of their first position.
     """
-    from .corpus import enumerate_hyper_bck  # deferred: corpus imports fuzzy
-
     img = _image_masks(f)
     groups: dict[tuple[int, ...], list[int]] = {}
     for pos, probe in enumerate(enumerate_hyper_bck(k, up_to_iso=True)):
@@ -229,8 +233,6 @@ def _probe_hom_maps(
     Probes come in corpus order and their hom mappings in lexicographic
     order; a probe with fewer than two homs cannot hold a parallel pair.
     """
-    from .corpus import enumerate_hyper_bck  # deferred: corpus imports fuzzy
-
     probes = enumerate_hyper_bck(k, up_to_iso=True).models
     maps: list[list[tuple[int, ...]]] = [[] for _ in probes]
     for f in _zero_fixing_maps(k, 0, len(target.carrier), target.zero):
@@ -241,23 +243,14 @@ def _probe_hom_maps(
     return tuple((probes[pos], tuple(ms)) for pos, ms in enumerate(maps) if len(ms) > 1)
 
 
-def _colliding_pairs(
+def _first_collision(
     mappings: Sequence[tuple[int, ...]], outer: tuple[int, ...]
-) -> Iterator[tuple[int, int]]:
-    """Index pairs i < j whose maps agree after ``outer``, in i-then-j order.
-
-    The maps are grouped by composite, so the scan is linear in the maps
-    plus the pairs it yields.
-    """
+) -> tuple[int, int] | None:
+    """The first index pair i < j, in i-then-j order, whose maps agree after ``outer``, or None."""
     groups: dict[tuple[int, ...], list[int]] = {}
-    slots = []
     for i, m in enumerate(mappings):
-        group = groups.setdefault(tuple(outer[v] for v in m), [])
-        slots.append((group, len(group)))
-        group.append(i)
-    for group, at in slots:
-        for j in group[at + 1 :]:
-            yield group[at], j
+        groups.setdefault(tuple(outer[v] for v in m), []).append(i)
+    return min(((g[0], g[1]) for g in groups.values() if len(g) > 1), default=None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,7 +259,8 @@ class MonoVerdict:
 
     A witness is a parallel pair (h, g) out of some probe with f.h = f.g
     and h != g; ``None`` means no witness up to the probe bound, i.e. the
-    map is mono at that scale.
+    map is mono at that scale.  A crisp witness lifts to a fuzzy one (see
+    :func:`check_mono_equivalence`), so the two witnesses are one pair.
     """
 
     crisp_mono: bool
@@ -288,53 +282,28 @@ def check_mono_equivalence(
 ) -> MonoVerdict:
     """Search all probe objects up to the bound for a separating parallel pair.
 
-    The crisp search ranges over every algebra of carrier size up to the
-    bound (one per relabeling class; verdicts are invariant under probe
-    relabeling).  The fuzzy search reuses each crisp candidate pair and
-    equips the probe with the pointwise minimum of mu along the two maps,
-    which always yields a valid fuzzy structure making both maps fuzzy
-    homomorphisms; membership degrees of the host are inherited, so no
-    grid scan is needed.  The probe homs are tabled once per source and
-    probe size, probes whose tables share an image under a map share its
-    hom verdict, and each probe's pairs come from grouping its maps by
-    composite.
+    The search ranges over every algebra of carrier size up to the bound
+    (one per relabeling class; verdicts are invariant under probe
+    relabeling) and stops at the first pair p != q of probe homs into the
+    source with f.p = f.q.  That pair is the fuzzy witness too: on the
+    probe, the pointwise minimum of mu along p and q makes both maps fuzzy
+    homs, since mu(p t) >= min(mu(p t), mu(q t)), so no grid scan is
+    needed.  The lift is still checked with :func:`is_fuzzy_hom`.  The probe
+    homs are tabled once per source and probe size, and probes whose tables
+    share an image under a map share its hom verdict.
     """
     _require_fuzzy_endpoints(h, src, dst)
-    crisp_witness = None
-    fuzzy_witness = None
     source = h.source
     for k in range(1, probe_size_bound + 1):
         for probe, mappings in _probe_hom_maps(source, k):
-            for i, j in _colliding_pairs(mappings, h.mapping):
-                p = Hom(probe, source, mappings[i])
-                q = Hom(probe, source, mappings[j])
-                if crisp_witness is None:
-                    crisp_witness = (p, q)
-                mu_probe = tuple(
-                    min(src.mu[p.mapping[t]], src.mu[q.mapping[t]])
-                    for t in range(len(probe.carrier))
-                )
-                if not fuzzy_condition_holds(probe, mu_probe):
-                    # Cannot happen for homomorphic p, q; fall back to the
-                    # everywhere-zero structure, which always qualifies.
-                    mu_probe = (Fraction(0),) * len(probe.carrier)
-                probe_fuzzy = FuzzyHyperBCK(probe, mu_probe)
-                if is_fuzzy_hom(p, probe_fuzzy, src) and is_fuzzy_hom(q, probe_fuzzy, src):
-                    if fuzzy_witness is None:
-                        fuzzy_witness = (p, q)
-                if crisp_witness and fuzzy_witness:
-                    break
-            if crisp_witness and fuzzy_witness:
-                break
-        if crisp_witness and fuzzy_witness:
-            break
-    return MonoVerdict(
-        crisp_mono=crisp_witness is None,
-        fuzzy_mono=fuzzy_witness is None,
-        probe_bound=probe_size_bound,
-        crisp_witness=crisp_witness,
-        fuzzy_witness=fuzzy_witness,
-    )
+            pair = _first_collision(mappings, h.mapping)
+            if pair is not None:
+                p, q = (Hom._trusted(probe, source, mappings[i]) for i in pair)
+                degrees = (map(src.mu.__getitem__, w.mapping) for w in (p, q))
+                lift = FuzzyHyperBCK._trusted(probe, tuple(map(min, *degrees)))
+                witness = (p, q) if all(is_fuzzy_hom(w, lift, src) for w in (p, q)) else None
+                return MonoVerdict(False, witness is None, probe_size_bound, (p, q), witness)
+    return MonoVerdict(True, True, probe_size_bound, None, None)
 
 
 @dataclass(frozen=True, slots=True)

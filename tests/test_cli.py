@@ -414,6 +414,24 @@ def test_product_past_the_bound_exits_two_before_building(capsys, tmp_path):
     ]
 
 
+def test_hom_enumeration_past_the_bound_exits_two_before_trying_a_map(capsys, tmp_path):
+    assert main(["example", "--chain", "16"]) == 0
+    path = tmp_path / "c16.json"
+    path.write_text(capsys.readouterr().out)
+    start = time.perf_counter()
+    code, records = run(capsys, "hom", "--enumerate", str(path), str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert records == [
+        {
+            "record": "input-error",
+            "message": "16^15 zero-fixing maps exceed the hom enumeration bound 262144",
+            "code": "too-large",
+            "location": "carrier",
+        }
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, code, location, message",
     [

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
 import random
+import subprocess
+import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +42,9 @@ from hyperbck.core import (
 )
 from hyperbck.corpus import _search_tables, chain_example
 from hyperbck.morphisms import enumerate_homs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(info.name for info in pkgutil.iter_modules([str(SRC / "hyperbck")]))
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +163,7 @@ def test_every_cache_in_the_package_is_bounded():
     assert {
         "category._crisp_product",
         "category.enumerate_regular_congruences",
+        "cli.build_parser",
         "core.iter_bits",
         "core._hk2_plan",
         "core._tabled_ors",
@@ -168,6 +176,28 @@ def test_every_cache_in_the_package_is_bounded():
         "morphisms._probes_by_image",
     } <= set(cached)
     assert {name: size for name, size in cached.items() if size is None} == {}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_first_in_a_fresh_interpreter(module):
+    # The package's __init__ is replaced by a bare package, so ``module`` is
+    # the first of the library to load and an import cycle through it fails.
+    code = (
+        "import importlib, importlib.util, sys, types; "
+        "pkg = types.ModuleType('hyperbck'); "
+        "pkg.__path__ = importlib.util.find_spec('hyperbck').submodule_search_locations; "
+        "sys.modules['hyperbck'] = pkg; "
+        f"importlib.import_module('hyperbck.{module}')"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_no_export_is_a_module():

@@ -155,10 +155,12 @@ def test_canonical_form_refuses_size_nine_quickly():
     n = 9
     alg = HyperBCK(Carrier(tuple(str(i) for i in range(n)), 0), (1,) * (n * n))
     start = time.perf_counter()
-    with pytest.raises(InputError, match="limited to sizes up to 8"):
+    with pytest.raises(InputError, match="limited to sizes up to 8") as refused:
         canonical_form(alg)
-    with pytest.raises(InputError, match="limited to sizes up to 8"):
+    assert (refused.value.code, refused.value.location) == ("too-large", "carrier")
+    with pytest.raises(InputError, match="limited to sizes up to 8") as refused:
         canonical_table(n, 3, alg.table)
+    assert (refused.value.code, refused.value.location) == ("too-large", "carrier")
     assert time.perf_counter() - start < 1.0
     # a single relabeling builds one plan, so it has no size bound
     assert relabel_table(n, alg.table, list(range(n))) == alg.table

@@ -10,7 +10,7 @@ import pytest
 
 import naive_oracle as naive
 from conftest import grid_assignments, zero_moved_to
-from hyperbck import Carrier, FuzzyHyperBCK, HyperBCK, InputError, trivial_algebra
+from hyperbck import Carrier, FuzzyHyperBCK, HyperBCK, InputError, trivial_algebra, validate_fuzzy
 from hyperbck.category import terminal, terminal_map
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.morphisms import (
@@ -21,7 +21,7 @@ from hyperbck.morphisms import (
     is_fuzzy_hom,
     is_fuzzy_iso,
     is_hom,
-    _colliding_pairs,
+    _first_collision,
     _never_lowers_membership,
     _probe_hom_maps,
     separation_promotes,
@@ -230,13 +230,46 @@ def test_mono_witness_matches_literal_scan(corpus_le2):
     assert checked == 2 * 116
 
 
-def test_colliding_pairs_come_in_pair_scan_order():
+def test_first_collision_is_the_first_pair_in_scan_order():
     # Composites A B B A: the i-then-j scan meets (0, 3) before (1, 2).
     maps = [(0, 1), (0, 2), (0, 3), (0, 4)]
-    assert list(_colliding_pairs(maps, (0, 7, 8, 8, 7))) == [(0, 3), (1, 2)]
-    # Composites A B A B A: every colliding pair, i first, then j.
+    assert _first_collision(maps, (0, 7, 8, 8, 7)) == (0, 3)
+    # Composites A B A B A: (0, 2) comes before (0, 4), (1, 3) and (2, 4).
     maps.append((0, 5))
-    assert list(_colliding_pairs(maps, (0, 7, 8, 7, 8, 7))) == [(0, 2), (0, 4), (1, 3), (2, 4)]
+    assert _first_collision(maps, (0, 7, 8, 7, 8, 7)) == (0, 2)
+    # Composites A B C D E: no two maps agree.
+    assert _first_collision(maps, (0, 1, 2, 3, 4, 5)) is None
+
+
+def test_the_fuzzy_witness_is_the_crisp_witness(corpus_le2):
+    # Every hom of size <= 2, also between copies with zero at index 1, with
+    # source memberships over {0, 1/2, 1} that pass and that fail the
+    # membership inequality: the crisp pair always lifts, and the verdict
+    # does not depend on the memberships.
+    moved = [zero_moved_to(alg, 1) if alg.size == 2 else alg for alg in corpus_le2]
+    degrees = (Fraction(0), Fraction(1, 2), Fraction(1))
+    checked, failing = 0, 0
+    for le2 in (corpus_le2, moved):
+        for src_alg in le2:
+            for dst_alg in le2:
+                dst = zero_mu(dst_alg)
+                for h in enumerate_homs(src_alg, dst_alg):
+                    for bound in (1, 2, 3):
+                        plain = check_mono_equivalence(h, zero_mu(src_alg), dst, bound)
+                        for mu in product(degrees, repeat=src_alg.size):
+                            src = FuzzyHyperBCK(src_alg, mu)
+                            failing += not validate_fuzzy(src).passed
+                            verdict = check_mono_equivalence(h, src, dst, bound)
+                            assert verdict.fuzzy_mono == verdict.crisp_mono
+                            assert verdict.fuzzy_witness == verdict.crisp_witness
+                            assert verdict == plain
+                            checked += 1
+    assert failing > 0 and checked - failing > 0
+    assert checked == 3 * 2 * sum(
+        3 ** src_alg.size * len(enumerate_homs(src_alg, dst_alg))
+        for src_alg in corpus_le2
+        for dst_alg in corpus_le2
+    )
 
 
 def test_probe_hom_table_matches_literal_scan(c2, corpus2):
