@@ -25,6 +25,7 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .core import (
+    PRODUCT_BOUND,
     Carrier,
     ClaimViolation,
     HyperBCK,
@@ -39,7 +40,6 @@ from .fuzzy import FuzzyHyperBCK
 from .morphisms import Hom, _never_lowers_membership, is_fuzzy_hom, is_hom
 
 CONGRUENCE_BOUND = 5  # Bell(5) = 52 partitions; Bell(n) grows too fast past it
-PRODUCT_BOUND = 256  # 65,536 cells; the table grows with the square of the carrier
 
 
 @dataclass(frozen=True, slots=True)

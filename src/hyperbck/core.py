@@ -1,9 +1,9 @@
 """Finite hyper BCK-algebras: carriers, hyperoperation tables, axiom checking.
 
 A hyperoperation sends each ordered pair of elements to a *non-empty subset*
-of the carrier.  Subsets are stored as bitmasks over carrier indices, which
-keeps the heavy triple loops of the axiom checks exact and fast; the
-public API speaks element labels and frozensets.
+of the carrier.  Subsets are stored as bitmasks over carrier indices, and a
+set of cells as a mask over their table positions, so HK1 tests the cells
+of a triple with one product and one AND; the public API speaks labels.
 
 The axioms are tested in one place: ``_hk2_mismatch`` scans the HK2 plan and
 ``_past_hk2_failures`` yields the HK1, HK3 and HK4 failures of a table past it.
@@ -16,8 +16,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import add, or_
+from operator import add, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
+
+PRODUCT_BOUND = 256  # the largest carrier built: 65,536 cells, the square of the carrier
+AXIOM_CHECK_BOUND = 64  # its HK2 plan holds n*n*(n-1)/2 = 129,024 instances, about 21 MiB
 
 
 class InputError(ValueError):
@@ -293,9 +296,12 @@ class _OnLookup(defaultdict):
         return value
 
 
-def _mask_ors(parts: Sequence, join: Callable = or_, empty: object = 0) -> list | _OnLookup:
-    """Entry B joins ``parts[i]`` over the bits i of mask B in order (OR by default)."""
-    if len(parts) > _TABLED_SIZE:
+def _mask_ors(
+    parts: Sequence, join: Callable = or_, empty: object = 0, listed: bool = False
+) -> list | _OnLookup:
+    """Entry B joins ``parts[i]`` over the bits i of mask B in order (OR by default); past
+    ``_TABLED_SIZE`` parts entries fill on lookup, unless all 2**n are ``listed``."""
+    if len(parts) > _TABLED_SIZE and not listed:
         return _OnLookup(lambda b: reduce(join, [parts[i] for i in iter_bits(b)], empty))
     ors = [empty] * (1 << len(parts))
     for b in range(1, len(ors)):
@@ -304,9 +310,9 @@ def _mask_ors(parts: Sequence, join: Callable = or_, empty: object = 0) -> list 
     return ors
 
 
-def _image_masks(mapping: Sequence[int]) -> list | _OnLookup:
+def _image_masks(mapping: Sequence[int], listed: bool = False) -> list | _OnLookup:
     """Entry B is the image ``{mapping[t] : t in B}`` of mask B, for reading many masks."""
-    return _mask_ors([1 << v for v in mapping])
+    return _mask_ors([1 << v for v in mapping], listed=listed)
 
 
 @lru_cache(maxsize=16)
@@ -316,6 +322,9 @@ def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
     ``gz[m]`` lists the positions ``t*n + z`` for t in mask m (``gy`` those of y), so
     (x*y)*z ORs the cells at ``gz[table[x*n + y]]``.  The zero's row comes last: by
     HK3 it holds only elements below zero, so it fails least often."""
+    if n > AXIOM_CHECK_BOUND:
+        message = f"axiom checks are limited to carriers of at most {AXIOM_CHECK_BOUND} elements"
+        raise InputError(f"{message}, not {n}", "too-large", "carrier")
     gather = [_mask_ors([(t * n + z,) for t in range(n)], add, ()) for z in range(n)]
     return tuple(
         (x, y, z, x * n + y, x * n + z, gather[z], gather[y])
@@ -342,6 +351,12 @@ def _tabled_ors(parts: tuple[int, ...]) -> tuple:
     return tuple(_mask_ors(parts))
 
 
+@lru_cache(maxsize=16)
+def _spread(n: int) -> list | _OnLookup:
+    """Entry A has bit t*n per t in A: ``spread[A] * B`` marks the cells t*s, t in A, s in B."""
+    return _mask_ors([1 << t * n for t in range(n)])
+
+
 def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False) -> Iterator:
     """Yield every falsified axiom instance of a raw cell-mask table, cheapest first.
 
@@ -358,25 +373,35 @@ def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False
 
 
 def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) -> Iterator:
-    """HK1 per (x, y, z), HK3 per x and HK4 per pair if ``strict``, from ``dn`` and mask OR
-    tables: row t's gives t*B for each mask B, the one over ``dn`` what is below a member of B."""
+    """HK1 per (x, y, z), HK3 per x and HK4 per pair if ``strict``, from position masks.
+
+    HK1 at (x, y, z) asks that each cell t*s, t in x*z and s in y*z, lies in D = below[x*y],
+    the elements below a member of x*y.  Those cells sit at the positions ``spread[x*z] *
+    (y*z)``; ``bad[D]`` marks the positions whose cell leaves D, once per table and D.  Most
+    pairs have D the whole carrier, which no cell leaves, and skip their z's.  A failing
+    instance ORs its cells through the rows' OR tables (t*B per mask B), built on demand."""
     ors = _tabled_ors if n <= _TABLED_SIZE else _mask_ors
     dn = _down_masks(n, zero, table)
     below = ors(tuple(dn))
+    spread = _spread(n)
     rows = [table[r : r + n] for r in range(0, n * n, n)]
-    rowstar = [ors(row) for row in rows]
+    bad, rowstar = {(1 << n) - 1: 0}, []
     for x, xrow in enumerate(rows):
         for y, cxy in enumerate(xrow):
-            outside = ~below[cxy]
-            for z, (xz, yz) in enumerate(zip(xrow, rows[y])):
-                lhs = 0
-                for t in iter_bits(xz):
-                    lhs |= rowstar[t][yz]
-                if lhs & outside:
-                    yield "HK1", (x, y, z), lhs, cxy
+            d = below[cxy]
+            if d not in bad:
+                bad[d] = sum([1 << p for p, c in enumerate(table) if c & ~d])
+            if b := bad[d]:
+                for z, at in enumerate(map(mul, map(spread.__getitem__, xrow), rows[y])):
+                    if at & b:
+                        rowstar = rowstar or [ors(row) for row in rows]
+                        lhs = 0
+                        for t in iter_bits(xrow[z]):
+                            lhs |= rowstar[t][rows[y][z]]
+                        yield "HK1", (x, y, z), lhs, cxy
 
-    for x in range(n):
-        stray = rowstar[x][(1 << n) - 1] & ~dn[x]
+    for x, xrow in enumerate(rows):
+        stray = reduce(or_, xrow) & ~dn[x]
         if stray:
             yield "HK3", (x,), stray & -stray, 1 << x
 
@@ -426,7 +451,7 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
             detail = f"{c.labels[lhs.bit_length() - 1]} in x*H but not below x"
         else:
             detail = "x<y and y<x with x != y"
-        violations.append(Violation(axiom, tuple(c.labels[i] for i in indices), detail))
+        violations.append(Violation(axiom, tuple(map(c.labels.__getitem__, indices)), detail))
     return ValidationReport(not violations, tuple(violations))
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .core import Carrier, HyperBCK, InputError, hk_axioms_hold_raw, iter_bits
+from .core import PRODUCT_BOUND, Carrier, HyperBCK, InputError, _image_masks, hk_axioms_hold_raw
 from .fuzzy import FuzzyHyperBCK, _membership_failures, _membership_pairs, fuzzy_value
 
 MAX_EXHAUSTIVE_SIZE = 3
@@ -64,42 +64,37 @@ def _search_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(found)
 
 
-def _relabel_plan(n: int, perm: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``perm`` as bit images of the new indices, and the source cell of each target cell."""
+def _relabel_plan(n: int, perm: Sequence[int], image: Sequence[int]) -> tuple:
+    """``image`` (entry m the image of mask m under ``perm``) and each target cell's source."""
     sources = [0] * (n * n)
     for x in range(n):
         for y in range(n):
             sources[perm[x] * n + perm[y]] = x * n + y
-    return tuple(1 << p for p in perm), tuple(sources)
+    return image, tuple(sources)
 
 
 @lru_cache(maxsize=8)
-def _relabel_plans(n: int, zero: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _relabel_plans(n: int, zero: int) -> tuple[tuple, ...]:
     """The plans of every zero-fixing relabeling of size ``n`` but the identity.
 
-    There are (n-1)! of them, so sizes past ``_MAX_CANONICAL_SIZE`` are refused.
-    """
+    There are (n-1)! of them, so sizes past ``_MAX_CANONICAL_SIZE`` are refused.  Each
+    lists its image table as bytes: 2**n masks of at most 8 bits, 256 bytes at size 8."""
     if n > _MAX_CANONICAL_SIZE:
         message = f"canonical forms are limited to sizes up to {_MAX_CANONICAL_SIZE}"
         raise InputError(message, "too-large", "carrier")
-    perms = permutations([i for i in range(n) if i != zero])
-    return tuple(_relabel_plan(n, [*p[:zero], zero, *p[zero:]]) for p in perms)[1:]
+    others = permutations([i for i in range(n) if i != zero])
+    perms = [[*p[:zero], zero, *p[zero:]] for p in others][1:]  # the identity comes first
+    return tuple(_relabel_plan(n, p, bytes(_image_masks(p, listed=True))) for p in perms)
 
 
-def _apply_plan(table: Sequence[int], plan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    bits, sources = plan
-    out = []
-    for pos in sources:
-        mask = 0
-        for t in iter_bits(table[pos]):
-            mask |= bits[t]
-        out.append(mask)
-    return tuple(out)
+def _apply_plan(table: Sequence[int], plan: tuple) -> tuple[int, ...]:
+    image, sources = plan
+    return tuple([image[table[pos]] for pos in sources])
 
 
 def relabel_table(n: int, table: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
     """Apply an element relabeling ``perm`` (old index -> new index) to a table."""
-    return _apply_plan(table, _relabel_plan(n, perm))
+    return _apply_plan(table, _relabel_plan(n, perm, _image_masks(perm)))
 
 
 def canonical_table(n: int, zero: int, table: Sequence[int]) -> tuple[int, ...]:
@@ -141,26 +136,21 @@ def _corpus(n: int, up_to_iso: bool) -> ModelCorpus:
 
 
 def chain_example(k: int) -> FuzzyHyperBCK:
-    """The graded chain on {1, .., k} with zero 1 and mu(x) = 1/x.
+    """The graded chain on {1, .., k} with zero 1 and mu(x) = 1/x, for k up to ``PRODUCT_BOUND``.
 
     The operation follows the worked bounded-interval family:
     x*y is {1..x} when x <= y, {2..y} when x > y != 1, and {x} when y = 1.
     """
     if k < 1:
         raise InputError("chain length must be at least 1", "carrier", "carrier")
+    if k > PRODUCT_BOUND:
+        raise InputError(f"chain length {k} exceeds {PRODUCT_BOUND}", "too-large", "carrier")
     labels = tuple(str(i) for i in range(1, k + 1))
-    carrier = Carrier(labels, 0)
-    table = [0] * (k * k)
-    for x in range(1, k + 1):
-        for y in range(1, k + 1):
-            if y == 1:
-                mask = 1 << (x - 1)
-            elif x <= y:
-                mask = (1 << x) - 1
-            else:
-                mask = ((1 << y) - 1) & ~1
-            table[(x - 1) * k + (y - 1)] = mask
-    alg = HyperBCK(carrier, table)
+    table = [  # element x is bit x - 1
+        1 << x - 1 if y == 1 else (1 << x) - 1 if x <= y else (1 << y) - 2
+        for x in range(1, k + 1) for y in range(1, k + 1)
+    ]
+    alg = HyperBCK(Carrier(labels, 0), table)
     return FuzzyHyperBCK(alg, tuple(Fraction(1, x) for x in range(1, k + 1)))
 
 

@@ -220,7 +220,7 @@ def _probes_by_image(k: int, f: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     img = _image_masks(f)
     groups: dict[tuple[int, ...], list[int]] = {}
     for pos, probe in enumerate(enumerate_hyper_bck(k, up_to_iso=True)):
-        groups.setdefault(tuple(img[c] for c in probe.table), []).append(pos)
+        groups.setdefault(tuple(map(img.__getitem__, probe.table)), []).append(pos)
     return tuple(tuple(g) for g in groups.values())
 
 

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from hyperbck import HyperBCK, validate_hyper_bck
+from hyperbck import HyperBCK, product, validate_hyper_bck
 from hyperbck.cli import main
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.io import parse_structure, render_structure, structure_to_dict
@@ -432,6 +432,24 @@ def test_hom_enumeration_past_the_bound_exits_two_before_trying_a_map(capsys, tm
     ]
 
 
+def test_verify_past_the_axiom_check_bound_exits_two_after_parsing(capsys, tmp_path):
+    c16 = chain_example(16)
+    path = tmp_path / "c16xc16.json"
+    path.write_text(render_structure(product([c16, c16]).object))
+    start = time.perf_counter()
+    code, records = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 10.0  # parsing the 256 elements takes about 1 s
+    assert code == 2
+    assert records == [
+        {
+            "record": "input-error",
+            "message": "axiom checks are limited to carriers of at most 64 elements, not 256",
+            "code": "too-large",
+            "location": "carrier",
+        }
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, code, location, message",
     [
@@ -443,6 +461,8 @@ def test_hom_enumeration_past_the_bound_exits_two_before_trying_a_map(capsys, tm
         (["cut", "--alpha", "2"], "mu-range", "--alpha", "membership value 2 outside [0, 1]"),
         (["cut", "--alpha", "half"], "mu-syntax", "--alpha",
          "bad membership value 'half': Invalid literal for Fraction: 'half'"),
+        (["example", "--chain", "20000"], "too-large", "--chain",
+         "chain length 20000 exceeds 256"),
     ],
 )
 def test_bad_flag_values_are_located_at_the_flag(capsys, chain3_path, argv, code, location, message):

@@ -8,6 +8,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 import types
 from pathlib import Path
@@ -32,6 +33,7 @@ from hyperbck import (
 )
 from hyperbck import corpus
 from hyperbck.core import (
+    AXIOM_CHECK_BOUND,
     _TABLED_SIZE,
     _hk2_mismatch,
     _hk2_plan,
@@ -166,6 +168,7 @@ def test_every_cache_in_the_package_is_bounded():
         "cli.build_parser",
         "core.iter_bits",
         "core._hk2_plan",
+        "core._spread",
         "core._tabled_ors",
         "corpus._corpus",
         "corpus._relabel_plans",
@@ -347,6 +350,16 @@ _SIDES_DETAIL = {
 }
 
 
+def _assert_report_matches_oracle(alg, report, strict):
+    """Every witness, in order, and every HK1/HK2 side as the literal oracle spells it."""
+    oracle = naive.table_of(alg)
+    assert [(v.axiom, v.witness) for v in report.violations] == naive.hk_failures(*oracle, strict)
+    for v in report.violations:
+        if v.axiom in _SIDES_DETAIL:
+            lhs, rhs = naive.hk_sides(oracle[2], v.axiom, v.witness)
+            assert v.detail == _SIDES_DETAIL[v.axiom].format(sorted(lhs), sorted(rhs))
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_full_report_matches_literal_oracle(corpus3, strict):
     for n, masks in _report_oracle_cases(corpus3):
@@ -354,14 +367,33 @@ def test_full_report_matches_literal_oracle(corpus3, strict):
         for zero in range(n):
             alg = HyperBCK(Carrier(labels, zero), masks)
             report = validate_hyper_bck(alg, strict_antisymmetry=strict)
-            got = [(v.axiom, v.witness) for v in report.violations]
-            oracle = naive.table_of(alg)
-            assert got == naive.hk_failures(*oracle, strict)
-            assert hk_axioms_hold(alg, strict_antisymmetry=strict) == (not got)
-            for v in report.violations:
-                if v.axiom in _SIDES_DETAIL:
-                    lhs, rhs = naive.hk_sides(oracle[2], v.axiom, v.witness)
-                    assert v.detail == _SIDES_DETAIL[v.axiom].format(sorted(lhs), sorted(rhs))
+            _assert_report_matches_oracle(alg, report, strict)
+            assert hk_axioms_hold(alg, strict_antisymmetry=strict) == report.passed
+
+
+def test_a_nine_element_product_with_zero_moved_matches_literal_oracle(corpus3):
+    """Past ``_TABLED_SIZE``: the 3-chain, which breaks HK1, times a size-3 model."""
+    factor = FuzzyHyperBCK(corpus3.models[5000], (0, 0, 0))
+    alg = product([chain_example(3), factor]).object.alg
+    assert alg.size == 9 > _TABLED_SIZE
+    for k in (0, 4, 8):
+        moved = zero_moved_to(alg, k)
+        for strict in (False, True):
+            report = validate_hyper_bck(moved, strict_antisymmetry=strict)
+            assert any(v.axiom == "HK1" for v in report.violations)
+            _assert_report_matches_oracle(moved, report, strict)
+            assert hk_axioms_hold(moved, strict_antisymmetry=strict) == report.passed
+
+
+def test_axiom_checks_refuse_carriers_past_the_bound():
+    n = AXIOM_CHECK_BOUND + 1
+    alg = HyperBCK(Carrier(tuple(map(str, range(n))), 0), (1,) * (n * n))
+    for check in (validate_hyper_bck, hk_axioms_hold):
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="at most 64 elements, not 65") as refused:
+            check(alg)
+        assert time.perf_counter() - start < 1.0
+        assert (refused.value.code, refused.value.location) == ("too-large", "carrier")
 
 
 # --- oracle agreement and derived invariants ---------------------------------
@@ -419,10 +451,12 @@ def test_fail_fast_matches_report_on_every_size3_leaf_past_hk2(search_leaves):
     carrier = Carrier(("0", "1", "2"), 0)
     failing = 0
     for t in past:
-        report = validate_hyper_bck(HyperBCK(carrier, t))
+        alg = HyperBCK(carrier, t)
+        report = validate_hyper_bck(alg)
         assert hk_axioms_hold_raw(3, 0, t) == report.passed
-        if not report.passed:
+        if not report.passed:  # the only leaves where the search meets a failing HK1 instance
             assert {v.axiom for v in report.violations} == {"HK1"}
+            _assert_report_matches_oracle(alg, report, False)
             failing += 1
     assert failing == 1079
 

@@ -67,16 +67,27 @@ SEARCH3_SHA256 = "ab32b7ca6271fe385b58da29149e3a5749b2a6e3710d7ce0e5336e2e1a2c8d
 
 
 def test_size3_search_checks_413488_leaves_and_keeps_15936(monkeypatch):
-    verdicts = []
+    """The leaf accounting of a fresh search and up-to-iso filter, past every cache: one
+    fail-fast check per leaf and one canonical form per survivor.  A search that skips
+    leaves changes these counts and must re-freeze them with the benchmark's."""
+    verdicts, kept = [], []
 
     def counting(n, zero, table):
         verdicts.append(hk_axioms_hold_raw(n, zero, table))
         return verdicts[-1]
 
+    def canonical(n, zero, table):
+        best = canonical_table(n, zero, table)
+        kept.append(best == table)
+        return best
+
     monkeypatch.setattr(corpus, "hk_axioms_hold_raw", counting)
-    tables = _search_tables.__wrapped__(3)
+    monkeypatch.setattr(corpus, "canonical_table", canonical)
+    monkeypatch.setattr(corpus, "_search_tables", _search_tables.__wrapped__)
+    iso = corpus._corpus.__wrapped__(3, True)
     assert len(verdicts) == 413488
-    assert sum(verdicts) == 15936 == len(tables)
+    assert sum(verdicts) == 15936 == len(kept)
+    assert sum(kept) == 8048 == len(iso)
 
 
 def test_size3_search_output_is_frozen():
@@ -164,6 +175,23 @@ def test_canonical_form_refuses_size_nine_quickly():
     assert time.perf_counter() - start < 1.0
     # a single relabeling builds one plan, so it has no size bound
     assert relabel_table(n, alg.table, list(range(n))) == alg.table
+
+
+def test_relabeling_past_the_tabled_size_matches_literal_oracle():
+    """Past ``_TABLED_SIZE`` the cached plans list every image while a single relabeling's
+    image table fills on lookup; size 9 has no cached plans, and a single relabeling runs."""
+    rng = random.Random(20261021)
+    tables = [(7, 0, chain_example(7).alg.table), (8, 3, chain_example(8).alg.table)]
+    tables += [(7, 5, tuple(rng.randrange(1, 1 << 7) for _ in range(49)))]
+    for n, zero, table in tables:
+        assert canonical_table(n, zero, table) == naive.canonical_table(n, zero, table)
+        for _ in range(20):
+            perm = rng.sample(range(n), n)
+            assert relabel_table(n, table, perm) == naive.relabeled(n, table, perm)
+    table = tuple(rng.randrange(1, 1 << 9) for _ in range(81))
+    for _ in range(20):
+        perm = rng.sample(range(9), 9)
+        assert relabel_table(9, table, perm) == naive.relabeled(9, table, perm)
 
 
 def test_iso_corpus_is_canonical_and_covering(corpus3, corpus3_iso):
