@@ -14,13 +14,15 @@ the same two and stops at the first, so the two verdicts cannot disagree.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import add, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 PRODUCT_BOUND = 256  # the largest carrier built: 65,536 cells, the square of the carrier
 AXIOM_CHECK_BOUND = 64  # its HK2 plan holds n*n*(n-1)/2 = 129,024 instances, about 21 MiB
+HK2_PLAN_BOUND = 1 << 17  # instances the cached HK2 plans hold at once: one plan at 64 and more
+RESTRICTIONS_KEPT = 16  # restrictions one algebra keeps; n elements have up to 2**(n-1) subalgebras
 
 
 class InputError(ValueError):
@@ -113,10 +115,13 @@ class HyperBCK:
     ``table`` is row-major over carrier indices: the cell for ``(x, y)`` sits
     at ``x * n + y`` and is a non-empty bitmask.  Construction checks only
     this structural shape; the axioms are the validator's job.
+    The restrictions built from it are kept apart from equality, hashing and
+    repr, up to ``RESTRICTIONS_KEPT`` of them.
     """
 
     carrier: Carrier
     table: tuple[int, ...]
+    _restrictions: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(self.table))
@@ -236,15 +241,26 @@ class HyperBCK:
             raise InputError(f"{sorted(self.carrier.labels_of(mask))!r} is not a subalgebra")
 
     def restrict_mask(self, mask: int) -> HyperBCK:
-        """The subalgebra on ``mask`` (``self`` if whole); refused without zero or if not closed."""
-        self._require_subalgebra(mask)
+        """The subalgebra on ``mask`` (``self`` if whole); refused without zero or if not closed.
+
+        A restriction built is kept on the algebra and returned again for the same mask,
+        until ``RESTRICTIONS_KEPT`` are kept; a refusal is raised afresh on every call.
+        """
         if mask == self.carrier.full_mask:
             return self
+        kept = self._restrictions or {}
+        if mask in kept:
+            return kept[mask]
+        self._require_subalgebra(mask)
         old = iter_bits(mask)
         bit = {o: 1 << i for i, o in enumerate(old)}  # element old[i] becomes i
         labels = tuple(self.carrier.labels[o] for o in old)
         table = [reduce(or_, map(bit.get, iter_bits(self.cell(x, y)))) for x in old for y in old]
-        return HyperBCK(Carrier(labels, old.index(self.zero)), table)
+        sub = HyperBCK(Carrier(labels, old.index(self.zero)), table)
+        if len(kept) < RESTRICTIONS_KEPT:
+            kept[mask] = sub
+            object.__setattr__(self, "_restrictions", kept)
+        return sub
 
     def encode(self) -> tuple[int, int, tuple[int, ...]]:
         """A hashable exact encoding (size, zero index, cell masks)."""
@@ -315,22 +331,32 @@ def _image_masks(mapping: Sequence[int], listed: bool = False) -> list | _OnLook
     return _mask_ors([1 << v for v in mapping], listed=listed)
 
 
+_plan_instances = [0]  # instances in the HK2 plans built since the cache was last emptied
+
+
 @lru_cache(maxsize=16)
 def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
     """The HK2 instances ``(x, y, z, x*n + y, x*n + z, gz, gy)`` of size ``n``, y < z.
 
     ``gz[m]`` lists the positions ``t*n + z`` for t in mask m (``gy`` those of y), so
     (x*y)*z ORs the cells at ``gz[table[x*n + y]]``.  The zero's row comes last: by
-    HK3 it holds only elements below zero, so it fails least often."""
+    HK3 it holds only elements below zero, so it fails least often.  The cache holds at
+    most ``HK2_PLAN_BOUND`` instances: a plan that would pass it empties the cache first,
+    since the plans it holds are among those built since it was last emptied."""
     if n > AXIOM_CHECK_BOUND:
         message = f"axiom checks are limited to carriers of at most {AXIOM_CHECK_BOUND} elements"
         raise InputError(f"{message}, not {n}", "too-large", "carrier")
+    if _plan_instances[0] + n * n * (n - 1) // 2 > HK2_PLAN_BOUND:
+        _hk2_plan.cache_clear()
+        _plan_instances[0] = 0
     gather = [_mask_ors([(t * n + z,) for t in range(n)], add, ()) for z in range(n)]
-    return tuple(
+    plan = tuple(
         (x, y, z, x * n + y, x * n + z, gather[z], gather[y])
         for x in [*range(zero), *range(zero + 1, n), zero]
         for y in range(n) for z in range(y + 1, n)
     )
+    _plan_instances[0] += len(plan)
+    return plan
 
 
 def _hk2_mismatch(table: Sequence[int], instances: Iterable[tuple]) -> tuple | None:

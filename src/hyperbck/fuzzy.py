@@ -11,8 +11,8 @@ a minimum, which is what the checks below compute.
 Degrees are exact; comparisons within one structure run on ranks.  The
 inequality, the collapse checks and the level list read only the weak order
 of mu, so each structure carries a rank vector (equal ranks for equal
-degrees, ordered as the degrees are) and those checks compare small ints.
-Wherever two structures meet (fuzzy homs, products, quotients) the exact
+degrees, ordered as the degrees are) and those checks compare small ints,
+once per algebra and rank vector in bounded caches.  Wherever two structures meet (fuzzy homs, products, quotients) the exact
 degrees are compared.
 """
 
@@ -132,9 +132,8 @@ class FuzzyHyperBCK:
         """The sorted levels, and the cut mask at each followed by the empty one past the top."""
         if self._cut_cache is None:
             ranks = self._ranks()
+            order, cuts = _cut_masks(ranks)
             by_rank = dict(zip(ranks, self.mu))
-            order = sorted(by_rank)
-            cuts = (*(sum(1 << i for i, r in enumerate(ranks) if r >= s) for s in order), 0)
             object.__setattr__(self, "_cut_cache", (tuple(map(by_rank.__getitem__, order)), cuts))
         return self._cut_cache
 
@@ -164,6 +163,16 @@ class FuzzyHyperBCK:
         return FuzzyHyperBCK._trusted(
             sub, tuple(self.mu[i] for i in bits), tuple(ranks[i] for i in bits)
         )
+
+
+@lru_cache(maxsize=1 << 10)
+def _cut_masks(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The distinct ranks in increasing order, and the cut mask at each followed by 0.
+
+    Cached on the rank vector, since every structure with one weak order of mu shares them.
+    """
+    order = sorted(set(ranks))
+    return tuple(order), (*(sum(1 << i for i, r in enumerate(ranks) if r >= s) for s in order), 0)
 
 
 @lru_cache(maxsize=1 << 8)
@@ -204,6 +213,26 @@ def fuzzy_condition_holds(alg: HyperBCK, mu: Sequence[Any]) -> bool:
     return next(_membership_failures(_membership_pairs(alg.table), mu), None) is None
 
 
+@lru_cache(maxsize=1 << 8)  # as many tables as the pairs cache, which this one reads
+def _membership_verdict(
+    table: tuple[int, ...], zero: int, ranks: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int, int, int], ...], bool, bool, bool]:
+    """What the membership checks read of mu's weak order, as ranks.
+
+    The failures ``(x, y, got, bound)`` of the inequality, whether mu is
+    maximal at zero, whether it is monotone along the hyperorder, and whether
+    it is constant.  Cached on the table, the zero and the rank vector: the
+    structures of one algebra with one weak order of mu share every answer.
+    """
+    n = len(ranks)
+    failures = tuple(_membership_failures(_membership_pairs(table), ranks))
+    monotone = all(
+        ranks[pos // n] <= ranks[pos % n] for pos, cell in enumerate(table) if cell >> zero & 1
+    )
+    top = max(ranks)
+    return failures, ranks[zero] == top, monotone, min(ranks) == top
+
+
 def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
     """Check the membership inequality on all pairs, with all witnesses.
 
@@ -215,6 +244,7 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
     alg = fz.alg
     labels = alg.carrier.labels
     ranks = fz._ranks()
+    failures, zero_max, _, _ = _membership_verdict(alg.table, alg.zero, ranks)
     degree = dict(zip(ranks, fz.mu))
     violations = [
         Violation(
@@ -222,16 +252,10 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
             (labels[x], labels[y]),
             f"min mu over x*y is {format_fuzzy(degree[got])} < {format_fuzzy(degree[bound])}",
         )
-        for x, y, got, bound in _membership_failures(_membership_pairs(alg.table), ranks)
+        for x, y, got, bound in failures
     ]
 
-    info = [
-        InfoCheck(
-            "zero-max",
-            ranks[alg.zero] == max(ranks),
-            f"mu at zero is {format_fuzzy(fz.mu[alg.zero])}",
-        )
-    ]
+    info = [InfoCheck("zero-max", zero_max, f"mu at zero is {format_fuzzy(fz.mu[alg.zero])}")]
     collapse = check_collapse_properties(fz)
     if collapse.monotone_applies:
         info.append(
@@ -269,18 +293,16 @@ class CollapseVerdict:
 
 
 def check_collapse_properties(fz: FuzzyHyperBCK) -> CollapseVerdict:
+    """Which collapse hypotheses hold for ``fz``, and whether mu is then constant.
+
+    Monotonicity and constancy read mu's weak order, through the membership
+    verdict that :func:`validate_fuzzy` reads too; only the hypothesis
+    mu(zero) = 0 reads the exact degree.
+    """
     alg = fz.alg
-    n = len(alg.carrier)
-    zero = alg.zero
-    ranks = fz._ranks()
-    monotone = all(
-        ranks[pos // n] <= ranks[pos % n]
-        for pos, cell in enumerate(alg.table)
-        if cell >> zero & 1
-    )
+    _, _, monotone, constant = _membership_verdict(alg.table, alg.zero, fz._ranks())
     # both conclusions say that mu is constant: at mu(zero), or at 0 = mu(zero)
-    constant = min(ranks) == max(ranks)
-    zero_applies = fz.mu[zero] == ZERO
+    zero_applies = fz.mu[alg.zero] == ZERO
     return CollapseVerdict(
         monotone, constant if monotone else None, zero_applies, constant if zero_applies else None
     )

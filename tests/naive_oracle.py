@@ -205,6 +205,45 @@ def mono_witness(
     return None
 
 
+def fuzzy_mono_witness(
+    probes: list[tuple[tuple[str, ...], str, Table]],
+    grid: tuple,
+    source: tuple[tuple[str, ...], str, Table],
+    mu: dict[str, object],
+    mapping: dict[str, str],
+) -> tuple[int, tuple, tuple[int, ...], tuple[int, ...]] | None:
+    """The first fuzzy probe with a pair of fuzzy homs into (source, mu) that ``mapping`` joins.
+
+    Probes are scanned in the given order, and on each every membership nu
+    with values in ``grid`` (in product order) that passes the literal
+    inequality.  A fuzzy hom is a hom p with nu(t) <= mu(p(t)) for every t;
+    every pair i < j of them is compared after ``mapping``.  Returns the
+    probe's position, nu as a tuple in the probe's label order, and the two
+    homs as source positions, or None.
+    """
+    labels = source[0]
+    for pos, probe in enumerate(probes):
+        probe_labels, _, probe_table = probe
+        homs = hom_maps(probe, source)
+        if len(homs) < 2:
+            continue  # nu only removes homs, so no pair can appear
+        for values in product(grid, repeat=len(probe_labels)):
+            nu = dict(zip(probe_labels, values))
+            if not fuzzy_ok(probe_labels, probe_table, nu):
+                continue
+            fuzzy = [
+                p for p in homs if all(nu[t] <= mu[labels[v]] for t, v in zip(probe_labels, p))
+            ]
+            for i in range(len(fuzzy)):
+                for j in range(i + 1, len(fuzzy)):
+                    if all(
+                        mapping[labels[a]] == mapping[labels[b]]
+                        for a, b in zip(fuzzy[i], fuzzy[j])
+                    ):
+                        return pos, values, fuzzy[i], fuzzy[j]
+    return None
+
+
 def fuzzy_ok(labels: tuple[str, ...], table: Table, mu: dict[str, object]) -> bool:
     """Literal check of the membership inequality."""
     for x in labels:

@@ -32,7 +32,7 @@ from itertools import product as iprod
 import pytest
 
 import naive_oracle as naive
-from conftest import cut_masks, cuts_at_levels_and_ends, grid_assignments
+from conftest import cut_masks, cuts_at_levels_and_ends, grid_assignments, zero_moved_to
 from hyperbck import (
     Carrier,
     ClaimViolation,
@@ -292,6 +292,49 @@ def test_c06_mono_equivalence(corpus_le2):
         "bounded fuzzy-mono verdict equals crisp-mono verdict",
         f"{checked} homs, probe bound 3, {elapsed:.1f}s",
     )
+
+
+def test_c06_companion_fuzzy_probes_match_the_literal_scan(corpus_le2):
+    # c06 compares the fuzzy verdict with the crisp one, which the library
+    # reads off one witness.  Here a literal scan, sharing no code with the
+    # library, searches fuzzy probes (P, nu) with nu over {0, 1/2, 1} passing
+    # the inequality for two fuzzy homs into (S, mu) that f joins.  Cases:
+    # every hom of size <= 2, also with zero at index 1, and every source
+    # membership on that grid that passes the inequality; all at probe bound
+    # 2 and a seeded sample at bound 3.
+    grid = (ZERO, Fraction(1, 2), Fraction(1))
+    models = {k: enumerate_hyper_bck(k, up_to_iso=True).models for k in (1, 2, 3)}
+    moved = [zero_moved_to(alg, 1) if alg.size == 2 else alg for alg in corpus_le2]
+    cases = []
+    for le2 in (corpus_le2, moved):
+        for src_alg in le2:
+            labels, _, table = naive.table_of(src_alg)
+            for mu in iprod(grid, repeat=src_alg.size):
+                if naive.fuzzy_ok(labels, table, dict(zip(labels, mu))):
+                    for dst_alg in le2:
+                        cases += [(h, mu) for h in enumerate_homs(src_alg, dst_alg)]
+    sampled = random.Random(6).sample(cases, 12)
+    mono = 0
+    for bound, batch in ((2, cases), (3, sampled)):
+        flat = [p for k in range(1, bound + 1) for p in models[k]]
+        probes = [naive.table_of(p) for p in flat]
+        for h, mu in batch:
+            src = FuzzyHyperBCK(h.source, mu)
+            verdict = check_mono_equivalence(h, src, zero_mu(h.target), probe_size_bound=bound)
+            source = naive.table_of(h.source)
+            want = naive.fuzzy_mono_witness(
+                probes,
+                grid,
+                source,
+                dict(zip(source[0], mu)),
+                {lab: h.target.carrier.labels[v] for lab, v in zip(source[0], h.mapping)},
+            )
+            assert verdict.fuzzy_mono == (want is None)
+            if want is not None:
+                p, q = verdict.fuzzy_witness
+                assert (p.source, p.mapping, q.mapping) == (flat[want[0]], *want[2:])
+            mono += verdict.fuzzy_mono
+    assert len(cases) == 2 * 537 and 0 < mono < len(cases) + len(sampled)
 
 
 # --- criterion 7: products -----------------------------------------------------

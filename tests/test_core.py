@@ -34,6 +34,8 @@ from hyperbck import (
 from hyperbck import corpus
 from hyperbck.core import (
     AXIOM_CHECK_BOUND,
+    HK2_PLAN_BOUND,
+    RESTRICTIONS_KEPT,
     _TABLED_SIZE,
     _hk2_mismatch,
     _hk2_plan,
@@ -173,7 +175,9 @@ def test_every_cache_in_the_package_is_bounded():
         "corpus._corpus",
         "corpus._relabel_plans",
         "corpus._search_tables",
+        "fuzzy._cut_masks",
         "fuzzy._membership_pairs",
+        "fuzzy._membership_verdict",
         "morphisms.enumerate_homs",
         "morphisms._probe_hom_maps",
         "morphisms._probes_by_image",
@@ -504,6 +508,23 @@ def test_hk2_plan_lists_each_instance_once_with_the_zero_row_last(n):
         assert rows == sorted(rows, key=lambda x: x == zero)
 
 
+def test_hk2_plans_held_stay_under_their_instance_bound():
+    # A plan at 32 elements lists 15,872 instances; the cache takes 16 entries,
+    # but 16 such plans would pass the bound on the instances it holds.
+    per_plan = 32 * 32 * 31 // 2
+    assert per_plan * 8 <= HK2_PLAN_BOUND < per_plan * 16
+    _hk2_plan.cache_clear()
+    held = []
+    try:
+        for zero in range(32):
+            plan = _hk2_plan(32, zero)
+            assert len(plan) == per_plan and _hk2_plan(32, zero) is plan  # the newest is kept
+            held.append(_hk2_plan.cache_info().currsize * per_plan)
+    finally:
+        _hk2_plan.cache_clear()
+    assert max(held) <= HK2_PLAN_BOUND and max(held) > per_plan
+
+
 @pytest.mark.parametrize("n", [0, 1, 3, 6, 7, 9])
 def test_mask_ors_matches_a_literal_or_over_the_bits(n):
     rng = random.Random(n)
@@ -586,8 +607,16 @@ def test_restriction_matches_literal_oracle(corpus_le2):
         for mask in range(1, alg.carrier.full_mask + 1):
             subset = frozenset(labels[i] for i in range(alg.size) if mask >> i & 1)
             if not naive.is_subalgebra(table, zero, subset):
+                refusals = []
+                for _ in range(2):  # a refusal is never kept
+                    with pytest.raises(InputError) as refused:
+                        alg.restrict_mask(mask)
+                    refusals.append((refused.value.code, str(refused.value)))
+                assert refusals[0] == refusals[1]
                 continue
             sub = alg.restrict_mask(mask)
+            again = alg.restrict_mask(mask)
+            assert again is sub or (again == sub and len(alg._restrictions) == RESTRICTIONS_KEPT)
             want = naive.restricted_table(labels, zero, table, subset)
             assert (sub.carrier.labels, sub.carrier.zero_label, naive.table_of(sub)[2]) == want
 
@@ -614,6 +643,22 @@ def test_restrict_preserves_label_order(c3):
     assert sub.star("2", "2") == {"1", "2"}
     with pytest.raises(InputError, match="not a subalgebra"):
         c3.restrict({"2", "3"})
+
+
+def test_restrictions_kept_stop_at_their_bound():
+    # Every mask holding the zero of a six-element table of zero cells is
+    # closed: 31 proper subalgebras, more than an algebra keeps.
+    labels = tuple("Oabcde")
+    alg = HyperBCK(Carrier(labels, 0), (1,) * 36)
+    masks = range(1, 63, 2)
+    first = [alg.restrict_mask(m) for m in masks]
+    assert len(alg._restrictions) == RESTRICTIONS_KEPT < len(masks)
+    for m, sub in zip(masks, first):
+        again = alg.restrict_mask(m)
+        assert (again is sub) == (m in alg._restrictions) and again == sub
+        assert sub.carrier.labels == tuple(labels[i] for i in iter_bits(m))
+    fresh = HyperBCK(Carrier(labels, 0), (1,) * 36)
+    assert (alg, hash(alg), repr(alg)) == (fresh, hash(fresh), repr(fresh))
 
 
 def test_restrict_mask_refuses_masks_without_zero_or_not_closed(c3):

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive_oracle as naive
-from conftest import GRID, cut_masks, cuts_at_levels_and_ends, grid_assignments
+from conftest import GRID, cut_masks, cuts_at_levels_and_ends, grid_assignments, zero_moved_to
 from hyperbck import (
+    Carrier,
     FuzzyHyperBCK,
+    HyperBCK,
     InputError,
     check_collapse_properties,
     equals_some_alpha_cut,
@@ -364,6 +366,24 @@ def test_degrees_are_stored_as_fractions_and_fractions_are_kept():
     assert format_fuzzy(from_ints.mu[1]) == "0"
     half = Fraction(1, 2)
     assert FuzzyHyperBCK(c2.alg, (1, half)).mu[1] is half
+
+
+def test_reports_read_from_warm_verdicts_match_the_literal_report(corpus_le2, corpus3):
+    # Assignments sharing a weak order read the verdict an earlier one cached,
+    # so every assignment is checked, not the first per order; zero-moved
+    # copies, and each table again under every other zero with the same ranks,
+    # must not read another zero's answers.
+    algebras = list(corpus_le2) + random.Random(17).sample(list(corpus3), 40)
+    algebras += [zero_moved_to(alg, k) for alg in algebras for k in range(1, alg.size)]
+    checked = 0
+    for alg in algebras:
+        at_zero = [HyperBCK(Carrier(alg.carrier.labels, z), alg.table) for z in range(alg.size)]
+        for fz in grid_assignments(alg):
+            for other in at_zero:
+                moved = FuzzyHyperBCK._trusted(other, fz.mu, fz._ranks())
+                assert _report_of(moved) == _literal_report(other, fz.mu)
+                checked += 1
+    assert checked > 7_000
 
 
 def _structures_with_repeated_and_varied_levels(corpus_le2, corpus3, chains):
