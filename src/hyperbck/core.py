@@ -16,13 +16,14 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import add, mul, or_
+from operator import add, itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 PRODUCT_BOUND = 256  # the largest carrier built: 65,536 cells, the square of the carrier
 AXIOM_CHECK_BOUND = 64  # its HK2 plan holds n*n*(n-1)/2 = 129,024 instances, about 21 MiB
 HK2_PLAN_BOUND = 1 << 17  # instances the cached HK2 plans hold at once: one plan at 64 and more
 RESTRICTIONS_KEPT = 16  # restrictions one algebra keeps; n elements have up to 2**(n-1) subalgebras
+FINDINGS_KEPT = 1 << 12  # violations the reports share, over all label sets together
 
 
 class InputError(ValueError):
@@ -438,8 +439,9 @@ def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) 
                     yield "HK4", (x, y), 1 << x, 1 << y
 
 
-# The report sorts by group, then indices, then HK2 before HK1 at a shared triple.
-_REPORT_GROUP = {"HK2": 0, "HK1": 0, "HK3": 1, "HK4": 2}
+# label tuple -> failure item -> its Violation, shared by every report on those labels
+_findings: dict[tuple[str, ...], dict[tuple, Violation]] = {}
+_findings_kept = [0]  # entries over all label sets, at most FINDINGS_KEPT
 
 
 def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> ValidationReport:
@@ -452,13 +454,24 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
     ``strict_antisymmetry`` additionally checks HK4: x<y and y<x imply x=y,
     which some formulations include and this one omits by default.
     Violations come per triple (x, y, z), HK2 before HK1; then HK3 per x;
-    then HK4 per pair.
+    then HK4 per pair.  A violation's witness and text depend only on the
+    labels and the failure item, so each distinct one is built once and
+    shared by later reports.  The store stops adding at ``FINDINGS_KEPT``
+    entries, and the next report empties it before it starts.
     """
     c = alg.carrier
-    failures = sorted(
-        _hk_failures(len(c), alg.zero, alg.table, strict_antisymmetry),
-        key=lambda item: (_REPORT_GROUP[item[0]], item[1], item[0] == "HK1"),
-    )
+    failures = list(_hk_failures(len(c), alg.zero, alg.table, strict_antisymmetry))
+    # The triples lead, all HK2 before any HK1, and HK3 and HK4 follow in report order:
+    # a stable sort of the triples by indices puts HK2 before HK1 at a shared triple.
+    k = len(failures)
+    while k and len(failures[k - 1][1]) < 3:
+        k -= 1
+    failures[:k] = sorted(failures[:k], key=itemgetter(1))
+    labels = c.labels
+    if _findings_kept[0] >= FINDINGS_KEPT:  # full: start again, as the cached HK2 plans do
+        _findings.clear()
+        _findings_kept[0] = 0
+    store = _findings.get(labels, {})
     shown: dict[int, str] = {}
 
     def show(mask: int) -> str:
@@ -468,16 +481,24 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
         return text
 
     violations = []
-    for axiom, indices, lhs, rhs in failures:
-        if axiom == "HK1":
-            detail = f"(x*z)*(y*z) = {show(lhs)} is not below x*y = {show(rhs)}"
-        elif axiom == "HK2":
-            detail = f"(x*y)*z = {show(lhs)} but (x*z)*y = {show(rhs)}"
-        elif axiom == "HK3":
-            detail = f"{c.labels[lhs.bit_length() - 1]} in x*H but not below x"
-        else:
-            detail = "x<y and y<x with x != y"
-        violations.append(Violation(axiom, tuple(map(c.labels.__getitem__, indices)), detail))
+    for item in failures:
+        v = store.get(item)
+        if v is None:
+            axiom, indices, lhs, rhs = item
+            if axiom == "HK1":
+                detail = f"(x*z)*(y*z) = {show(lhs)} is not below x*y = {show(rhs)}"
+            elif axiom == "HK2":
+                detail = f"(x*y)*z = {show(lhs)} but (x*z)*y = {show(rhs)}"
+            elif axiom == "HK3":
+                detail = f"{labels[lhs.bit_length() - 1]} in x*H but not below x"
+            else:
+                detail = "x<y and y<x with x != y"
+            v = Violation(axiom, tuple(map(labels.__getitem__, indices)), detail)
+            if _findings_kept[0] < FINDINGS_KEPT:
+                _findings[labels] = store
+                store[item] = v
+                _findings_kept[0] += 1
+        violations.append(v)
     return ValidationReport(not violations, tuple(violations))
 
 

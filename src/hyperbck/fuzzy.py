@@ -244,8 +244,8 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
     alg = fz.alg
     labels = alg.carrier.labels
     ranks = fz._ranks()
-    failures, zero_max, _, _ = _membership_verdict(alg.table, alg.zero, ranks)
-    degree = dict(zip(ranks, fz.mu))
+    failures, zero_max, monotone, constant = _membership_verdict(alg.table, alg.zero, ranks)
+    degree = dict(zip(ranks, fz.mu)) if failures else {}
     violations = [
         Violation(
             "MU",
@@ -254,26 +254,9 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
         )
         for x, y, got, bound in failures
     ]
-
-    info = [InfoCheck("zero-max", zero_max, f"mu at zero is {format_fuzzy(fz.mu[alg.zero])}")]
-    collapse = check_collapse_properties(fz)
-    if collapse.monotone_applies:
-        info.append(
-            InfoCheck(
-                "collapse-monotone",
-                bool(collapse.constant_holds),
-                "order-monotone mu must be constant",
-            )
-        )
-    if collapse.zero_applies:
-        info.append(
-            InfoCheck(
-                "collapse-zero",
-                bool(collapse.vanishes_holds),
-                "mu(zero) = 0 must force mu = 0",
-            )
-        )
-    return ValidationReport(not violations, tuple(violations), tuple(info))
+    top = fz.mu[alg.zero]
+    info = _info_checks(zero_max, top, _collapse_verdict(monotone, constant, top == ZERO))
+    return ValidationReport(not violations, tuple(violations), info)
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,6 +275,30 @@ class CollapseVerdict:
     vanishes_holds: bool | None
 
 
+@lru_cache(maxsize=8)  # one verdict per value of its three booleans
+def _collapse_verdict(monotone: bool, constant: bool, zero_applies: bool) -> CollapseVerdict:
+    # both conclusions say that mu is constant: at mu(zero), or at 0 = mu(zero)
+    return CollapseVerdict(
+        monotone, constant if monotone else None, zero_applies, constant if zero_applies else None
+    )
+
+
+@lru_cache(maxsize=1 << 8)
+def _info_checks(zero_max: bool, top: Fraction, collapse: CollapseVerdict) -> tuple[InfoCheck, ...]:
+    """The informational checks of a membership report, from mu(zero) and what it reads of mu.
+
+    Cached on that key, since reports over many structures share few of them.
+    """
+    info = [InfoCheck("zero-max", zero_max, f"mu at zero is {format_fuzzy(top)}")]
+    if collapse.monotone_applies:
+        constant = collapse.constant_holds
+        info.append(InfoCheck("collapse-monotone", constant, "order-monotone mu must be constant"))
+    if collapse.zero_applies:
+        vanishes = collapse.vanishes_holds
+        info.append(InfoCheck("collapse-zero", vanishes, "mu(zero) = 0 must force mu = 0"))
+    return tuple(info)
+
+
 def check_collapse_properties(fz: FuzzyHyperBCK) -> CollapseVerdict:
     """Which collapse hypotheses hold for ``fz``, and whether mu is then constant.
 
@@ -301,11 +308,7 @@ def check_collapse_properties(fz: FuzzyHyperBCK) -> CollapseVerdict:
     """
     alg = fz.alg
     _, _, monotone, constant = _membership_verdict(alg.table, alg.zero, fz._ranks())
-    # both conclusions say that mu is constant: at mu(zero), or at 0 = mu(zero)
-    zero_applies = fz.mu[alg.zero] == ZERO
-    return CollapseVerdict(
-        monotone, constant if monotone else None, zero_applies, constant if zero_applies else None
-    )
+    return _collapse_verdict(monotone, constant, fz.mu[alg.zero] == ZERO)
 
 
 @dataclass(frozen=True, slots=True)

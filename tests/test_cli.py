@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -320,6 +322,65 @@ def test_output_bytes_deterministic(capsys, chain3_path):
     main(["verify", chain3_path])
     second = capsys.readouterr().out
     assert first == second
+
+
+def _seeded_size3_documents(corpus3, count=40):
+    """Seeded size-3 documents under three label sets, the zero anywhere: random tables and
+    corpus models, three in four with a membership block over {0, 1/2, 1}."""
+    rng = random.Random(20261019)
+    docs = []
+    for i in range(count):
+        labels = rng.choice([("0", "1", "2"), ("x", "y", "z"), ("O", "a", "b")])
+        if i % 2:
+            masks = rng.choice(corpus3.models).table
+        else:
+            masks = [rng.randrange(1, 8) for _ in range(9)]
+        doc = {
+            "carrier": list(labels),
+            "zero": rng.choice(labels),
+            "table": {
+                f"{labels[p // 3]},{labels[p % 3]}": [labels[t] for t in range(3) if m >> t & 1]
+                for p, m in enumerate(masks)
+            },
+        }
+        if i % 4 != 3:
+            doc["mu"] = {lab: rng.choice(["0", "1/2", "1"]) for lab in labels}
+        docs.append(doc)
+    return docs
+
+
+def _verify_digest(capsys, argvs) -> tuple[list[int], str]:
+    codes, digest = [], hashlib.sha256()
+    for argv in argvs:
+        codes.append(main(argv))
+        digest.update(capsys.readouterr().out.encode())
+    return codes, digest.hexdigest()
+
+
+def test_verify_output_is_frozen_on_seeded_size3_documents(capsys, tmp_path, corpus3):
+    argvs = []
+    for i, doc in enumerate(_seeded_size3_documents(corpus3)):
+        path = tmp_path / f"d{i}.json"
+        path.write_text(json.dumps(doc))
+        argvs.append(["verify", *["--strict-hk4"] * (i % 4 < 2), str(path)])
+    codes, digest = _verify_digest(capsys, argvs)
+    assert "".join(map(str, codes)) == "1111111111111111111011101111111011111111"
+    assert digest == "46cac74ad7e50481b62088415036e69a4e6fbdcc0d35babd4f9b13b34c093127"
+
+
+def test_verify_output_is_frozen_on_the_product_of_two_4_chains(capsys, tmp_path):
+    chain = tmp_path / "c4.json"
+    main(["example", "--chain", "4"])
+    chain.write_text(capsys.readouterr().out)
+    main(["product", str(chain), str(chain)])
+    record = json.loads(capsys.readouterr().out)
+    path = tmp_path / "p16.json"
+    path.write_text(json.dumps(record["object"]))
+    assert len(record["object"]["carrier"]) == 16
+    argvs = [["verify", str(path)], ["verify", "--strict-hk4", str(path)]]
+    codes, digest = _verify_digest(capsys, argvs)
+    assert codes == [1, 1]
+    assert digest == "214927053c15f49adebb190dda55a1dc062c5316c9510d9e61b02ba2b1326165"
 
 
 _C2 = structure_to_dict(chain_example(2))

@@ -31,9 +31,10 @@ from hyperbck import (
     trivial_algebra,
     validate_hyper_bck,
 )
-from hyperbck import corpus
+from hyperbck import core, corpus
 from hyperbck.core import (
     AXIOM_CHECK_BOUND,
+    FINDINGS_KEPT,
     HK2_PLAN_BOUND,
     RESTRICTIONS_KEPT,
     _TABLED_SIZE,
@@ -175,7 +176,9 @@ def test_every_cache_in_the_package_is_bounded():
         "corpus._corpus",
         "corpus._relabel_plans",
         "corpus._search_tables",
+        "fuzzy._collapse_verdict",
         "fuzzy._cut_masks",
+        "fuzzy._info_checks",
         "fuzzy._membership_pairs",
         "fuzzy._membership_verdict",
         "morphisms.enumerate_homs",
@@ -387,6 +390,80 @@ def test_a_nine_element_product_with_zero_moved_matches_literal_oracle(corpus3):
             assert any(v.axiom == "HK1" for v in report.violations)
             _assert_report_matches_oracle(moved, report, strict)
             assert hk_axioms_hold(moved, strict_antisymmetry=strict) == report.passed
+
+
+def _literal_detail(oracle, axiom, witness):
+    """A violation's text as the literal oracle spells it, for every axiom."""
+    labels, zero, table = oracle
+    if axiom in _SIDES_DETAIL:
+        lhs, rhs = naive.hk_sides(table, axiom, witness)
+        return _SIDES_DETAIL[axiom].format(sorted(lhs), sorted(rhs))
+    if axiom == "HK3":
+        (x,) = witness
+        image = naive.set_star(table, frozenset({x}), frozenset(labels))
+        stray = next(t for t in labels if t in image and not naive.less(table, zero, t, x))
+        return f"{stray} in x*H but not below x"
+    return "x<y and y<x with x != y"
+
+
+def _empty_findings():
+    core._findings.clear()
+    core._findings_kept[0] = 0
+
+
+def test_shared_findings_are_keyed_by_the_labels(corpus3):
+    # The same tables under three label sets and every zero, interleaved, twice:
+    # the second round reads every violation the first one built.
+    rng = random.Random(20261020)
+    tables = [tuple(rng.randrange(1, 8) for _ in range(9)) for _ in range(60)]
+    for alg in rng.sample(list(corpus3), 30):
+        table = list(alg.table)
+        table[rng.randrange(9)] = rng.randrange(1, 8)
+        tables.append(tuple(table))
+    label_sets = [("0", "1", "2"), ("x", "y", "z"), ("O", "a", "b")]
+    _empty_findings()
+    axioms = set()
+    for _ in range(2):
+        for masks in tables:
+            for zero in range(3):
+                for labels in label_sets:
+                    alg = HyperBCK(Carrier(labels, zero), masks)
+                    report = validate_hyper_bck(alg, strict_antisymmetry=True)
+                    oracle = naive.table_of(alg)
+                    assert [(v.axiom, v.witness) for v in report.violations] == naive.hk_failures(
+                        *oracle, True
+                    )
+                    for v in report.violations:
+                        assert v.detail == _literal_detail(oracle, v.axiom, v.witness)
+                        fresh = Violation(v.axiom, v.witness, v.detail)
+                        assert (v, hash(v), repr(v)) == (fresh, hash(fresh), repr(fresh))
+                        axioms.add(v.axiom)
+                again = validate_hyper_bck(alg, strict_antisymmetry=True)
+                assert again == report
+                assert all(a is b for a, b in zip(again.violations, report.violations))
+    assert axioms == {"HK1", "HK2", "HK3", "HK4"}
+    assert 0 < core._findings_kept[0] < FINDINGS_KEPT
+    assert sorted(core._findings) == sorted(label_sets)
+
+
+def test_findings_kept_stop_at_their_bound():
+    """The 64-element product of two 8-chains fails far more instances than are kept."""
+    chain = chain_example(8)
+    alg = product([chain, chain]).object.alg
+    assert alg.size == 64
+    _empty_findings()
+    report = validate_hyper_bck(alg)
+    assert len(report.violations) > FINDINGS_KEPT
+    kept = sum(map(len, core._findings.values()))
+    assert kept == core._findings_kept[0] == FINDINGS_KEPT
+    # a full store is emptied before the next report, which then keeps its own findings
+    small = HyperBCK(Carrier(("p", "q", "r"), 1), (7, 1, 2, 4, 4, 1, 3, 6, 5))
+    small_report = validate_hyper_bck(small, strict_antisymmetry=True)
+    _assert_report_matches_oracle(small, small_report, True)
+    assert list(core._findings) == [small.carrier.labels]
+    assert core._findings_kept[0] == len(set(small_report.violations)) > 0
+    assert validate_hyper_bck(alg) == report
+    assert sum(map(len, core._findings.values())) == core._findings_kept[0] == FINDINGS_KEPT
 
 
 def test_axiom_checks_refuse_carriers_past_the_bound():
