@@ -128,19 +128,24 @@ class FuzzyHyperBCK:
     def mu_of(self, label: str) -> Fraction:
         return self.mu[self.alg.carrier.index(label)]
 
-    def _cuts(self) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-        """The sorted levels, and the cut mask at each followed by the empty one past the top."""
+    def _cuts(self) -> tuple[tuple[Fraction, ...], tuple[int, ...], dict[int, int]]:
+        """The sorted levels, the cut mask at each followed by the empty one past the top,
+        and the cut at each level by the level object's ``id``."""
         if self._cut_cache is None:
             ranks = self._ranks()
             order, cuts = _cut_masks(ranks)
             by_rank = dict(zip(ranks, self.mu))
-            object.__setattr__(self, "_cut_cache", (tuple(map(by_rank.__getitem__, order)), cuts))
+            levels = tuple(map(by_rank.__getitem__, order))
+            at = {id(a): c for a, c in zip(levels, cuts)}  # the levels tuple keeps each id live
+            object.__setattr__(self, "_cut_cache", (levels, cuts, at))
         return self._cut_cache
 
     def alpha_cut_mask(self, alpha: Fraction) -> int:
-        """The mask of ``{x : mu(x) >= alpha}``: the cut at the first level not below alpha."""
-        levels, cuts = self._cuts()
-        return cuts[bisect_left(levels, alpha)]
+        """The mask of ``{x : mu(x) >= alpha}``: the cut at the first level not below alpha.
+        One of this structure's own level objects reads its cut without comparing degrees."""
+        levels, cuts, at = self._cuts()
+        cut = at.get(id(alpha))
+        return cuts[bisect_left(levels, alpha)] if cut is None else cut
 
     def alpha_cut(self, alpha: int | str | Fraction) -> frozenset[str]:
         """The level set ``{x : mu(x) >= alpha}``; may be empty for high alpha."""

@@ -18,9 +18,11 @@ membership values all round-trip.  No floating point anywhere.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
+from operator import add
 from typing import Any, Callable
 
-from .core import HyperBCK, InputError, iter_bits
+from .core import Carrier, HyperBCK, InputError, iter_bits
 from .fuzzy import FuzzyHyperBCK, format_fuzzy
 from .morphisms import Hom
 
@@ -33,6 +35,9 @@ class FormatError(InputError):
 
 
 Structure = HyperBCK | FuzzyHyperBCK
+
+_COMPACT = (",", ":")
+RENDER_TEXTS_KEPT = 1 << 17  # key and cell texts the render pieces hold: 65,536 keys at 256 elements
 
 
 def _expect(cond: bool, code: str, location: str, message: str) -> None:
@@ -109,11 +114,62 @@ def parse_structure(text: str, source: str | None = None) -> Structure:
     return structure_from_dict(_load_json(text, source))
 
 
+class _CellTexts(dict):
+    """The JSON text of each cell's label list by mask, kept on first use while the render
+    pieces hold fewer than ``RENDER_TEXTS_KEPT`` texts."""
+
+    def __init__(self, labels: tuple[str, ...]):
+        super().__init__()
+        self.labels = labels
+
+    def __missing__(self, mask: int) -> str:
+        text = json.dumps([self.labels[t] for t in iter_bits(mask)], separators=_COMPACT)
+        if _texts_held[0] < RENDER_TEXTS_KEPT:
+            _texts_held[0] += 1
+            self[mask] = text
+        return text
+
+
+_texts_held = [0]  # texts in the pieces built since the cache was last emptied
+
+
+@lru_cache(maxsize=16)
+def _render_pieces(carrier: Carrier) -> tuple[str, list[str], _CellTexts]:
+    """The head text up to the table's brace, the ``"x,y":`` key text of each cell in table
+    order, and the cell texts of compact documents on ``carrier``.
+
+    Each piece is ``json.dumps`` of the value ``structure_to_dict`` puts there, so the
+    escapes match.  The cache holds at most ``RENDER_TEXTS_KEPT`` texts: a carrier that
+    would pass it empties the cache first, as ``core._hk2_plan`` does.
+    """
+    labels = carrier.labels
+    _comma_free(labels, "carrier")
+    cells = len(labels) ** 2
+    if _texts_held[0] + cells > RENDER_TEXTS_KEPT:
+        _render_pieces.cache_clear()
+        _texts_held[0] = 0
+    _texts_held[0] += cells
+    carrier_text = json.dumps(list(labels), separators=_COMPACT)
+    head = f'{{"carrier":{carrier_text},"zero":{json.dumps(carrier.zero_label)},"table":{{'
+    keys = [json.dumps(f"{x},{y}") + ":" for x in labels for y in labels]
+    return head, keys, _CellTexts(labels)
+
+
 def render_structure(obj: Structure, pretty: bool = False) -> str:
-    doc = structure_to_dict(obj)
+    """The document text of ``obj``: ``json.dumps`` of :func:`structure_to_dict`, compact
+    unless ``pretty``.  Compact text is joined from pieces built once per carrier."""
     if pretty:
-        return json.dumps(doc, indent=2) + "\n"
-    return json.dumps(doc, separators=(",", ":"))
+        return json.dumps(structure_to_dict(obj), indent=2) + "\n"
+    alg = obj.alg if isinstance(obj, FuzzyHyperBCK) else obj
+    carrier = alg.carrier
+    if len(carrier) ** 2 > RENDER_TEXTS_KEPT:  # too many cells to keep the pieces of
+        return json.dumps(structure_to_dict(obj), separators=_COMPACT)
+    head, keys, cells = _render_pieces(carrier)
+    text = head + ",".join(map(add, keys, map(cells.__getitem__, alg.table))) + "}"
+    if isinstance(obj, FuzzyHyperBCK):
+        mu = {lab: format_fuzzy(v) for lab, v in zip(carrier.labels, obj.mu)}
+        text += ',"mu":' + json.dumps(mu, separators=_COMPACT)
+    return text + "}"
 
 
 def parse_hom_document(

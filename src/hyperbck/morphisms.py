@@ -168,7 +168,7 @@ def fuzzy_hom_via_cuts(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
     on every input.
     """
     _require_fuzzy_endpoints(h, src, dst)
-    levels, cuts = src._cuts()
+    levels, cuts, _ = src._cuts()
     return not any(h.image_mask(c) & ~dst.alpha_cut_mask(a) for a, c in zip(levels, cuts))
 
 
@@ -210,18 +210,13 @@ def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
 
 
 @lru_cache(maxsize=64)
-def _probes_by_image(k: int, f: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Positions in the size-k probe corpus, grouped by their table's image under ``f``.
-
-    ``_maps_cells`` reads a probe only through that image table and its zero
-    (index 0 in the corpus), so the probes of one group share the verdict
-    of ``f`` into any target.  Groups come in order of their first position.
-    """
+def _probes_by_image(k: int, f: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Positions in the size-k probe corpus by their table's image under ``f``, in corpus order."""
     img = _image_masks(f)
     groups: dict[tuple[int, ...], list[int]] = {}
     for pos, probe in enumerate(enumerate_hyper_bck(k, up_to_iso=True)):
         groups.setdefault(tuple(map(img.__getitem__, probe.table)), []).append(pos)
-    return tuple(tuple(g) for g in groups.values())
+    return {image: tuple(g) for image, g in groups.items()}
 
 
 @lru_cache(maxsize=64)
@@ -230,16 +225,22 @@ def _probe_hom_maps(
 ) -> tuple[tuple[HyperBCK, tuple[tuple[int, ...], ...]], ...]:
     """``(probe, mappings)`` for the size-k probes with at least two homs into ``target``.
 
-    Probes come in corpus order and their hom mappings in lexicographic
-    order; a probe with fewer than two homs cannot hold a parallel pair.
+    Every probe has its zero at index 0, so a map f with ``f(0)`` the target's
+    zero is a hom exactly when the probe's table has the image
+    ``(T[f(x)*m + f(y)] for x, y)`` under f, T the target's table and m its
+    size: that is the hom equation over the whole table.  So the probes f maps
+    homomorphically are one group of :func:`_probes_by_image`, found by one
+    lookup.  Probes come in corpus order and their hom mappings in
+    lexicographic order; a probe with fewer than two homs cannot hold a
+    parallel pair.
     """
     probes = enumerate_hyper_bck(k, up_to_iso=True).models
+    m, table = len(target.carrier), target.table
     maps: list[list[tuple[int, ...]]] = [[] for _ in probes]
-    for f in _zero_fixing_maps(k, 0, len(target.carrier), target.zero):
-        for group in _probes_by_image(k, f):
-            if _maps_cells(probes[group[0]], target, f):
-                for pos in group:
-                    maps[pos].append(f)
+    for f in _zero_fixing_maps(k, 0, m, target.zero):
+        image = tuple(table[fx * m + fy] for fx in f for fy in f)
+        for pos in _probes_by_image(k, f).get(image, ()):
+            maps[pos].append(f)
     return tuple((probes[pos], tuple(ms)) for pos, ms in enumerate(maps) if len(ms) > 1)
 
 
@@ -289,8 +290,8 @@ def check_mono_equivalence(
     probe, the pointwise minimum of mu along p and q makes both maps fuzzy
     homs, since mu(p t) >= min(mu(p t), mu(q t)), so no grid scan is
     needed.  The lift is still checked with :func:`is_fuzzy_hom`.  The probe
-    homs are tabled once per source and probe size, and probes whose tables
-    share an image under a map share its hom verdict.
+    homs are tabled once per source and probe size, and the probes a map
+    sends homomorphically come from one lookup of its image table.
     """
     _require_fuzzy_endpoints(h, src, dst)
     source = h.source

@@ -587,3 +587,25 @@ def test_endpoint_mismatches_are_coded_at_the_second_morphism(capsys, tmp_path):
             {"record": "input-error", "message": message, "code": "endpoint-mismatch",
              "location": where}
         ]
+
+
+# stdout sha256 of the document commands, computed before the render pieces were cached
+_FROZEN_DOCUMENT_DIGESTS = {
+    "enumerate --size 1": "eb0c451a9565112affd4de9517853c4573a15cef59473da9c0a0deeca5c7a0c7",
+    "enumerate --size 1 --up-to-iso": "eb0c451a9565112affd4de9517853c4573a15cef59473da9c0a0deeca5c7a0c7",
+    "enumerate --size 2": "a6095107e4ed4fbac32e49f4ca534de85471a1ec1c76baf7475e5abe44b4121a",
+    "enumerate --size 2 --up-to-iso": "a6095107e4ed4fbac32e49f4ca534de85471a1ec1c76baf7475e5abe44b4121a",
+    "enumerate --size 3": "51ff3556ab20c671ce3af104a34470da8e4a772cb36c59f25f166fe0b4f0ee39",
+    "enumerate --size 3 --up-to-iso": "30a359b993738d919368ab70f039dcf5103b5a758ebe2e2e7ddffec1d122428d",
+    "example --chain 1": "b205b9202d659c8161895d0ba878374d42614c4e1848b5bc1bdd997872d9b784",
+    "example --chain 2": "d39bbfcc911dd99b9f680ba7bcc3dde4c78ee5af7f0ee5644a2958210ed5a824",
+    "example --chain 3": "0c0d2f4a971135a9afa6b568996af1e76ee1856cc50562c66fe3681ae0102e10",
+    "example --chain 4": "e550145ae48cafee314084301b658b4bf7dde469dc57f1cf290b2e7ab416692c",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FROZEN_DOCUMENT_DIGESTS))
+def test_document_commands_print_frozen_bytes(capsys, command):
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _FROZEN_DOCUMENT_DIGESTS[command]

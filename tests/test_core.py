@@ -181,6 +181,7 @@ def test_every_cache_in_the_package_is_bounded():
         "fuzzy._info_checks",
         "fuzzy._membership_pairs",
         "fuzzy._membership_verdict",
+        "io._render_pieces",
         "morphisms.enumerate_homs",
         "morphisms._probe_hom_maps",
         "morphisms._probes_by_image",

@@ -407,6 +407,25 @@ def test_alpha_cut_mask_is_the_literal_level_set(corpus_le2, corpus3, chains):
                 assert fz.alpha_cut(alpha) == {x for x in labels if fz.mu_of(x) >= alpha}
 
 
+def test_alpha_cut_mask_at_level_objects_and_other_values_is_the_literal_level_set(
+    corpus_le2, corpus3, chains
+):
+    # a level object reads its cut by identity; an equal copy and any other value bisect
+    structures = _structures_with_repeated_and_varied_levels(corpus_le2, corpus3, chains)
+    for fz in structures + [  # equal degrees held by distinct objects: one of them is the level
+        FuzzyHyperBCK(fz.alg, tuple(Fraction(v.numerator, v.denominator) for v in fz.mu))
+        for fz in structures[::7]
+    ]:
+        levels = fz.cut_levels()
+        copies = [Fraction(a.numerator, a.denominator) for a in levels]
+        assert not any(c is a for c, a in zip(copies, levels))
+        between = [(lo + hi) / 2 for lo, hi in zip(levels, levels[1:])]
+        above = levels[-1] + Fraction(1, 7)
+        for alpha in (*levels, *copies, *between, Fraction(0), above, *fz.mu):
+            literal = sum(1 << i for i, v in enumerate(fz.mu) if v >= alpha)
+            assert fz.alpha_cut_mask(alpha) == literal
+
+
 def test_restriction_is_the_whole_structure_or_the_literal_subalgebra(corpus_le2, corpus3, chains):
     for fz in _structures_with_repeated_and_varied_levels(corpus_le2, corpus3, chains):
         labels, zero, table = naive.table_of(fz.alg)

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+import weakref
+from fractions import Fraction
 
 import pytest
 
-from hyperbck import FuzzyHyperBCK, HyperBCK, InputError
+from conftest import grid_assignments, zero_moved_to
+import hyperbck.io as library_io
+from hyperbck import Carrier, FuzzyHyperBCK, HyperBCK, InputError
 from hyperbck.category import product
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.io import (
@@ -211,3 +216,88 @@ def test_round_trip_of_the_largest_product():
     obj = product([c16, c16]).object
     back = parse_structure(render_structure(obj))
     assert back == obj and back.alg.carrier.labels == obj.alg.carrier.labels
+
+
+def _assert_text_is_the_dict_encoding(obj):
+    doc = structure_to_dict(obj)
+    assert render_structure(obj) == json.dumps(doc, separators=(",", ":"))
+    assert render_structure(obj, pretty=True) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_compact_text_is_the_dict_encoding_on_the_corpus(corpus1, corpus2, corpus3, corpus_le2):
+    for alg in (*corpus1, *corpus2, *corpus3):
+        _assert_text_is_the_dict_encoding(alg)
+    for alg in corpus_le2:
+        for fz in grid_assignments(alg):
+            _assert_text_is_the_dict_encoding(fz)
+        for k in range(1, alg.size):
+            moved = zero_moved_to(alg, k)
+            _assert_text_is_the_dict_encoding(moved)
+            _assert_text_is_the_dict_encoding(FuzzyHyperBCK(moved, (Fraction(1),) * moved.size))
+    for alg in random.Random(19).sample(corpus3.models, 200):
+        for k in (1, 2):
+            _assert_text_is_the_dict_encoding(zero_moved_to(alg, k))
+
+
+def test_compact_text_is_the_dict_encoding_on_chains_and_the_largest_product():
+    for k in range(1, 17):
+        chain = chain_example(k)
+        _assert_text_is_the_dict_encoding(chain)
+        _assert_text_is_the_dict_encoding(chain.alg)
+        if k > 1:
+            _assert_text_is_the_dict_encoding(zero_moved_to(chain.alg, k - 1))
+    c16 = chain_example(16)
+    largest = product([c16, c16]).object
+    assert largest.alg.size == 256
+    _assert_text_is_the_dict_encoding(largest)
+    _assert_text_is_the_dict_encoding(largest.alg)
+
+
+def test_compact_text_escapes_labels_as_the_dict_encoding_does(corpus3_iso):
+    label_sets = [
+        ("\u00e9", "\u2603", "\U0001f600"),
+        ('"', "\\", "\t"),
+        ("a", "\u00e9", '"'),
+        ("\U0001f600", "\t", "a"),
+        ("0", "1", "2"),
+    ]
+    for i, alg in enumerate(corpus3_iso.models[:300]):  # label sets interleaved: warm pieces
+        for labels in label_sets[i % 5 :] + label_sets[: i % 5]:
+            relabeled = HyperBCK(Carrier(labels, i % 3), alg.table)
+            _assert_text_is_the_dict_encoding(relabeled)
+            mu = (Fraction(1), Fraction(1, 3), Fraction(2, 3))
+            _assert_text_is_the_dict_encoding(FuzzyHyperBCK(relabeled, mu))
+            assert parse_structure(render_structure(relabeled)) == relabeled
+    for _ in range(2):  # a refused carrier is refused again, with every other carrier warm
+        with pytest.raises(FormatError) as exc:
+            render_structure(HyperBCK(Carrier(("a", "x,y"), 0), (1, 1, 2, 1)))
+        assert exc.value.code == "label-comma"
+
+
+def _held_texts(pieces: dict) -> int:
+    """Texts held by the cached pieces among ``pieces`` (carrier -> (weakref, key count))."""
+    return sum(keys + len(cells()) for cells, keys in pieces.values() if cells() is not None)
+
+
+def test_render_pieces_stay_within_their_bound():
+    library_io._render_pieces.cache_clear()
+    library_io._texts_held[0] = 0
+    seen = {}
+    chains = [chain_example(k) for k in (256, 254, 200, 150, 256, 100, 181, 3, 2)]
+    small = [HyperBCK(Carrier(tuple(f"{j}.{i}" for i in range(2)), 0), (1, 1, 2, 1)) for j in range(40)]
+    for obj in (*chains, *small, chains[0]):
+        render_structure(obj)
+        carrier = (obj.alg if isinstance(obj, FuzzyHyperBCK) else obj).carrier
+        _, keys, cells = library_io._render_pieces(carrier)  # a hit: the pieces just used
+        seen[carrier] = (weakref.ref(cells), len(keys))
+        assert _held_texts(seen) <= library_io._texts_held[0] <= library_io.RENDER_TEXTS_KEPT
+        info = library_io._render_pieces.cache_info()
+        assert info.currsize <= info.maxsize
+    # a carrier with more cells than the bound renders from pieces that are not kept
+    n = 363
+    assert n * n > library_io.RENDER_TEXTS_KEPT
+    wide = HyperBCK(Carrier(tuple(map(str, range(n))), 0), (1,) * (n * n))
+    before = library_io._render_pieces.cache_info(), library_io._texts_held[0]
+    text = render_structure(wide)
+    assert text == json.dumps(structure_to_dict(wide), separators=(",", ":"))
+    assert (library_io._render_pieces.cache_info(), library_io._texts_held[0]) == before

@@ -272,19 +272,35 @@ def test_the_fuzzy_witness_is_the_crisp_witness(corpus_le2):
     )
 
 
-def test_probe_hom_table_matches_literal_scan(c2, corpus2):
-    # The size-3 table into a size-2 source with zero at index 0 and one with zero at 1.
-    probes = enumerate_hyper_bck(3, up_to_iso=True).models
-    literal = [naive.table_of(p) for p in probes]
-    for source in (c2.alg, zero_moved_to(corpus2.models[0], 1)):
-        target = naive.table_of(source)
-        want = []
-        for probe, table in zip(probes, literal):
-            maps = tuple(naive.hom_maps(table, target))
-            if len(maps) > 1:
-                want.append((probe, maps))
-        assert want
-        assert list(_probe_hom_maps(source, 3)) == want
+def test_probe_hom_table_matches_literal_scan(corpus_le2, corpus3):
+    # each probe in corpus order, each zero-fixing map in lexicographic order, the literal test
+    targets = [chain_example(2).alg, *corpus_le2]
+    targets += [zero_moved_to(alg, k) for alg in corpus_le2 for k in range(1, alg.size)]
+    targets += random.Random(19).sample(corpus3.models, 20)
+    tables = 0  # targets with a probe of two homs or more
+    for k in (1, 2, 3):
+        probes = enumerate_hyper_bck(k, up_to_iso=True).models
+        literal = [naive.table_of(p) for p in probes]
+        for target in targets:
+            dst_labels, dst_zero, dst_table = naive.table_of(target)
+            want, label_maps = [], {}  # the maps as label dicts, once per probe carrier
+            for probe, (labels, zero, table) in zip(probes, literal):
+                if (labels, zero) not in label_maps:
+                    label_maps[labels, zero] = [
+                        (f, dict(zip(labels, map(dst_labels.__getitem__, f))))
+                        for f in product(range(target.size), repeat=k)
+                        if f[labels.index(zero)] == target.zero
+                    ]
+                homs = tuple(
+                    f
+                    for f, label_map in label_maps[labels, zero]
+                    if naive.is_hom(table, zero, labels, dst_table, dst_zero, label_map)
+                )
+                if len(homs) > 1:
+                    want.append((probe, homs))
+            assert list(_probe_hom_maps(target, k)) == want
+            tables += bool(want)
+    assert tables > 0
 
 
 def zero_table_host() -> HyperBCK:
