@@ -37,9 +37,10 @@ from .core import (
     trivial_algebra,
 )
 from .fuzzy import FuzzyHyperBCK
-from .morphisms import Hom, _never_lowers_membership, is_fuzzy_hom, is_hom
+from .morphisms import Hom, _compose, _never_lowers_membership, is_fuzzy_hom, is_hom
 
 CONGRUENCE_BOUND = 5  # Bell(5) = 52 partitions; Bell(n) grows too fast past it
+PRODUCT_CELLS_KEPT = 4 * PRODUCT_BOUND**2  # cells the kept crisp products hold: 11.7 MiB
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,10 +235,21 @@ def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
     return ConstructionResult(obj, named, "product", tuple(factors))
 
 
-@lru_cache(maxsize=16)  # an entry at PRODUCT_BOUND holds about 3.7 MiB: 60 MiB at worst
+_product_cells = [0]  # cells in the crisp products built since the cache was last emptied
+
+
+@lru_cache(maxsize=256)
 def _crisp_product(algs: tuple[HyperBCK, ...]) -> tuple[HyperBCK, tuple[Hom, ...]]:
-    """The product algebra of ``algs`` and its projections, each checked to be a hom."""
+    """The product algebra of ``algs`` and its projections, each checked to be a hom.
+
+    The cache holds at most ``PRODUCT_CELLS_KEPT`` cells: a product that would pass it
+    empties the cache first, as ``core._hk2_plan`` does."""
     tuples = list(iter_product(*(range(len(a.carrier)) for a in algs)))
+    cells = len(tuples) ** 2
+    if _product_cells[0] + cells > PRODUCT_CELLS_KEPT:
+        _crisp_product.cache_clear()
+        _product_cells[0] = 0
+    _product_cells[0] += cells
     labels = tuple("|".join(a.carrier.labels[c] for a, c in zip(algs, t)) for t in tuples)
     projections = [tuple(t[i] for t in tuples) for i in range(len(algs))]
     preimages = [
@@ -280,9 +292,9 @@ def mediate_product(
     projections = [leg.mapping for leg in result.legs.values()]
     position = {t: j for j, t in enumerate(zip(*projections))}
     mapping = tuple(position[t] for t in zip(*(q.mapping for q in cone)))
-    phi = Hom(source.alg, result.object.alg, mapping)
-    for i, q in enumerate(cone):
-        if phi.then(result.legs[f"p{i}"]) != q:
+    phi = Hom._trusted(source.alg, result.object.alg, mapping)
+    for p, q in zip(projections, cone):
+        if _compose(mapping, p) != q.mapping:
             raise ClaimViolation("product-mediator-equations", phi.as_label_map())
     _verify_hom(
         "product-mediator", phi, source, result.object,
@@ -311,7 +323,7 @@ def equalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> Constru
     obj = src.restrict_mask(k_mask)
     include = Hom._trusted(obj.alg, src.alg, iter_bits(k_mask))
     _verify_hom("equalizer-leg", include, obj, src)
-    if include.then(f) != include.then(g):
+    if _compose(include.mapping, f.mapping) != _compose(include.mapping, g.mapping):
         raise ClaimViolation("equalizer-commutes", include.as_label_map())
     return ConstructionResult(obj, {"include": include}, "equalizer", (f, g, src, dst))
 
@@ -356,7 +368,7 @@ def coequalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> Const
     mu = tuple(max(dst.mu[i] for i in block) for block in rho.blocks)
     obj = FuzzyHyperBCK(q_alg, mu)
     _verify_hom("coequalizer-leg", project, dst, obj)
-    if f.then(project) != g.then(project):
+    if _compose(f.mapping, project.mapping) != _compose(g.mapping, project.mapping):
         raise ClaimViolation("coequalizer-commutes", project.as_label_map())
     return ConstructionResult(
         obj, {"project": project}, "coequalizer", (f, g, src, dst), congruence=rho
@@ -374,7 +386,7 @@ def mediate_coequalizer(result: ConstructionResult, target: FuzzyHyperBCK, phi: 
         raise InputError("mediate_coequalizer needs a coequalizer construction result")
     f, g, _src, dst = result.inputs
     _require_fuzzy_homs("map must be a fuzzy homomorphism", (phi, dst, target))
-    if f.then(phi) != g.then(phi):
+    if _compose(f.mapping, phi.mapping) != _compose(g.mapping, phi.mapping):
         raise InputError("map does not coequalize the parallel pair")
 
     rho = result.congruence
@@ -389,9 +401,9 @@ def mediate_coequalizer(result: ConstructionResult, target: FuzzyHyperBCK, phi: 
                 "it cannot factor through the canonical surjection",
             )
         mapping.append(images.pop())
-    psi = Hom(result.object.alg, target.alg, mapping)
+    psi = Hom._trusted(result.object.alg, target.alg, tuple(mapping))
     project = result.legs["project"]
-    if project.then(psi) != phi:
+    if _compose(project.mapping, psi.mapping) != phi.mapping:
         raise ClaimViolation("coequalizer-mediator-equation", psi.as_label_map())
     _verify_hom("coequalizer-mediator", psi, result.object, target)
     return psi
@@ -415,6 +427,6 @@ def pullback(
     obj = eq.object
     _verify_hom("pullback-leg", to_a, obj, a)
     _verify_hom("pullback-leg", to_b, obj, b)
-    if to_a.then(f) != to_b.then(g):
+    if _compose(to_a.mapping, f.mapping) != _compose(to_b.mapping, g.mapping):
         raise ClaimViolation("pullback-commutes", to_a.as_label_map())
     return ConstructionResult(obj, {"to_a": to_a, "to_b": to_b}, "pullback", (f, g, a, b, c))

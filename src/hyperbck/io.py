@@ -37,6 +37,7 @@ class FormatError(InputError):
 Structure = HyperBCK | FuzzyHyperBCK
 
 _COMPACT = (",", ":")
+_LAYOUT = {False: ("", "", ":"), True: ("\n  ", "\n    ", ": ")}  # breaks at depth 1, 2; colon
 RENDER_TEXTS_KEPT = 1 << 17  # key and cell texts the render pieces hold: 65,536 keys at 256 elements
 
 
@@ -114,16 +115,24 @@ def parse_structure(text: str, source: str | None = None) -> Structure:
     return structure_from_dict(_load_json(text, source))
 
 
+def _dumps(value: Any, pretty: bool, depth: int = 0) -> str:
+    """``json.dumps`` of ``value`` as it reads at ``depth`` in a document, compact unless
+    ``pretty``: indented by 2, its inner lines shifted by the depth's indent."""
+    if not pretty:
+        return json.dumps(value, separators=_COMPACT)
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
 class _CellTexts(dict):
     """The JSON text of each cell's label list by mask, kept on first use while the render
     pieces hold fewer than ``RENDER_TEXTS_KEPT`` texts."""
 
-    def __init__(self, labels: tuple[str, ...]):
+    def __init__(self, labels: tuple[str, ...], pretty: bool):
         super().__init__()
-        self.labels = labels
+        self.labels, self.pretty = labels, pretty
 
     def __missing__(self, mask: int) -> str:
-        text = json.dumps([self.labels[t] for t in iter_bits(mask)], separators=_COMPACT)
+        text = _dumps([self.labels[t] for t in iter_bits(mask)], self.pretty, 2)
         if _texts_held[0] < RENDER_TEXTS_KEPT:
             _texts_held[0] += 1
             self[mask] = text
@@ -134,9 +143,9 @@ _texts_held = [0]  # texts in the pieces built since the cache was last emptied
 
 
 @lru_cache(maxsize=16)
-def _render_pieces(carrier: Carrier) -> tuple[str, list[str], _CellTexts]:
-    """The head text up to the table's brace, the ``"x,y":`` key text of each cell in table
-    order, and the cell texts of compact documents on ``carrier``.
+def _render_pieces(carrier: Carrier, pretty: bool = False) -> tuple[str, list[str], _CellTexts]:
+    """The head text up to the table's first key, the ``"x,y":`` key text of each cell in
+    table order, and the cell texts of documents on ``carrier``, compact unless ``pretty``.
 
     Each piece is ``json.dumps`` of the value ``structure_to_dict`` puts there, so the
     escapes match.  The cache holds at most ``RENDER_TEXTS_KEPT`` texts: a carrier that
@@ -149,27 +158,32 @@ def _render_pieces(carrier: Carrier) -> tuple[str, list[str], _CellTexts]:
         _render_pieces.cache_clear()
         _texts_held[0] = 0
     _texts_held[0] += cells
-    carrier_text = json.dumps(list(labels), separators=_COMPACT)
-    head = f'{{"carrier":{carrier_text},"zero":{json.dumps(carrier.zero_label)},"table":{{'
-    keys = [json.dumps(f"{x},{y}") + ":" for x in labels for y in labels]
-    return head, keys, _CellTexts(labels)
+    at1, at2, colon = _LAYOUT[pretty]
+    carrier_text = _dumps(list(labels), pretty, 1)
+    zero_text = json.dumps(carrier.zero_label)
+    head = f'{{{at1}"carrier"{colon}{carrier_text},{at1}"zero"{colon}{zero_text}'
+    head += f',{at1}"table"{colon}{{{at2}'
+    keys = [json.dumps(f"{x},{y}") + colon for x in labels for y in labels]
+    return head, keys, _CellTexts(labels, pretty)
 
 
 def render_structure(obj: Structure, pretty: bool = False) -> str:
     """The document text of ``obj``: ``json.dumps`` of :func:`structure_to_dict`, compact
-    unless ``pretty``.  Compact text is joined from pieces built once per carrier."""
-    if pretty:
-        return json.dumps(structure_to_dict(obj), indent=2) + "\n"
+    unless ``pretty`` (indented by 2, with a final newline).  The text is joined from
+    pieces built once per carrier and layout."""
     alg = obj.alg if isinstance(obj, FuzzyHyperBCK) else obj
     carrier = alg.carrier
+    end = "\n" if pretty else ""
     if len(carrier) ** 2 > RENDER_TEXTS_KEPT:  # too many cells to keep the pieces of
-        return json.dumps(structure_to_dict(obj), separators=_COMPACT)
-    head, keys, cells = _render_pieces(carrier)
-    text = head + ",".join(map(add, keys, map(cells.__getitem__, alg.table))) + "}"
+        return _dumps(structure_to_dict(obj), pretty) + end
+    # one spelling per layout, since lru_cache keys on how the arguments are passed
+    head, keys, cells = _render_pieces(carrier, True) if pretty else _render_pieces(carrier)
+    at1, at2, colon = _LAYOUT[pretty]
+    text = head + f",{at2}".join(map(add, keys, map(cells.__getitem__, alg.table))) + at1 + "}"
     if isinstance(obj, FuzzyHyperBCK):
         mu = {lab: format_fuzzy(v) for lab, v in zip(carrier.labels, obj.mu)}
-        text += ',"mu":' + json.dumps(mu, separators=_COMPACT)
-    return text + "}"
+        text += f",{at1}\"mu\"{colon}" + _dumps(mu, pretty, 1)
+    return text + end + "}" + end
 
 
 def parse_hom_document(

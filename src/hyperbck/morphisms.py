@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import HyperBCK, InputError, _image_masks, iter_bits
 from .corpus import enumerate_hyper_bck
 from .fuzzy import FuzzyHyperBCK
 
-HOM_MAP_BOUND = 1 << 18  # zero-fixing maps enumerate_homs may try; each costs microseconds
+HOM_MAP_BOUND = 1 << 18  # zero-fixing maps past which enumerate_homs refuses before its walk
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,8 +71,9 @@ class Hom:
     def _trusted(cls, source: HyperBCK, target: HyperBCK, mapping: tuple[int, ...]) -> Hom:
         """Build from a mapping tuple already known to be total and in range."""
         h = object.__new__(cls)
-        for name, value in (("source", source), ("target", target), ("mapping", mapping)):
-            object.__setattr__(h, name, value)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "mapping", mapping)
         return h
 
     @classmethod
@@ -93,10 +94,9 @@ class Hom:
 
     def then(self, other: Hom) -> Hom:
         """Composition ``other after self`` (source of other = target of self)."""
-        if other.source != self.target:
+        if other.source is not self.target and other.source != self.target:
             raise InputError("composition endpoints do not match")
-        outer = other.mapping.__getitem__
-        return Hom._trusted(self.source, other.target, tuple(map(outer, self.mapping)))
+        return Hom._trusted(self.source, other.target, _compose(self.mapping, other.mapping))
 
     def is_bijective(self) -> bool:
         return len(self.source.carrier) == len(self.target.carrier) and len(
@@ -112,34 +112,48 @@ class Hom:
         return Hom(self.target, self.source, tuple(inv))
 
 
+def _compose(inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int, ...]:
+    """The mapping of ``outer`` after ``inner``."""
+    return tuple(map(outer.__getitem__, inner))
+
+
 def is_hom(h: Hom) -> bool:
     """Strong homomorphism test: zero is fixed and images of cells match cells."""
-    return _maps_cells(h.source, h.target, h.mapping)
-
-
-def _maps_cells(src: HyperBCK, dst: HyperBCK, mapping: tuple[int, ...]) -> bool:
-    """The strong hom equation over the raw tables, for a total in-range map."""
+    src, dst, mapping = h.source, h.target, h.mapping
     if mapping[src.zero] != dst.zero:
         return False
-    n = len(mapping)
-    m = len(dst.carrier.labels)
-    src_table = src.table
-    dst_table = dst.table
-    image = [1 << v for v in mapping]  # cell by cell, not _image_masks: most maps fail early
-    for x, fx in enumerate(mapping):
-        row = x * n
-        dst_row = fx * m
-        for y, fy in enumerate(mapping):
-            out = 0
-            for t in iter_bits(src_table[row + y]):
-                out |= image[t]
-            if out != dst_table[dst_row + fy]:
-                return False
-    return True
+    cells = zip(*_table_pairs(len(mapping)), map(iter_bits, src.table))
+    image = [1 << v for v in mapping]
+    return _first_broken_cell(cells, mapping, image, dst.table, len(dst.carrier)) is None
+
+
+@lru_cache(maxsize=8)  # two tuples of n*n entries: 1 MiB at PRODUCT_BOUND
+def _table_pairs(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The x and the y of each table position of an n-element carrier, in table order."""
+    return tuple(x for x in range(n) for _ in range(n)), tuple(range(n)) * n
+
+
+def _first_broken_cell(
+    cells: Iterable[tuple], mapping: Sequence[int], image: list[int], dst_table: tuple, m: int
+) -> tuple[int, int] | None:
+    """The hom equation: the first ``(x, y)`` of ``cells``, each ``(x, y, bits of x*y)``, whose
+    image ``{f(t) : t in x*y}`` is not the cell ``f(x) * f(y)`` of the m-element target, or None.
+
+    ``mapping`` needs values at x, y and every t read, and ``image[t]`` is ``1 << f(t)``.
+    """
+    for x, y, bits in cells:
+        out = 0
+        for t in bits:
+            out |= image[t]
+        if out != dst_table[mapping[x] * m + mapping[y]]:
+            return x, y
+    return None
 
 
 def _require_fuzzy_endpoints(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> None:
-    if h.source != src.alg or h.target != dst.alg:
+    if (h.source is not src.alg and h.source != src.alg) or (
+        h.target is not dst.alg and h.target != dst.alg
+    ):
         raise InputError("map endpoints do not match the given fuzzy structures")
     if not is_hom(h):
         raise InputError("map is not a homomorphism")
@@ -191,22 +205,52 @@ def _zero_fixing_maps(n: int, zero: int, m: int, dst_zero: int) -> Iterator[tupl
         yield rest[:zero] + fixed + rest[zero:]
 
 
+def _hom_plan(src: HyperBCK) -> tuple[tuple[int, ...], list[list]]:
+    """The walk order of ``src`` (zero, then the others by index) and, per step, the cells
+    ``(x, y, bits of x*y)`` whose x, y and every t in x*y are assigned by that step."""
+    n, zero = len(src.carrier), src.zero
+    others = ~(1 << zero)
+    checks: list[list] = [[] for _ in range(n)]
+    for x, y, cell in zip(*_table_pairs(n), src.table):
+        last = ((cell | 1 << x | 1 << y) & others).bit_length() - 1  # -1 when all are zero
+        checks[last + (last < zero)].append((x, y, iter_bits(cell)))
+    return (zero, *range(zero), *range(zero + 1, n)), checks
+
+
 @lru_cache(maxsize=1 << 12)
 def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
     """All homomorphisms src -> dst, in lexicographic order of the value tuple.
 
-    Only maps sending zero to zero are tried: m^(n-1) of them, refused with
-    ``too-large`` before any is tried when that passes ``HOM_MAP_BOUND``.
+    A forward-checked walk: zero is sent to zero, the other values are assigned
+    in index order, and each assignment tests the hom equation on the cells it
+    completes, so a partial map that breaks a cell is never extended.  Refused
+    with ``too-large`` before any work when the m^(n-1) zero-fixing maps pass
+    ``HOM_MAP_BOUND``.
     """
     n, m = len(src.carrier), len(dst.carrier)
     if m ** (n - 1) > HOM_MAP_BOUND:
         message = f"{m}^{n - 1} zero-fixing maps exceed the hom enumeration bound {HOM_MAP_BOUND}"
         raise InputError(message, "too-large", "carrier")
-    return tuple(
-        Hom(src, dst, mapping)
-        for mapping in _zero_fixing_maps(n, src.zero, m, dst.zero)
-        if _maps_cells(src, dst, mapping)
-    )
+    order, checks = _hom_plan(src)
+    dst_table = dst.table
+    values = [(dst.zero,), *[range(m)] * (n - 1)]
+    mapping, image = [0] * n, [0] * n
+    homs = []
+    walk = [iter(values[0])]
+    while walk:
+        k = len(walk) - 1
+        x = order[k]
+        for v in walk[k]:
+            mapping[x], image[x] = v, 1 << v
+            if _first_broken_cell(checks[k], mapping, image, dst_table, m) is None:
+                if k + 1 == n:
+                    homs.append(Hom._trusted(src, dst, tuple(mapping)))
+                else:
+                    walk.append(iter(values[k + 1]))
+                    break
+        else:
+            walk.pop()
+    return tuple(homs)
 
 
 @lru_cache(maxsize=64)

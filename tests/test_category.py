@@ -477,4 +477,28 @@ def test_the_crisp_leg_check_runs_once_per_factor_tuple_and_the_fuzzy_one_every_
     first, second = product(factors), product(factors[::-1])
     assert first.object.alg is second.object.alg and first.object != second.object
     assert len(hom_checks) == 2 and len(fuzzy_checks) == 4
-    assert category._crisp_product.cache_info().maxsize == 16
+    assert category._crisp_product.cache_info().maxsize == 256
+
+
+def test_crisp_products_held_stay_under_their_cell_bound():
+    # A product at PRODUCT_BOUND holds its square of cells; the bound keeps four of them.
+    from hyperbck.category import PRODUCT_BOUND, PRODUCT_CELLS_KEPT
+
+    cells = PRODUCT_BOUND**2
+    assert 4 * cells <= PRODUCT_CELLS_KEPT < 5 * cells
+    c16 = chain_example(16).alg
+    chains = [c16, *(zero_moved_to(c16, k) for k in (1, 2))]
+    factors = [[zero_mu(a), zero_mu(b)] for a in chains for b in chains[:2]]
+    category._crisp_product.cache_clear()
+    category._product_cells[0] = 0
+    held = []
+    try:
+        for pair in factors:
+            alg = product(pair).object.alg
+            assert product(pair).object.alg is alg  # the newest is kept
+            assert category._product_cells[0] <= PRODUCT_CELLS_KEPT
+            held.append(category._crisp_product.cache_info().currsize * cells)
+    finally:
+        category._crisp_product.cache_clear()
+        category._product_cells[0] = 0
+    assert max(held) <= PRODUCT_CELLS_KEPT and len(factors) * cells > PRODUCT_CELLS_KEPT

@@ -185,6 +185,7 @@ def test_every_cache_in_the_package_is_bounded():
         "morphisms.enumerate_homs",
         "morphisms._probe_hom_maps",
         "morphisms._probes_by_image",
+        "morphisms._table_pairs",
     } <= set(cached)
     assert {name: size for name, size in cached.items() if size is None} == {}
 
