@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
 from math import prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (
     PRODUCT_BOUND,
@@ -32,6 +32,7 @@ from .core import (
     InputError,
     _image_masks,
     _mask_ors,
+    _walk,
     hk_axioms_hold_raw,
     iter_bits,
     trivial_algebra,
@@ -123,40 +124,26 @@ def quotient(cong: Congruence) -> tuple[HyperBCK, Hom]:
     return alg, Hom(cong.base, alg, cong._to_block)
 
 
-def _partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All set partitions of range(n) via restricted growth strings, in order."""
-    rgs = [0] * n
-
-    def rec(i: int, maxval: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
-            for elem, b in enumerate(rgs):
-                blocks[b].append(elem)
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for v in range(maxval + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(maxval, v))
-
-    if n:
-        yield from rec(1, 0)
+def _grows_by_one(k: int, rgs: list) -> bool:
+    """A restricted growth string opens at most one block past those before position k."""
+    return rgs[k] <= max(rgs[:k], default=-1) + 1
 
 
 @lru_cache(maxsize=1 << 12)
 def enumerate_regular_congruences(alg: HyperBCK) -> tuple[Congruence, ...]:
-    """All regular congruences of an algebra of at most ``CONGRUENCE_BOUND`` elements."""
+    """All regular congruences of an algebra of at most ``CONGRUENCE_BOUND`` elements, walking
+    the partitions on ``core._walk`` as restricted growth strings (i in block ``rgs[i]``)."""
     n = len(alg.carrier)
     if n > CONGRUENCE_BOUND:
         raise InputError(
             f"carrier size {n} exceeds the congruence enumeration bound {CONGRUENCE_BOUND}; "
             "partition counts grow too fast beyond it", code="too-large", location="carrier"
         )
-    out = []
-    for blocks in _partitions(n):
-        cong = Congruence(alg, blocks)
-        if is_regular_congruence(cong):
-            out.append(cong)
-    return tuple(out)
+    congs = []
+    for rgs in _walk([range(k + 1) for k in range(n)], _grows_by_one):
+        blocks = [[i for i, b in enumerate(rgs) if b == c] for c in range(max(rgs) + 1)]
+        congs.append(Congruence(alg, tuple(map(tuple, blocks))))
+    return tuple(filter(is_regular_congruence, congs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +161,8 @@ class ConstructionResult:
 
 
 def terminal() -> FuzzyHyperBCK:
-    """The one-element structure with membership zero."""
+    """The one-element structure with membership zero, terminal in the crisp category only:
+    a fuzzy hom into it needs mu identically 0 on its source (see ROADMAP item 11)."""
     return FuzzyHyperBCK(trivial_algebra("O"), (Fraction(0),))
 
 

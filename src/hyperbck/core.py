@@ -63,6 +63,28 @@ def iter_bits(mask: int) -> tuple[int, ...]:
     return tuple(bits)
 
 
+def _walk(domains: Sequence[Iterable], ok: Callable[[int, list], bool]) -> Iterator[tuple]:
+    """The assignments of ``domains`` (at least one) that ``ok`` passes, in lexicographic order.
+
+    The one backtracking loop of the searches: position k takes each value of
+    ``domains[k]`` in turn, and the walk descends only when ``ok(k, values)``
+    holds, ``values`` being the list assigned so far (read past k, it is stale).
+    """
+    n, values = len(domains), [None] * len(domains)
+    stack = [iter(domains[0])]
+    while stack:
+        k = len(stack) - 1
+        for values[k] in stack[k]:
+            if ok(k, values):
+                if k + 1 == n:
+                    yield tuple(values)
+                else:
+                    stack.append(iter(domains[k + 1]))
+                    break
+        else:
+            stack.pop()
+
+
 @dataclass(frozen=True, slots=True)
 class Carrier:
     """An ordered finite set of distinct element labels with a designated zero."""

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .core import HyperBCK, InputError, _image_masks, iter_bits
+from .core import HyperBCK, InputError, _image_masks, _walk, iter_bits
 from .corpus import enumerate_hyper_bck
 from .fuzzy import FuzzyHyperBCK
 
@@ -194,63 +194,33 @@ def is_fuzzy_iso(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
     return all(dst.mu[h.mapping[i]] == v for i, v in enumerate(src.mu))
 
 
-def _zero_fixing_maps(n: int, zero: int, m: int, dst_zero: int) -> Iterator[tuple[int, ...]]:
-    """Maps of an n-set into range(m) with ``zero -> dst_zero``, in lexicographic order.
-
-    The fixed value is inserted at the ``zero`` index into each tuple of the
-    other values, which keeps the lexicographic order.
-    """
-    fixed = (dst_zero,)
-    for rest in product(range(m), repeat=n - 1):
-        yield rest[:zero] + fixed + rest[zero:]
-
-
-def _hom_plan(src: HyperBCK) -> tuple[tuple[int, ...], list[list]]:
-    """The walk order of ``src`` (zero, then the others by index) and, per step, the cells
-    ``(x, y, bits of x*y)`` whose x, y and every t in x*y are assigned by that step."""
-    n, zero = len(src.carrier), src.zero
-    others = ~(1 << zero)
-    checks: list[list] = [[] for _ in range(n)]
-    for x, y, cell in zip(*_table_pairs(n), src.table):
-        last = ((cell | 1 << x | 1 << y) & others).bit_length() - 1  # -1 when all are zero
-        checks[last + (last < zero)].append((x, y, iter_bits(cell)))
-    return (zero, *range(zero), *range(zero + 1, n)), checks
-
-
 @lru_cache(maxsize=1 << 12)
 def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
     """All homomorphisms src -> dst, in lexicographic order of the value tuple.
 
-    A forward-checked walk: zero is sent to zero, the other values are assigned
-    in index order, and each assignment tests the hom equation on the cells it
-    completes, so a partial map that breaks a cell is never extended.  Refused
-    with ``too-large`` before any work when the m^(n-1) zero-fixing maps pass
-    ``HOM_MAP_BOUND``.
+    A forward-checked walk on ``core._walk``, the loop that also lists the
+    regular congruences: the values are assigned in index order, zero's only
+    candidate being zero, and each assignment tests the hom equation on the
+    cells it completes, so a partial map that breaks a cell is never extended.
+    Refused with ``too-large`` before any work when the m^(n-1) zero-fixing
+    maps pass ``HOM_MAP_BOUND``.
     """
     n, m = len(src.carrier), len(dst.carrier)
     if m ** (n - 1) > HOM_MAP_BOUND:
         message = f"{m}^{n - 1} zero-fixing maps exceed the hom enumeration bound {HOM_MAP_BOUND}"
         raise InputError(message, "too-large", "carrier")
-    order, checks = _hom_plan(src)
-    dst_table = dst.table
-    values = [(dst.zero,), *[range(m)] * (n - 1)]
-    mapping, image = [0] * n, [0] * n
-    homs = []
-    walk = [iter(values[0])]
-    while walk:
-        k = len(walk) - 1
-        x = order[k]
-        for v in walk[k]:
-            mapping[x], image[x] = v, 1 << v
-            if _first_broken_cell(checks[k], mapping, image, dst_table, m) is None:
-                if k + 1 == n:
-                    homs.append(Hom._trusted(src, dst, tuple(mapping)))
-                else:
-                    walk.append(iter(values[k + 1]))
-                    break
-        else:
-            walk.pop()
-    return tuple(homs)
+    checks: list[list] = [[] for _ in range(n)]  # per k, the cells (x, y, bits) k completes
+    for x, y, cell in zip(*_table_pairs(n), src.table):
+        checks[(cell | 1 << x | 1 << y).bit_length() - 1].append((x, y, iter_bits(cell)))
+    dst_table, image = dst.table, [0] * n
+
+    def ok(k: int, mapping: list) -> bool:
+        image[k] = 1 << mapping[k]
+        return _first_broken_cell(checks[k], mapping, image, dst_table, m) is None
+
+    domains = [range(m)] * n
+    domains[src.zero] = (dst.zero,)
+    return tuple([Hom._trusted(src, dst, f) for f in _walk(domains, ok)])
 
 
 @lru_cache(maxsize=64)
@@ -281,7 +251,7 @@ def _probe_hom_maps(
     probes = enumerate_hyper_bck(k, up_to_iso=True).models
     m, table = len(target.carrier), target.table
     maps: list[list[tuple[int, ...]]] = [[] for _ in probes]
-    for f in _zero_fixing_maps(k, 0, m, target.zero):
+    for f in product((target.zero,), *[range(m)] * (k - 1)):
         image = tuple(table[fx * m + fy] for fx in f for fy in f)
         for pos in _probes_by_image(k, f).get(image, ()):
             maps[pos].append(f)

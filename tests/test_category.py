@@ -378,9 +378,20 @@ def test_product_cells_match_literal_oracle(corpus_le2):
     assert_product_matches_oracle([models[1], zero_moved_to(models[5], 1), models[12]])
 
 
-def test_quotients_match_literal_oracle(corpus_le2, corpus3):
+def test_quotients_match_literal_oracle(corpus_le2, corpus2, corpus3):
+    # Past three elements: the 4-element products of two size-2 models, and the 5-element
+    # subalgebras of seeded 3 x 2 products, where the walk lists 15 and 52 partitions.
+    rng = random.Random(21)
+    larger = [product([zero_mu(a), zero_mu(b)]).object.alg for a in corpus2 for b in corpus2]
+    for _ in range(30):
+        whole = product([zero_mu(rng.choice(corpus3.models)), zero_mu(rng.choice(corpus2.models))])
+        alg = whole.object.alg
+        masks = [k for k in range(1, 1 << alg.size) if k.bit_count() == 5]
+        larger += [alg.restrict_mask(k) for k in masks if alg.is_subalgebra_mask(k)]
+    assert len(larger) == 144 + 14  # frozen for seed 21
+    larger += [zero_moved_to(alg, rng.randrange(1, alg.size)) for alg in larger]
     sample = random.Random(3).sample(corpus3.models, 300)
-    for alg in with_zero_moved(corpus_le2) + sample:
+    for alg in with_zero_moved(corpus_le2) + sample + larger:
         labels, zero, table = naive.table_of(alg)
         regular = set()
         for blocks in naive.partitions(labels):
@@ -402,8 +413,10 @@ def test_quotients_match_literal_oracle(corpus_le2, corpus3):
                 for (x, y), c in q_table.items()
             } == cells
             assert all(x in block[v] for x, v in project.as_label_map().items())
-        found = {frozenset(c.label_blocks()) for c in enumerate_regular_congruences(alg)}
-        assert found == regular
+        congs = enumerate_regular_congruences(alg)
+        assert {frozenset(c.label_blocks()) for c in congs} == regular
+        rgs = [tuple(map(c.block_of, range(alg.size))) for c in congs]
+        assert rgs == sorted(rgs)  # restricted growth strings, in lexicographic order
 
 
 def test_products_past_the_bound_are_refused_unbuilt():

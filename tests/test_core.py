@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import os
 import pkgutil
 import random
@@ -42,6 +43,7 @@ from hyperbck.core import (
     _hk2_plan,
     _mask_ors,
     _tabled_ors,
+    _walk,
     hk_axioms_hold_raw,
     iter_bits,
 )
@@ -154,6 +156,37 @@ def test_iter_bits_is_pinned_and_bounded():
     for mask in [*range(1 << 12), 1 << 40 | 9, (1 << 64) - 1, 1 << 100]:
         assert iter_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
     assert iter_bits.cache_info().maxsize is not None
+
+
+def test_walk_matches_the_product_filtered_by_the_same_checks():
+    # Each check reads positions up to k only, so on a whole tuple it sees what the walk saw.
+    checks = [
+        lambda k, v: True,
+        lambda k, v: False,  # rejects everything
+        lambda k, v: k < 2 or v[2] != v[0],  # rejects partway down
+        lambda k, v: k > 0 or v[0] != 1,
+        lambda k, v: k == 0 or v[k] > v[k - 1],
+    ]
+    shapes = [
+        [range(3), range(2), range(3)],
+        [(1,), range(3), range(2), (0,)],  # singleton domains first and last
+        [range(2), (4,), range(3)],
+        [range(4)],
+        [(2,)],
+    ]
+    for domains in shapes:
+        for ok in checks:
+            asked = []
+
+            def spy(k, values, ok=ok):
+                asked.append(tuple(values[: k + 1]))
+                return ok(k, values)
+
+            want = [t for t in itertools.product(*domains) if all(ok(k, t) for k in range(len(t)))]
+            assert list(_walk(domains, spy)) == want
+            # each prefix is asked about once, and only once every shorter prefix of it passed
+            assert len(asked) == len(set(asked))
+            assert all(ok(j, p) for p in asked for j in range(len(p) - 1))
 
 
 def test_every_cache_in_the_package_is_bounded():

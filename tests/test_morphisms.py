@@ -188,18 +188,45 @@ def product_pairs(corpus2, corpus3):
     return pairs + moved
 
 
-def test_enumerate_homs_matches_literal_oracle_past_three_elements(product_pairs):
+@pytest.fixture(scope="module")
+def subalgebra_pairs(corpus3):
+    """Seeded (source, target) pairs whose source is a subalgebra of 6 to 8 elements of the
+    product of two size-3 models and whose target is each of the two factors, then each with
+    the zero moved on both ends.  Sources past five elements put cells in row x = 5, and the
+    maps that follow a projection on all but a few elements break the hom equation in a few
+    cells only.  The literal scan of all 3**n maps stays small."""
+    rng = random.Random(21)
+    pairs = []
+    for _ in range(20):
+        a, b = rng.sample(corpus3.models, 2)
+        whole = product_of([zero_mu(a), zero_mu(b)]).object.alg
+        masks = [k for k in range(1, 1 << whole.size) if 6 <= k.bit_count() <= 8]
+        subs = [whole.restrict_mask(k) for k in masks if whole.is_subalgebra_mask(k)]
+        if subs:
+            src = rng.choice(subs)
+            pairs += [(src, a), (src, b)]
+    moved = [
+        (zero_moved_to(src, rng.randrange(1, src.size)), zero_moved_to(dst, rng.randrange(1, 3)))
+        for src, dst in pairs
+    ]
+    return pairs + moved
+
+
+def test_enumerate_homs_matches_literal_oracle_past_three_elements(product_pairs, subalgebra_pairs):
     counts = []
-    for src, dst in product_pairs:
+    for src, dst in product_pairs + subalgebra_pairs:
         got = [h.mapping for h in enumerate_homs(src, dst)]
         assert got == naive.hom_maps(naive.table_of(src), naive.table_of(dst))
         counts.append(len(got))
+    assert len(subalgebra_pairs) == 36 and {src.size for src, _ in subalgebra_pairs} == {6, 8}
     assert max(counts) > 2  # some hom-set holds more than the zero map and the identity
 
 
-def test_is_hom_matches_literal_oracle_on_every_zero_fixing_map_past_three_elements(product_pairs):
+def test_is_hom_matches_literal_oracle_on_every_zero_fixing_map_past_three_elements(
+    product_pairs, subalgebra_pairs
+):
     verdicts = set()
-    for src, dst in product_pairs:
+    for src, dst in product_pairs + subalgebra_pairs:
         labels, zero, table = naive.table_of(src)
         dst_labels, dst_zero, dst_table = naive.table_of(dst)
         for f in product(range(dst.size), repeat=src.size):
@@ -210,6 +237,18 @@ def test_is_hom_matches_literal_oracle_on_every_zero_fixing_map_past_three_eleme
             assert is_hom(Hom(src, dst, f)) == want
             verdicts.add(want)
     assert verdicts == {False, True}
+
+
+def test_no_map_that_breaks_one_cell_is_a_hom(subalgebra_pairs):
+    # The target is the source with bit 0 of one cell flipped ({1} where that would empty it),
+    # so the identity breaks the hom equation in that cell only; each cell takes a turn.
+    for src in {src for src, _ in subalgebra_pairs if src.size == 6}:
+        identity = tuple(range(src.size))
+        assert identity in [h.mapping for h in enumerate_homs(src, src)]
+        for c, cell in enumerate(src.table):
+            dst = HyperBCK(src.carrier, src.table[:c] + (cell ^ 1 or 2,) + src.table[c + 1 :])
+            assert not is_hom(Hom(src, dst, identity))
+            assert identity not in [h.mapping for h in enumerate_homs(src, dst)]
 
 
 def test_is_fuzzy_iso_examples(c3):
