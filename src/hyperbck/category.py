@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from math import prod
 from typing import Sequence
@@ -38,7 +38,7 @@ from .core import (
     trivial_algebra,
 )
 from .fuzzy import FuzzyHyperBCK
-from .morphisms import Hom, _compose, _never_lowers_membership, is_fuzzy_hom, is_hom
+from .morphisms import Hom, _at_least, _compose, _never_lowers_membership, is_fuzzy_hom, is_hom
 
 CONGRUENCE_BOUND = 5  # Bell(5) = 52 partitions; Bell(n) grows too fast past it
 PRODUCT_CELLS_KEPT = 4 * PRODUCT_BOUND**2  # cells the kept crisp products hold: 11.7 MiB
@@ -215,12 +215,17 @@ def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
         raise InputError(message, "too-large", "carrier")
     alg, legs = _crisp_product(algs)
     columns = zip(*(map(f.mu.__getitem__, leg.mapping) for f, leg in zip(factors, legs)))
-    obj = FuzzyHyperBCK._trusted(alg, tuple(map(min, columns)))
+    obj = FuzzyHyperBCK._trusted(alg, tuple(map(_least, columns)))
     for factor, leg in zip(factors, legs):
         if not _never_lowers_membership(leg, obj, factor):
             raise ClaimViolation("product-leg-fuzzy", leg.as_label_map())
     named = {f"p{i}": leg for i, leg in enumerate(legs)}
     return ConstructionResult(obj, named, "product", tuple(factors))
+
+
+def _least(degrees: Sequence[Fraction]) -> Fraction:
+    """``min(degrees)``, the first least degree, each comparison by :func:`_at_least`."""
+    return reduce(lambda low, v: low if _at_least(v, low) else v, degrees)
 
 
 _product_cells = [0]  # cells in the crisp products built since the cache was last emptied

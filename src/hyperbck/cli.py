@@ -4,13 +4,14 @@ Every command emits deterministic JSON records, one per line, on standard
 output.  Exit codes: 0 all checks passed or construction succeeded; 1 a
 validation or morphism check found violations; 2 malformed input; 3 a
 documented construction guarantee failed on the given instance (the
-record carries the witness).
+record carries the witness); 141 the reader closed the output early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -196,8 +197,7 @@ def _cmd_pullback(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     with _at_flag("--size"):
         corpus = enumerate_hyper_bck(args.size, up_to_iso=args.up_to_iso)
-    for model in corpus:
-        print(render_structure(model))
+    sys.stdout.writelines(f"{render_structure(model)}\n" for model in corpus)
     return 0
 
 
@@ -268,19 +268,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ClaimViolation as exc:
-        _emit({"record": "claim-violation", "claim": exc.claim, "witness": exc.witness})
-        return 3
-    except InputError as exc:
-        record = {"record": "input-error", "message": str(exc)}
-        if exc.code is not None:
-            record.update(code=exc.code, location=exc.location)
-        _emit(record)
-        return 2
+        try:
+            code = args.func(args)
+        except ClaimViolation as exc:
+            _emit({"record": "claim-violation", "claim": exc.claim, "witness": exc.witness})
+            code = 3
+        except InputError as exc:
+            record = {"record": "input-error", "message": str(exc)}
+            if exc.code is not None:
+                record.update(code=exc.code, location=exc.location)
+            _emit(record)
+            code = 2
+        sys.stdout.flush()  # a closed pipe surfaces here, not in the interpreter's exit
+        return code
+    except BrokenPipeError:  # the rest goes to the null device, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

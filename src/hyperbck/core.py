@@ -20,7 +20,7 @@ from operator import add, itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 PRODUCT_BOUND = 256  # the largest carrier built: 65,536 cells, the square of the carrier
-AXIOM_CHECK_BOUND = 64  # its HK2 plan holds n*n*(n-1)/2 = 129,024 instances, about 21 MiB
+AXIOM_CHECK_BOUND = 64  # its HK2 plan holds n*n*(n-1)/2 = 129,024 instances, 17.6 MiB
 HK2_PLAN_BOUND = 1 << 17  # instances the cached HK2 plans hold at once: one plan at 64 and more
 RESTRICTIONS_KEPT = 16  # restrictions one algebra keeps; n elements have up to 2**(n-1) subalgebras
 FINDINGS_KEPT = 1 << 12  # violations the reports share, over all label sets together
@@ -138,23 +138,29 @@ class HyperBCK:
     ``table`` is row-major over carrier indices: the cell for ``(x, y)`` sits
     at ``x * n + y`` and is a non-empty bitmask.  Construction checks only
     this structural shape; the axioms are the validator's job.
-    The restrictions built from it are kept apart from equality, hashing and
-    repr, up to ``RESTRICTIONS_KEPT`` of them.
+    Up to ``RESTRICTIONS_KEPT`` restrictions built from it, and its hash, taken once from
+    the zero and the table (so no label enters it), are kept out of equality and repr.
     """
 
     carrier: Carrier
     table: tuple[int, ...]
     _restrictions: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.carrier.zero_index, self.table)))
+        return self._hash
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "table", tuple(self.table))
-        n = len(self.carrier)
+        n = len(self.carrier.labels)
         if len(self.table) != n * n:
             message = f"table has {len(self.table)} of {n * n} required cells"
             raise InputError(message, "table-incomplete", "table")
-        full = self.carrier.full_mask
+        outside = -1 << n  # the bits past the carrier's, ~full_mask
         for pos, cell in enumerate(self.table):
-            if cell == 0 or cell & ~full:
+            if cell == 0 or cell & outside:
                 x, y = (self.carrier.labels[i] for i in divmod(pos, n))
                 at = f"table[{f'{x},{y}'!r}]"
                 if cell == 0:
@@ -359,7 +365,7 @@ _plan_instances = [0]  # instances in the HK2 plans built since the cache was la
 
 @lru_cache(maxsize=16)
 def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
-    """The HK2 instances ``(x, y, z, x*n + y, x*n + z, gz, gy)`` of size ``n``, y < z.
+    """The HK2 instances ``(x*n + y, x*n + z, gz, gy)`` of size ``n``, y < z: positions only.
 
     ``gz[m]`` lists the positions ``t*n + z`` for t in mask m (``gy`` those of y), so
     (x*y)*z ORs the cells at ``gz[table[x*n + y]]``.  The zero's row comes last: by
@@ -374,7 +380,7 @@ def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
         _plan_instances[0] = 0
     gather = [_mask_ors([(t * n + z,) for t in range(n)], add, ()) for z in range(n)]
     plan = tuple(
-        (x, y, z, x * n + y, x * n + z, gather[z], gather[y])
+        (x * n + y, x * n + z, gather[z], gather[y])
         for x in [*range(zero), *range(zero + 1, n), zero]
         for y in range(n) for z in range(y + 1, n)
     )
@@ -383,16 +389,16 @@ def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
 
 
 def _hk2_mismatch(table: Sequence[int], instances: Iterable[tuple]) -> tuple | None:
-    """The next HK2 plan instance with unequal sides, as ``((x, y, z), (x*y)*z, (x*z)*y)``;
+    """The next HK2 plan instance with unequal sides, as ``(x*n + y, x*n + z, (x*y)*z, (x*z)*y)``;
     each side ORs a gather list's cells.  On a shared plan iterator a scan resumes past its hit."""
-    for x, y, z, xy, xz, gz, gy in instances:
+    for xy, xz, gz, gy in instances:
         lhs = rhs = 0
         for p in gz[table[xy]]:
             lhs |= table[p]
         for p in gy[table[xz]]:
             rhs |= table[p]
         if lhs != rhs:
-            return (x, y, z), lhs, rhs
+            return xy, xz, lhs, rhs
 
 
 @lru_cache(maxsize=1 << 10)  # up to _TABLED_SIZE, tables share their rows and down masks
@@ -415,7 +421,8 @@ def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False
     scans of one plan iterator; then ``_past_hk2_failures`` yields the rest."""
     instances = iter(_hk2_plan(n, zero))
     while hit := _hk2_mismatch(table, instances):
-        (x, y, z), lhs, rhs = hit
+        xy, xz, lhs, rhs = hit
+        (x, y), z = divmod(xy, n), xz % n
         yield "HK2", (x, y, z), lhs, rhs
         yield "HK2", (x, z, y), rhs, lhs
     yield from _past_hk2_failures(n, zero, table, strict)
@@ -425,23 +432,24 @@ def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) 
     """HK1 per (x, y, z), HK3 per x and HK4 per pair if ``strict``, from position masks.
 
     HK1 at (x, y, z) asks that each cell t*s, t in x*z and s in y*z, lies in D = below[x*y],
-    the elements below a member of x*y.  Those cells sit at the positions ``spread[x*z] *
-    (y*z)``; ``bad[D]`` marks the positions whose cell leaves D, once per table and D.  Most
-    pairs have D the whole carrier, which no cell leaves, and skip their z's.  A failing
+    the elements below a member of x*y.  Most pairs have D the whole carrier, which no cell
+    leaves: they are skipped first.  Otherwise the cells sit at the positions ``spread[x*z] *
+    (y*z)``, and ``bad[D]`` marks those whose cell leaves D, once per table and D.  A failing
     instance ORs its cells through the rows' OR tables (t*B per mask B), built on demand."""
     ors = _tabled_ors if n <= _TABLED_SIZE else _mask_ors
     dn = _down_masks(n, zero, table)
-    below = ors(tuple(dn))
-    spread = _spread(n)
+    below, full = ors(tuple(dn)), (1 << n) - 1
     rows = [table[r : r + n] for r in range(0, n * n, n)]
-    bad, rowstar = {(1 << n) - 1: 0}, []
+    bad, rowstar = {}, []
     for x, xrow in enumerate(rows):
         for y, cxy in enumerate(xrow):
             d = below[cxy]
+            if d == full:
+                continue
             if d not in bad:
                 bad[d] = sum([1 << p for p, c in enumerate(table) if c & ~d])
             if b := bad[d]:
-                for z, at in enumerate(map(mul, map(spread.__getitem__, xrow), rows[y])):
+                for z, at in enumerate(map(mul, map(_spread(n).__getitem__, xrow), rows[y])):
                     if at & b:
                         rowstar = rowstar or [ors(row) for row in rows]
                         lhs = 0
@@ -525,13 +533,11 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
 
 
 def _down_masks(n: int, zero: int, table: Sequence[int]) -> list[int]:
-    """``dn[v]`` is the mask of u with u < v, that is with the zero in u*v."""
+    """``dn[v]`` is the mask of u with u < v, that is with the zero in u*v, in one pass."""
     dn = [0] * n
-    for u in range(n):
-        row = u * n
-        for v in range(n):
-            if table[row + v] >> zero & 1:
-                dn[v] |= 1 << u
+    for p, cell in enumerate(table):
+        if cell >> zero & 1:
+            dn[p % n] |= 1 << p // n
     return dn
 
 

@@ -165,12 +165,14 @@ def is_fuzzy_hom(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
     return _never_lowers_membership(h, src, dst)
 
 
+def _at_least(w: Fraction, v: Fraction) -> bool:
+    """``w >= v``: Fraction's exact test, cross-multiplied without its type dispatch."""
+    return w is v or w.numerator * v.denominator >= v.numerator * w.denominator
+
+
 def _never_lowers_membership(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
-    """The fuzzy-hom inequality of a hom; each ``w >= v`` is Fraction's exact test, undispatched."""
-    return all(
-        w is v or w.numerator * v.denominator >= v.numerator * w.denominator
-        for v, w in zip(src.mu, map(dst.mu.__getitem__, h.mapping))
-    )
+    """The fuzzy-hom inequality of a hom, each ``w >= v`` by :func:`_at_least`."""
+    return all(map(_at_least, map(dst.mu.__getitem__, h.mapping), src.mu))
 
 
 def fuzzy_hom_via_cuts(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:
@@ -250,12 +252,13 @@ def _probe_hom_maps(
     """
     probes = enumerate_hyper_bck(k, up_to_iso=True).models
     m, table = len(target.carrier), target.table
-    maps: list[list[tuple[int, ...]]] = [[] for _ in probes]
+    first, maps = {}, {}  # by position: a probe's first map; the maps of those with two or more
     for f in product((target.zero,), *[range(m)] * (k - 1)):
         image = tuple(table[fx * m + fy] for fx in f for fy in f)
         for pos in _probes_by_image(k, f).get(image, ()):
-            maps[pos].append(f)
-    return tuple((probes[pos], tuple(ms)) for pos, ms in enumerate(maps) if len(ms) > 1)
+            if (g := first.setdefault(pos, f)) is not f:
+                maps.setdefault(pos, [g]).append(f)
+    return tuple((probes[pos], tuple(maps[pos])) for pos in sorted(maps))
 
 
 def _first_collision(

@@ -455,6 +455,24 @@ def test_products_over_grid_memberships_match_the_literal_product(corpus_le2):
                 assert dict(zip(got.alg.carrier.labels, got.mu)) == degrees
 
 
+def test_product_degrees_are_the_objects_min_picks(corpus_le2):
+    # The third factor repeats the first with equal degrees held by other Fraction
+    # objects, so ties are common: min keeps the first least degree, and so must product.
+    rng = random.Random(22)
+    for a in corpus_le2:
+        for b in corpus_le2:
+            fa, fb = rng.choice(grid_assignments(a)), rng.choice(grid_assignments(b))
+            copy = FuzzyHyperBCK(a, tuple(Fraction(v.numerator, v.denominator) for v in fa.mu))
+            assert all(v == w and v is not w for v, w in zip(fa.mu, copy.mu))
+            factors = [fa, fb, copy]
+            result = product(factors)
+            legs = result.legs.values()
+            columns = zip(*(map(f.mu.__getitem__, leg.mapping) for f, leg in zip(factors, legs)))
+            want = [min(column) for column in columns]
+            assert len(result.object.mu) == len(want)
+            assert all(got is w for got, w in zip(result.object.mu, want))
+
+
 def test_derived_values_equal_what_the_public_constructors_build(corpus_le2):
     rng = random.Random(7)
     for a in corpus_le2:

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -609,3 +613,20 @@ def test_document_commands_print_frozen_bytes(capsys, command):
     assert main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _FROZEN_DOCUMENT_DIGESTS[command]
+
+
+def test_a_reader_closing_stdout_early_stops_the_cli_quietly_with_141():
+    # The full size-3 corpus is megabytes of output, far past the pipe's buffer,
+    # so the writes after the reader closes the pipe fail.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "hyperbck.cli", "enumerate", "--size", "3"]
+    env = {**os.environ, "PYTHONPATH": path}
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert json.loads(first)["carrier"] == ["O", "a", "b"]
+    assert code == 141, err
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -605,18 +605,21 @@ def test_cached_row_tables_are_pure_functions_of_their_key(corpus_le2, corpus3):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_hk2_plan_lists_each_instance_once_with_the_zero_row_last(n):
+    # An instance holds the positions x*n + y and x*n + z only; the triple is read back
+    # from them by divmod, as the reporting path does on a mismatch.
     for zero in range(n):
-        plan = _hk2_plan(n, zero)
-        triples = [item[:3] for item in plan]
-        assert sorted(triples) == [
-            (x, y, z) for x in range(n) for y in range(n) for z in range(y + 1, n)
-        ]
-        for x, y, z, xy, xz, gz, gy in plan:
-            assert (xy, xz) == (x * n + y, x * n + z)
+        triples = []
+        for xy, xz, gz, gy in _hk2_plan(n, zero):
+            (x, y), (xz_row, z) = divmod(xy, n), divmod(xz, n)
+            assert xz_row == x and y < z
+            triples.append((x, y, z))
             for m in range(1 << n):
                 assert list(gz[m]) == [t * n + z for t in iter_bits(m)]
                 assert list(gy[m]) == [t * n + y for t in iter_bits(m)]
-        rows = [x for x, *_ in plan]
+        assert sorted(triples) == [
+            (x, y, z) for x in range(n) for y in range(n) for z in range(y + 1, n)
+        ]
+        rows = [x for x, _, _ in triples]
         assert rows == sorted(rows, key=lambda x: x == zero)
 
 
@@ -771,6 +774,20 @@ def test_restrictions_kept_stop_at_their_bound():
         assert sub.carrier.labels == tuple(labels[i] for i in iter_bits(m))
     fresh = HyperBCK(Carrier(labels, 0), (1,) * 36)
     assert (alg, hash(alg), repr(alg)) == (fresh, hash(fresh), repr(fresh))
+
+
+def test_equal_algebras_built_apart_hash_equal_and_share_one_hom_cache_entry(c3):
+    twin = HyperBCK(Carrier(c3.carrier.labels, c3.zero), list(c3.table))
+    assert twin is not c3 and twin._hash is None and twin == c3  # equality never reads it
+    assert hash(twin) == hash(c3) == twin._hash == hash((c3.zero, c3.table))
+    assert repr(twin) == repr(HyperBCK(c3.carrier, c3.table))
+    relabeled = HyperBCK(Carrier(("x", "y", "z"), c3.zero), c3.table)
+    assert hash(relabeled) == hash(c3) and relabeled != c3  # equal hashes, unequal algebras
+    enumerate_homs.cache_clear()
+    homs = enumerate_homs(c3, c3)
+    assert enumerate_homs(twin, twin) is homs
+    assert enumerate_homs.cache_info()[:2] == (1, 1)  # one hit, one miss: a single entry
+    assert enumerate_homs(relabeled, relabeled) is not homs
 
 
 def test_restrict_mask_refuses_masks_without_zero_or_not_closed(c3):
