@@ -204,7 +204,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_example(args: argparse.Namespace) -> int:
     with _at_flag("--chain"):
         chain = chain_example(args.chain)
-    print(render_structure(chain, pretty=True), end="")
+    text = render_structure(chain, pretty=True)
+    # in pieces: unbuffered, a closed pipe fails the next piece's write, not one short count
+    sys.stdout.writelines(text[i : i + (1 << 16)] for i in range(0, len(text), 1 << 16))
     return 0
 
 

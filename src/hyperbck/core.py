@@ -8,7 +8,9 @@ of a triple with one product and one AND; the public API speaks labels.
 The axioms are tested in one place: ``_hk2_mismatch`` scans the HK2 plan and
 ``_past_hk2_failures`` yields the HK1, HK3 and HK4 failures of a table past it.
 The reporting validator lists every failure both find; the fail-fast check runs
-the same two and stops at the first, so the two verdicts cannot disagree.
+the same two and stops at the first, so the two verdicts cannot disagree.  It scans
+first the HK2 instance that last rejected a table; up to six elements the past-HK2
+pass takes its masks from a bounded cache keyed on the table's zero pattern.
 """
 
 from __future__ import annotations
@@ -361,6 +363,7 @@ def _image_masks(mapping: Sequence[int], listed: bool = False) -> list | _OnLook
 
 
 _plan_instances = [0]  # instances in the HK2 plans built since the cache was last emptied
+_hk2_hint = [(0, ())]  # (n, (instance,)): the HK2 plan instance that last rejected a table
 
 
 @lru_cache(maxsize=16)
@@ -389,7 +392,7 @@ def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
 
 
 def _hk2_mismatch(table: Sequence[int], instances: Iterable[tuple]) -> tuple | None:
-    """The next HK2 plan instance with unequal sides, as ``(x*n + y, x*n + z, (x*y)*z, (x*z)*y)``;
+    """The next HK2 plan instance with unequal sides, as ``(instance, (x*y)*z, (x*z)*y)``;
     each side ORs a gather list's cells.  On a shared plan iterator a scan resumes past its hit."""
     for xy, xz, gz, gy in instances:
         lhs = rhs = 0
@@ -398,12 +401,25 @@ def _hk2_mismatch(table: Sequence[int], instances: Iterable[tuple]) -> tuple | N
         for p in gy[table[xz]]:
             rhs |= table[p]
         if lhs != rhs:
-            return xy, xz, lhs, rhs
+            return (xy, xz, gz, gy), lhs, rhs
 
 
 @lru_cache(maxsize=1 << 10)  # up to _TABLED_SIZE, tables share their rows and down masks
 def _tabled_ors(parts: tuple[int, ...]) -> tuple:
     return tuple(_mask_ors(parts))
+
+
+@lru_cache(maxsize=_TABLED_SIZE)  # the bytes.translate table of a mask below 256 to its zero bit
+def _zero_bits(zero: int) -> bytes:
+    return bytes(m >> zero & 1 for m in range(256))
+
+
+@lru_cache(maxsize=1 << 9)
+def _zero_pattern(n: int, pattern: bytes) -> tuple[tuple[int, ...], tuple, frozenset[int]]:
+    """``dn``, ``below`` and the ``hard`` masks (D short of the carrier) of a zero pattern."""
+    dn = tuple(_down_masks(n, 0, pattern))
+    below, full = _tabled_ors(dn), (1 << n) - 1
+    return dn, below, frozenset([m for m, d in enumerate(below) if d != full])
 
 
 @lru_cache(maxsize=16)
@@ -421,7 +437,7 @@ def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False
     scans of one plan iterator; then ``_past_hk2_failures`` yields the rest."""
     instances = iter(_hk2_plan(n, zero))
     while hit := _hk2_mismatch(table, instances):
-        xy, xz, lhs, rhs = hit
+        (xy, xz, _, _), lhs, rhs = hit
         (x, y), z = divmod(xy, n), xz % n
         yield "HK2", (x, y, z), lhs, rhs
         yield "HK2", (x, z, y), rhs, lhs
@@ -433,29 +449,34 @@ def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) 
 
     HK1 at (x, y, z) asks that each cell t*s, t in x*z and s in y*z, lies in D = below[x*y],
     the elements below a member of x*y.  Most pairs have D the whole carrier, which no cell
-    leaves: they are skipped first.  Otherwise the cells sit at the positions ``spread[x*z] *
-    (y*z)``, and ``bad[D]`` marks those whose cell leaves D, once per table and D.  A failing
-    instance ORs its cells through the rows' OR tables (t*B per mask B), built on demand."""
-    ors = _tabled_ors if n <= _TABLED_SIZE else _mask_ors
-    dn = _down_masks(n, zero, table)
-    below, full = ors(tuple(dn)), (1 << n) - 1
+    leaves: they are skipped first, and a table none of whose cells is ``hard`` skips HK1.
+    Otherwise the cells sit at the positions ``spread[x*z] * (y*z)``, and ``bad[D]`` marks
+    those whose cell leaves D, once per table and D.  A failing instance ORs its cells through
+    the rows' OR tables (t*B per mask B), built on demand."""
+    ors, full, hard = _tabled_ors, (1 << n) - 1, None
+    if n <= _TABLED_SIZE:  # the zero bits, read in C, pick the masks kept per zero pattern
+        dn, below, hard = _zero_pattern(n, bytes(table).translate(_zero_bits(zero)))
+    else:
+        ors, dn = _mask_ors, _down_masks(n, zero, table)
+        below = ors(tuple(dn))
     rows = [table[r : r + n] for r in range(0, n * n, n)]
     bad, rowstar = {}, []
-    for x, xrow in enumerate(rows):
-        for y, cxy in enumerate(xrow):
-            d = below[cxy]
-            if d == full:
-                continue
-            if d not in bad:
-                bad[d] = sum([1 << p for p, c in enumerate(table) if c & ~d])
-            if b := bad[d]:
-                for z, at in enumerate(map(mul, map(_spread(n).__getitem__, xrow), rows[y])):
-                    if at & b:
-                        rowstar = rowstar or [ors(row) for row in rows]
-                        lhs = 0
-                        for t in iter_bits(xrow[z]):
-                            lhs |= rowstar[t][rows[y][z]]
-                        yield "HK1", (x, y, z), lhs, cxy
+    if hard is None or not hard.isdisjoint(table):
+        for x, xrow in enumerate(rows):
+            for y, cxy in enumerate(xrow):
+                d = below[cxy]
+                if d == full:
+                    continue
+                if d not in bad:
+                    bad[d] = sum([1 << p for p, c in enumerate(table) if c & ~d])
+                if b := bad[d]:
+                    for z, at in enumerate(map(mul, map(_spread(n).__getitem__, xrow), rows[y])):
+                        if at & b:
+                            rowstar = rowstar or [ors(row) for row in rows]
+                            lhs = 0
+                            for t in iter_bits(xrow[z]):
+                                lhs |= rowstar[t][rows[y][z]]
+                            yield "HK1", (x, y, z), lhs, cxy
 
     for x, xrow in enumerate(rows):
         stray = reduce(or_, xrow) & ~dn[x]
@@ -544,8 +565,14 @@ def _down_masks(n: int, zero: int, table: Sequence[int]) -> list[int]:
 def hk_axioms_hold_raw(
     n: int, zero: int, table: tuple[int, ...], strict_antisymmetry: bool = False
 ) -> bool:
-    """Fail-fast axiom check on a raw cell-mask table: true iff ``_hk_failures`` yields nothing."""
-    if _hk2_mismatch(table, _hk2_plan(n, zero)) is not None:
+    """Fail-fast axiom check on a raw cell-mask table: true iff ``_hk_failures`` yields nothing.
+    The HK2 instance that last rejected a table goes first, as the next search leaf mostly fails
+    there too; it depends on ``n`` alone, read with it in one step, and a miss scans the plan."""
+    hint_n, hint = _hk2_hint[0]
+    if hint_n == n and _hk2_mismatch(table, hint):
+        return False
+    if hit := _hk2_mismatch(table, _hk2_plan(n, zero)):
+        _hk2_hint[0] = n, hit[:1]
         return False
     return next(_past_hk2_failures(n, zero, table, strict_antisymmetry), None) is None
 

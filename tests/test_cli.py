@@ -630,3 +630,20 @@ def test_a_reader_closing_stdout_early_stops_the_cli_quietly_with_141():
     assert json.loads(first)["carrier"] == ["O", "a", "b"]
     assert code == 141, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_an_unbuffered_example_stops_with_141_when_the_reader_closes_early():
+    # Unbuffered, one write of the whole 69 MB document would lose the short count the
+    # closed pipe returns; written in pieces, the next piece's write fails instead.
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "hyperbck.cli", "example", "--chain", "256"]
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert head.startswith(b'{\n  "carrier": [')
+    assert code == 141, err
+    assert "Traceback" not in err and "Exception ignored" not in err

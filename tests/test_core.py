@@ -42,8 +42,9 @@ from hyperbck.core import (
     _hk2_mismatch,
     _hk2_plan,
     _mask_ors,
-    _tabled_ors,
+    _past_hk2_failures,
     _walk,
+    _zero_pattern,
     hk_axioms_hold_raw,
     iter_bits,
 )
@@ -97,9 +98,9 @@ def test_sequence_fields_are_stored_as_tuples():
     assert (alg.carrier.labels, alg.table) == (("O", "a"), (1, 1, 2, 1))
     assert alg == want and hash(alg) == hash(want)
     assert enumerate_homs(alg, alg) == enumerate_homs(want, want)
-    before = _tabled_ors.cache_info()
-    assert hk_axioms_hold(alg) and validate_hyper_bck(alg).passed  # reads the cached row tables
-    after = _tabled_ors.cache_info()
+    before = _zero_pattern.cache_info()
+    assert hk_axioms_hold(alg) and validate_hyper_bck(alg).passed  # reads the cached masks
+    after = _zero_pattern.cache_info()
     assert after.hits + after.misses > before.hits + before.misses
 
 
@@ -206,6 +207,8 @@ def test_every_cache_in_the_package_is_bounded():
         "core._hk2_plan",
         "core._spread",
         "core._tabled_ors",
+        "core._zero_bits",
+        "core._zero_pattern",
         "corpus._corpus",
         "corpus._relabel_plans",
         "corpus._search_tables",
@@ -575,6 +578,111 @@ def test_fail_fast_matches_report_on_every_size3_leaf_past_hk2(search_leaves):
             _assert_report_matches_oracle(alg, report, False)
             failing += 1
     assert failing == 1079
+
+
+@pytest.mark.parametrize("order", ["search", "shuffled"])
+def test_the_hk2_hint_never_changes_a_verdict_on_the_size3_leaves(search_leaves, order):
+    """Every leaf, in search order or shuffled: the leaves passed are exactly the search's
+    output, whose bytes ``test_size3_search_output_is_frozen`` pins; a seeded sample is also
+    held against the report and the literal oracle, under the hint the leaves before it left."""
+    leaves = list(search_leaves)
+    if order == "shuffled":
+        random.Random(20261021).shuffle(leaves)
+    sampled = set(random.Random(20261022).sample(range(len(leaves)), 2500))
+    carrier = Carrier(("0", "1", "2"), 0)
+    looked_up = _hk2_plan.cache_info()
+    kept = []
+    for i, t in enumerate(leaves):
+        verdict = hk_axioms_hold_raw(3, 0, t)
+        if i in sampled:
+            labels, _, table = naive.raw_table(3, t)
+            assert verdict == validate_hyper_bck(HyperBCK(carrier, t)).passed
+            assert verdict == naive.hk_valid(labels, "0", table)
+        if verdict:
+            kept.append(t)
+    info = _hk2_plan.cache_info()
+    if order == "search":  # looked up where the hint missed or HK2 held, and by each report
+        assert info.hits + info.misses - looked_up.hits - looked_up.misses <= 21485 + 17015 + 2500
+    assert sorted(kept) == list(_search_tables(3))
+
+
+def test_the_hk2_hint_never_changes_a_verdict_across_sizes_and_zeros(corpus_le2, corpus3):
+    """Sizes 4, 3, 5, 2 and 1 in turn: a seeded table, which mostly fails HK2 and leaves
+    its instance as the hint, then a model of the same size with its zero moved, so each
+    size meets the hint another size left, and each model one its own size left."""
+    rng = random.Random(20261023)
+    factors = [FuzzyHyperBCK(alg, (0,) * alg.size) for alg in corpus_le2 if alg.size == 2]
+    models = {
+        1: [alg for alg in corpus_le2 if alg.size == 1],
+        2: [alg for alg in corpus_le2 if alg.size == 2],
+        3: corpus3.models,
+        4: [product([f, g]).object.alg for f in factors for g in factors],
+        5: [],
+    }
+    passed = 0
+    for i in range(300):
+        n = (4, 3, 5, 2, 1)[i % 5]
+        masks = tuple(rng.randrange(1, 1 << n) for _ in range(n * n))
+        algs = [HyperBCK(Carrier(tuple(map(str, range(n))), rng.randrange(n)), masks)]
+        if models[n]:
+            algs.append(zero_moved_to(rng.choice(models[n]), rng.randrange(n)))
+        for alg in algs:
+            labels, zero, table = naive.table_of(alg)
+            for strict in (False, True):
+                want = naive.hk_valid(labels, zero, table, strict)
+                assert hk_axioms_hold_raw(n, alg.zero, alg.table, strict) == want
+                assert validate_hyper_bck(alg, strict_antisymmetry=strict).passed == want
+                passed += want
+    assert passed > 200
+
+    # A hint left by size 4 is not read at size 3, and a refusal leaves it as it was.
+    four = (1,) * 16
+    while not _hk2_mismatch(four, _hk2_plan(4, 0)):
+        four = tuple(rng.randrange(1, 16) for _ in range(16))
+    for alg in corpus3.models[::500]:
+        assert not hk_axioms_hold_raw(4, 0, four) and core._hk2_hint[0][0] == 4
+        assert hk_axioms_hold_raw(3, alg.zero, alg.table)
+    n = AXIOM_CHECK_BOUND + 1
+    with pytest.raises(InputError, match="not 65") as refused:
+        hk_axioms_hold_raw(n, 0, (1,) * (n * n))
+    assert refused.value.code == "too-large" and core._hk2_hint[0][0] == 4
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_the_zero_pattern_pass_lists_the_literal_oracles_items(strict):
+    """Seeded tables at sizes 2 to 7, the past-HK2 pass against the literal oracle's HK1, HK3
+    and HK4 items: half hold the zero in every cell, so every D is the whole carrier and HK1
+    is skipped whole, half hold it in about half their cells.  Size 7 is past the cache."""
+    rng = random.Random(20261024)
+    skipped = entered = 0
+    for i in range(240):
+        n, zero, everywhere = 2 + i % 6, rng.randrange(2 + i % 6), i // 6 % 2
+        masks = tuple(rng.randrange(1, 1 << n) | everywhere << zero for _ in range(n * n))
+        alg = HyperBCK(Carrier(tuple(map(str, range(n))), zero), masks)
+        before = _zero_pattern.cache_info()
+        items = list(_past_hk2_failures(n, zero, masks, strict))
+        after = _zero_pattern.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == (n <= _TABLED_SIZE)
+        if n <= _TABLED_SIZE:
+            hard = _zero_pattern(n, bytes(c >> zero & 1 for c in masks))[2]
+            skipped += hard.isdisjoint(masks)
+            entered += not hard.isdisjoint(masks)
+            assert everywhere <= hard.isdisjoint(masks)
+        labels, zero_label, table = naive.table_of(alg)
+        oracle = [f for f in naive.hk_failures(labels, zero_label, table, strict) if f[0] != "HK2"]
+        assert [(axiom, tuple(map(str, idx))) for axiom, idx, _, _ in items] == oracle
+        for axiom, idx, lhs, rhs in items:
+            if axiom == "HK1":
+                sides = naive.hk_sides(table, "HK1", tuple(map(str, idx)))
+                assert (alg.carrier.labels_of(lhs), alg.carrier.labels_of(rhs)) == sides
+            elif axiom == "HK3":
+                (x,) = idx
+                stray = [t for t in range(n) if any(masks[x * n + y] >> t & 1 for y in range(n))
+                         and not masks[t * n + x] >> zero & 1]
+                assert (lhs, rhs) == (1 << stray[0], 1 << x)
+            else:
+                assert (lhs, rhs) == (1 << idx[0], 1 << idx[1])
+    assert skipped > 50 and entered > 50
 
 
 def test_cached_row_tables_are_pure_functions_of_their_key(corpus_le2, corpus3):
