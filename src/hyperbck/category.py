@@ -19,18 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product as iter_product
 from math import prod
 from typing import Sequence
 
 from .core import (
     PRODUCT_BOUND,
+    PRODUCT_CELLS_KEPT,
     Carrier,
     ClaimViolation,
     HyperBCK,
     InputError,
     _image_masks,
+    _Kept,
     _mask_ors,
     _walk,
     hk_axioms_hold_raw,
@@ -41,7 +43,6 @@ from .fuzzy import FuzzyHyperBCK
 from .morphisms import Hom, _at_least, _compose, _never_lowers_membership, is_fuzzy_hom, is_hom
 
 CONGRUENCE_BOUND = 5  # Bell(5) = 52 partitions; Bell(n) grows too fast past it
-PRODUCT_CELLS_KEPT = 4 * PRODUCT_BOUND**2  # cells the kept crisp products hold: 11.7 MiB
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,7 +214,7 @@ def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
         why = "the table grows with the square of the carrier"
         message = f"carrier size {size} exceeds the product bound {PRODUCT_BOUND}; {why}"
         raise InputError(message, "too-large", "carrier")
-    alg, legs = _crisp_product(algs)
+    alg, legs = _crisp_product[algs]
     columns = zip(*(map(f.mu.__getitem__, leg.mapping) for f, leg in zip(factors, legs)))
     obj = FuzzyHyperBCK._trusted(alg, tuple(map(_least, columns)))
     for factor, leg in zip(factors, legs):
@@ -228,21 +229,10 @@ def _least(degrees: Sequence[Fraction]) -> Fraction:
     return reduce(lambda low, v: low if _at_least(v, low) else v, degrees)
 
 
-_product_cells = [0]  # cells in the crisp products built since the cache was last emptied
-
-
-@lru_cache(maxsize=256)
+@partial(_Kept, limit=PRODUCT_CELLS_KEPT, maxsize=256, weigh=lambda _, p: len(p[0].table))
 def _crisp_product(algs: tuple[HyperBCK, ...]) -> tuple[HyperBCK, tuple[Hom, ...]]:
-    """The product algebra of ``algs`` and its projections, each checked to be a hom.
-
-    The cache holds at most ``PRODUCT_CELLS_KEPT`` cells: a product that would pass it
-    empties the cache first, as ``core._hk2_plan`` does."""
+    """The product algebra of ``algs`` and its projections, each checked to be a hom."""
     tuples = list(iter_product(*(range(len(a.carrier)) for a in algs)))
-    cells = len(tuples) ** 2
-    if _product_cells[0] + cells > PRODUCT_CELLS_KEPT:
-        _crisp_product.cache_clear()
-        _product_cells[0] = 0
-    _product_cells[0] += cells
     labels = tuple("|".join(a.carrier.labels[c] for a, c in zip(algs, t)) for t in tuples)
     projections = [tuple(t[i] for t in tuples) for i in range(len(algs))]
     preimages = [

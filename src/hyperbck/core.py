@@ -10,18 +10,19 @@ The axioms are tested in one place: ``_hk2_mismatch`` scans the HK2 plan and
 The reporting validator lists every failure both find; the fail-fast check runs
 the same two and stops at the first, so the two verdicts cannot disagree.  It scans
 first the HK2 instance that last rejected a table; up to six elements the past-HK2
-pass takes its masks from a bounded cache keyed on the table's zero pattern.
+pass takes its masks from a bounded cache keyed on the table's zero pattern.  Results
+whose size varies with their key are weighed and kept by one class of store, ``_Kept``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import add, itemgetter, mul, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 PRODUCT_BOUND = 256  # the largest carrier built: 65,536 cells, the square of the carrier
+PRODUCT_CELLS_KEPT = 4 * PRODUCT_BOUND**2  # cells kept of per-table results: four at the bound
 AXIOM_CHECK_BOUND = 64  # its HK2 plan holds n*n*(n-1)/2 = 129,024 instances, 17.6 MiB
 HK2_PLAN_BOUND = 1 << 17  # instances the cached HK2 plans hold at once: one plan at 64 and more
 RESTRICTIONS_KEPT = 16  # restrictions one algebra keeps; n elements have up to 2**(n-1) subalgebras
@@ -63,6 +64,38 @@ def iter_bits(mask: int) -> tuple[int, ...]:
         bits.append(low.bit_length() - 1)
         mask ^= low
     return tuple(bits)
+
+
+class _Kept(dict):
+    """A bounded store, ``@partial(_Kept, ...)`` on ``make``: a missing key's value is built as
+    ``make(key)`` and kept, charged ``weigh(key, value)`` but at least ``limit // maxsize``.  A
+    charge that would take ``held`` past ``limit`` empties the store first; a value charged past
+    ``limit`` alone is returned unkept, and a ``make`` that raises keeps nothing."""
+
+    __slots__ = ("make", "limit", "least", "weigh", "held")
+
+    def __init__(self, make: Callable, limit: int, maxsize: int, weigh: Callable | None = None):
+        self.make, self.limit, self.least, self.weigh = make, limit, limit // maxsize, weigh
+        self.held = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+    def charge(self, weight: int) -> bool:
+        """Hold ``weight`` more, emptying the store first (and then true) if it would pass."""
+        if emptied := self.held + weight > self.limit:
+            self.clear()
+        self.held += weight
+        return emptied
+
+    def __missing__(self, key: object) -> object:
+        value = self.make(key)
+        weight = max(self.least, self.weigh(key, value) if self.weigh else 0)
+        if weight <= self.limit:
+            self.charge(weight)
+            self[key] = value
+        return value
 
 
 def _walk(domains: Sequence[Iterable], ok: Callable[[int, list], bool]) -> Iterator[tuple]:
@@ -140,13 +173,13 @@ class HyperBCK:
     ``table`` is row-major over carrier indices: the cell for ``(x, y)`` sits
     at ``x * n + y`` and is a non-empty bitmask.  Construction checks only
     this structural shape; the axioms are the validator's job.
-    Up to ``RESTRICTIONS_KEPT`` restrictions built from it, and its hash, taken once from
-    the zero and the table (so no label enters it), are kept out of equality and repr.
+    The restrictions built from it, in a store of ``RESTRICTIONS_KEPT``, and its hash, taken
+    once from the zero and the table (so no label enters it), are kept out of equality and repr.
     """
 
     carrier: Carrier
     table: tuple[int, ...]
-    _restrictions: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _restrictions: _Kept | None = field(default=None, init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
@@ -274,24 +307,23 @@ class HyperBCK:
     def restrict_mask(self, mask: int) -> HyperBCK:
         """The subalgebra on ``mask`` (``self`` if whole); refused without zero or if not closed.
 
-        A restriction built is kept on the algebra and returned again for the same mask,
-        until ``RESTRICTIONS_KEPT`` are kept; a refusal is raised afresh on every call.
+        A restriction built is kept on the algebra, in a store of ``RESTRICTIONS_KEPT``, and
+        returned again for the same mask; a refusal is raised afresh on every call.
         """
         if mask == self.carrier.full_mask:
             return self
-        kept = self._restrictions or {}
-        if mask in kept:
-            return kept[mask]
+        if self._restrictions is None:
+            kept = _Kept(self._make_restriction, RESTRICTIONS_KEPT, RESTRICTIONS_KEPT)
+            object.__setattr__(self, "_restrictions", kept)
+        return self._restrictions[mask]
+
+    def _make_restriction(self, mask: int) -> HyperBCK:
         self._require_subalgebra(mask)
         old = iter_bits(mask)
         bit = {o: 1 << i for i, o in enumerate(old)}  # element old[i] becomes i
         labels = tuple(self.carrier.labels[o] for o in old)
         table = [reduce(or_, map(bit.get, iter_bits(self.cell(x, y)))) for x in old for y in old]
-        sub = HyperBCK(Carrier(labels, old.index(self.zero)), table)
-        if len(kept) < RESTRICTIONS_KEPT:
-            kept[mask] = sub
-            object.__setattr__(self, "_restrictions", kept)
-        return sub
+        return HyperBCK(Carrier(labels, old.index(self.zero)), table)
 
     def encode(self) -> tuple[int, int, tuple[int, ...]]:
         """A hashable exact encoding (size, zero index, cell masks)."""
@@ -333,23 +365,13 @@ class ValidationReport:
 _TABLED_SIZE = 6  # past it a mask table fills entries on lookup instead of all 2**n
 
 
-class _OnLookup(defaultdict):
-    """A mask table that computes entry m as ``default_factory(m)`` and keeps 256 at most."""
-
-    def __missing__(self, mask: int) -> object:
-        value = self.default_factory(mask)
-        if len(self) < 1 << 8:  # bounded, as the cached HK2 plans hold their gather lists
-            self[mask] = value
-        return value
-
-
 def _mask_ors(
     parts: Sequence, join: Callable = or_, empty: object = 0, listed: bool = False
-) -> list | _OnLookup:
+) -> list | _Kept:
     """Entry B joins ``parts[i]`` over the bits i of mask B in order (OR by default); past
-    ``_TABLED_SIZE`` parts entries fill on lookup, unless all 2**n are ``listed``."""
+    ``_TABLED_SIZE`` parts entries fill on lookup, 256 kept, unless all 2**n are ``listed``."""
     if len(parts) > _TABLED_SIZE and not listed:
-        return _OnLookup(lambda b: reduce(join, [parts[i] for i in iter_bits(b)], empty))
+        return _Kept(lambda b: reduce(join, [parts[i] for i in iter_bits(b)], empty), 256, 256)
     ors = [empty] * (1 << len(parts))
     for b in range(1, len(ors)):
         low = b & -b
@@ -357,38 +379,31 @@ def _mask_ors(
     return ors
 
 
-def _image_masks(mapping: Sequence[int], listed: bool = False) -> list | _OnLookup:
+def _image_masks(mapping: Sequence[int], listed: bool = False) -> list | _Kept:
     """Entry B is the image ``{mapping[t] : t in B}`` of mask B, for reading many masks."""
     return _mask_ors([1 << v for v in mapping], listed=listed)
 
 
-_plan_instances = [0]  # instances in the HK2 plans built since the cache was last emptied
 _hk2_hint = [(0, ())]  # (n, (instance,)): the HK2 plan instance that last rejected a table
 
 
-@lru_cache(maxsize=16)
-def _hk2_plan(n: int, zero: int) -> tuple[tuple, ...]:
-    """The HK2 instances ``(x*n + y, x*n + z, gz, gy)`` of size ``n``, y < z: positions only.
+@partial(_Kept, limit=HK2_PLAN_BOUND, maxsize=16, weigh=lambda key, plan: len(plan))
+def _hk2_plan(key: tuple[int, int]) -> tuple[tuple, ...]:
+    """The HK2 instances ``(x*n + y, x*n + z, gz, gy)`` of size and zero ``key``, y < z.
 
     ``gz[m]`` lists the positions ``t*n + z`` for t in mask m (``gy`` those of y), so
     (x*y)*z ORs the cells at ``gz[table[x*n + y]]``.  The zero's row comes last: by
-    HK3 it holds only elements below zero, so it fails least often.  The cache holds at
-    most ``HK2_PLAN_BOUND`` instances: a plan that would pass it empties the cache first,
-    since the plans it holds are among those built since it was last emptied."""
+    HK3 it holds only elements below zero, so it fails least often."""
+    n, zero = key
     if n > AXIOM_CHECK_BOUND:
         message = f"axiom checks are limited to carriers of at most {AXIOM_CHECK_BOUND} elements"
         raise InputError(f"{message}, not {n}", "too-large", "carrier")
-    if _plan_instances[0] + n * n * (n - 1) // 2 > HK2_PLAN_BOUND:
-        _hk2_plan.cache_clear()
-        _plan_instances[0] = 0
     gather = [_mask_ors([(t * n + z,) for t in range(n)], add, ()) for z in range(n)]
-    plan = tuple(
+    return tuple(
         (x * n + y, x * n + z, gather[z], gather[y])
         for x in [*range(zero), *range(zero + 1, n), zero]
         for y in range(n) for z in range(y + 1, n)
     )
-    _plan_instances[0] += len(plan)
-    return plan
 
 
 def _hk2_mismatch(table: Sequence[int], instances: Iterable[tuple]) -> tuple | None:
@@ -415,15 +430,15 @@ def _zero_bits(zero: int) -> bytes:
 
 
 @lru_cache(maxsize=1 << 9)
-def _zero_pattern(n: int, pattern: bytes) -> tuple[tuple[int, ...], tuple, frozenset[int]]:
-    """``dn``, ``below`` and the ``hard`` masks (D short of the carrier) of a zero pattern."""
+def _zero_pattern(n: int, pattern: bytes) -> tuple[tuple[int, ...], tuple, bytes]:
+    """``dn``, ``below`` and the ``easy`` masks (D the whole carrier) of a zero pattern."""
     dn = tuple(_down_masks(n, 0, pattern))
     below, full = _tabled_ors(dn), (1 << n) - 1
-    return dn, below, frozenset([m for m, d in enumerate(below) if d != full])
+    return dn, below, bytes([m for m, d in enumerate(below) if d == full])
 
 
 @lru_cache(maxsize=16)
-def _spread(n: int) -> list | _OnLookup:
+def _spread(n: int) -> list | _Kept:
     """Entry A has bit t*n per t in A: ``spread[A] * B`` marks the cells t*s, t in A, s in B."""
     return _mask_ors([1 << t * n for t in range(n)])
 
@@ -435,7 +450,7 @@ def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False
     the triple; for HK3 ``{t}`` escaping x*H and ``{x}``; for HK4 ``{x}`` and ``{y}``.  HK2
     comes first, as (x, y, z) and then (x, z, y) with the sides swapped, from ``_hk2_mismatch``
     scans of one plan iterator; then ``_past_hk2_failures`` yields the rest."""
-    instances = iter(_hk2_plan(n, zero))
+    instances = iter(_hk2_plan[n, zero])
     while hit := _hk2_mismatch(table, instances):
         (xy, xz, _, _), lhs, rhs = hit
         (x, y), z = divmod(xy, n), xz % n
@@ -449,19 +464,19 @@ def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) 
 
     HK1 at (x, y, z) asks that each cell t*s, t in x*z and s in y*z, lies in D = below[x*y],
     the elements below a member of x*y.  Most pairs have D the whole carrier, which no cell
-    leaves: they are skipped first, and a table none of whose cells is ``hard`` skips HK1.
+    leaves: they are skipped first, and a table all of whose cells are ``easy`` skips HK1.
     Otherwise the cells sit at the positions ``spread[x*z] * (y*z)``, and ``bad[D]`` marks
     those whose cell leaves D, once per table and D.  A failing instance ORs its cells through
     the rows' OR tables (t*B per mask B), built on demand."""
-    ors, full, hard = _tabled_ors, (1 << n) - 1, None
-    if n <= _TABLED_SIZE:  # the zero bits, read in C, pick the masks kept per zero pattern
-        dn, below, hard = _zero_pattern(n, bytes(table).translate(_zero_bits(zero)))
+    ors, full, raw = _tabled_ors, (1 << n) - 1, n <= _TABLED_SIZE and bytes(table)
+    if raw:  # the zero bits, read in C, pick the masks kept per zero pattern
+        dn, below, easy = _zero_pattern(n, raw.translate(_zero_bits(zero)))
     else:
         ors, dn = _mask_ors, _down_masks(n, zero, table)
         below = ors(tuple(dn))
     rows = [table[r : r + n] for r in range(0, n * n, n)]
     bad, rowstar = {}, []
-    if hard is None or not hard.isdisjoint(table):
+    if not raw or raw.strip(easy):  # a byte is left exactly when some cell is not easy
         for x, xrow in enumerate(rows):
             for y, cxy in enumerate(xrow):
                 d = below[cxy]
@@ -490,9 +505,8 @@ def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) 
                     yield "HK4", (x, y), 1 << x, 1 << y
 
 
-# label tuple -> failure item -> its Violation, shared by every report on those labels
-_findings: dict[tuple[str, ...], dict[tuple, Violation]] = {}
-_findings_kept = [0]  # entries over all label sets, at most FINDINGS_KEPT
+# label tuple -> failure item -> its Violation, shared by reports; each is charged one
+_findings = _Kept(lambda labels: {}, FINDINGS_KEPT, FINDINGS_KEPT)
 
 
 def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> ValidationReport:
@@ -507,8 +521,8 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
     Violations come per triple (x, y, z), HK2 before HK1; then HK3 per x;
     then HK4 per pair.  A violation's witness and text depend only on the
     labels and the failure item, so each distinct one is built once and
-    shared by later reports.  The store stops adding at ``FINDINGS_KEPT``
-    entries, and the next report empties it before it starts.
+    shared by later reports.  The store holds ``FINDINGS_KEPT`` label sets
+    and findings at most: a finding that would pass it empties it first.
     """
     c = alg.carrier
     failures = list(_hk_failures(len(c), alg.zero, alg.table, strict_antisymmetry))
@@ -519,10 +533,7 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
         k -= 1
     failures[:k] = sorted(failures[:k], key=itemgetter(1))
     labels = c.labels
-    if _findings_kept[0] >= FINDINGS_KEPT:  # full: start again, as the cached HK2 plans do
-        _findings.clear()
-        _findings_kept[0] = 0
-    store = _findings.get(labels, {})
+    store = _findings[labels] if failures else {}
     shown: dict[int, str] = {}
 
     def show(mask: int) -> str:
@@ -545,10 +556,9 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
             else:
                 detail = "x<y and y<x with x != y"
             v = Violation(axiom, tuple(map(labels.__getitem__, indices)), detail)
-            if _findings_kept[0] < FINDINGS_KEPT:
-                _findings[labels] = store
-                store[item] = v
-                _findings_kept[0] += 1
+            if _findings.charge(1):  # emptied, these labels' findings too: keep them anew
+                store = _findings[labels]
+            store[item] = v
         violations.append(v)
     return ValidationReport(not violations, tuple(violations))
 
@@ -571,7 +581,7 @@ def hk_axioms_hold_raw(
     hint_n, hint = _hk2_hint[0]
     if hint_n == n and _hk2_mismatch(table, hint):
         return False
-    if hit := _hk2_mismatch(table, _hk2_plan(n, zero)):
+    if hit := _hk2_mismatch(table, _hk2_plan[n, zero]):
         _hk2_hint[0] = n, hit[:1]
         return False
     return next(_past_hk2_failures(n, zero, table, strict_antisymmetry), None) is None

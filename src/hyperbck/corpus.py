@@ -184,7 +184,7 @@ def enumerate_fuzzy_assignments(
     levels: list[list[int]] = [[] for _ in rank_of]  # the grid positions of each distinct value
     for p, v in enumerate(values):
         levels[rank_of[v]].append(p)
-    pairs = _membership_pairs(alg.table)
+    pairs = _membership_pairs[alg.table]
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for order in _weak_orders(len(alg.carrier), len(levels)):
         if next(_membership_failures(pairs, order), None) is None:

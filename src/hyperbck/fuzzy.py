@@ -21,16 +21,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 from typing import Any, Iterable, Iterator, Sequence
 
 from .core import (
+    PRODUCT_CELLS_KEPT,
     HyperBCK,
     InfoCheck,
     InputError,
     ValidationReport,
     Violation,
+    _Kept,
     iter_bits,
 )
 
@@ -180,12 +182,12 @@ def _cut_masks(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(order), (*(sum(1 << i for i, r in enumerate(ranks) if r >= s) for s in order), 0)
 
 
-@lru_cache(maxsize=1 << 8)
+@partial(_Kept, limit=PRODUCT_CELLS_KEPT, maxsize=1 << 8, weigh=lambda table, _: len(table))
 def _membership_pairs(table: tuple[int, ...]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """Every pair (x, y) of a table whose cell can fail the inequality, with the cell's elements.
 
     A cell {x} or {y} holds the smaller of mu(x) and mu(y), so it never fails
-    and is left out.  Cached per table, since every structure on one algebra
+    and is left out.  Kept per table, since every structure on one algebra
     reads the same pairs.
     """
     n = isqrt(len(table))
@@ -215,22 +217,23 @@ def _membership_failures(
 
 def fuzzy_condition_holds(alg: HyperBCK, mu: Sequence[Any]) -> bool:
     """Fail-fast check of the membership inequality over all pairs."""
-    return next(_membership_failures(_membership_pairs(alg.table), mu), None) is None
+    return next(_membership_failures(_membership_pairs[alg.table], mu), None) is None
 
 
-@lru_cache(maxsize=1 << 8)  # as many tables as the pairs cache, which this one reads
+@partial(_Kept, limit=PRODUCT_CELLS_KEPT, maxsize=1 << 8, weigh=lambda key, _: len(key[0]))
 def _membership_verdict(
-    table: tuple[int, ...], zero: int, ranks: tuple[int, ...]
+    key: tuple[tuple[int, ...], int, tuple[int, ...]]
 ) -> tuple[tuple[tuple[int, int, int, int], ...], bool, bool, bool]:
     """What the membership checks read of mu's weak order, as ranks.
 
     The failures ``(x, y, got, bound)`` of the inequality, whether mu is
     maximal at zero, whether it is monotone along the hyperorder, and whether
-    it is constant.  Cached on the table, the zero and the rank vector: the
+    it is constant.  Kept on the table, the zero and the rank vector: the
     structures of one algebra with one weak order of mu share every answer.
     """
+    table, zero, ranks = key
     n = len(ranks)
-    failures = tuple(_membership_failures(_membership_pairs(table), ranks))
+    failures = tuple(_membership_failures(_membership_pairs[table], ranks))
     monotone = all(
         ranks[pos // n] <= ranks[pos % n] for pos, cell in enumerate(table) if cell >> zero & 1
     )
@@ -249,7 +252,7 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
     alg = fz.alg
     labels = alg.carrier.labels
     ranks = fz._ranks()
-    failures, zero_max, monotone, constant = _membership_verdict(alg.table, alg.zero, ranks)
+    failures, zero_max, monotone, constant = _membership_verdict[alg.table, alg.zero, ranks]
     degree = dict(zip(ranks, fz.mu)) if failures else {}
     violations = [
         Violation(
@@ -312,7 +315,7 @@ def check_collapse_properties(fz: FuzzyHyperBCK) -> CollapseVerdict:
     mu(zero) = 0 reads the exact degree.
     """
     alg = fz.alg
-    _, _, monotone, constant = _membership_verdict(alg.table, alg.zero, fz._ranks())
+    _, _, monotone, constant = _membership_verdict[alg.table, alg.zero, fz._ranks()]
     return _collapse_verdict(monotone, constant, fz.mu[alg.zero] == ZERO)
 
 

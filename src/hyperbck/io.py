@@ -18,11 +18,11 @@ membership values all round-trip.  No floating point anywhere.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import partial
 from operator import add
 from typing import Any, Callable
 
-from .core import Carrier, HyperBCK, InputError, iter_bits
+from .core import Carrier, HyperBCK, InputError, _Kept, iter_bits
 from .fuzzy import FuzzyHyperBCK, format_fuzzy
 from .morphisms import Hom
 
@@ -123,48 +123,27 @@ def _dumps(value: Any, pretty: bool, depth: int = 0) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
-class _CellTexts(dict):
-    """The JSON text of each cell's label list by mask, kept on first use while the render
-    pieces hold fewer than ``RENDER_TEXTS_KEPT`` texts."""
-
-    def __init__(self, labels: tuple[str, ...], pretty: bool):
-        super().__init__()
-        self.labels, self.pretty = labels, pretty
-
-    def __missing__(self, mask: int) -> str:
-        text = _dumps([self.labels[t] for t in iter_bits(mask)], self.pretty, 2)
-        if _texts_held[0] < RENDER_TEXTS_KEPT:
-            _texts_held[0] += 1
-            self[mask] = text
-        return text
-
-
-_texts_held = [0]  # texts in the pieces built since the cache was last emptied
-
-
-@lru_cache(maxsize=16)
-def _render_pieces(carrier: Carrier, pretty: bool = False) -> tuple[str, list[str], _CellTexts]:
+@partial(_Kept, limit=RENDER_TEXTS_KEPT, maxsize=16, weigh=lambda _, p: len(p[1]) + p[2].limit)
+def _render_pieces(key: tuple[Carrier, bool]) -> tuple[str, list[str], _Kept]:
     """The head text up to the table's first key, the ``"x,y":`` key text of each cell in
-    table order, and the cell texts of documents on ``carrier``, compact unless ``pretty``.
+    table order, and the cell texts by mask, filled on lookup, of documents on a carrier.
 
     Each piece is ``json.dumps`` of the value ``structure_to_dict`` puts there, so the
-    escapes match.  The cache holds at most ``RENDER_TEXTS_KEPT`` texts: a carrier that
-    would pass it empties the cache first, as ``core._hk2_plan`` does.
+    escapes match.  The cell texts have room for as many as the keys, or for what the keys
+    leave of the least charge, and the pieces are charged their keys and that room.
     """
+    carrier, pretty = key
     labels = carrier.labels
     _comma_free(labels, "carrier")
-    cells = len(labels) ** 2
-    if _texts_held[0] + cells > RENDER_TEXTS_KEPT:
-        _render_pieces.cache_clear()
-        _texts_held[0] = 0
-    _texts_held[0] += cells
     at1, at2, colon = _LAYOUT[pretty]
     carrier_text = _dumps(list(labels), pretty, 1)
     zero_text = json.dumps(carrier.zero_label)
     head = f'{{{at1}"carrier"{colon}{carrier_text},{at1}"zero"{colon}{zero_text}'
     head += f',{at1}"table"{colon}{{{at2}'
     keys = [json.dumps(f"{x},{y}") + colon for x in labels for y in labels]
-    return head, keys, _CellTexts(labels, pretty)
+    room = max(_render_pieces.least - len(keys), len(keys))
+    cells = _Kept(lambda mask: _dumps([labels[t] for t in iter_bits(mask)], pretty, 2), room, room)
+    return head, keys, cells
 
 
 def render_structure(obj: Structure, pretty: bool = False) -> str:
@@ -174,10 +153,7 @@ def render_structure(obj: Structure, pretty: bool = False) -> str:
     alg = obj.alg if isinstance(obj, FuzzyHyperBCK) else obj
     carrier = alg.carrier
     end = "\n" if pretty else ""
-    if len(carrier) ** 2 > RENDER_TEXTS_KEPT:  # too many cells to keep the pieces of
-        return _dumps(structure_to_dict(obj), pretty) + end
-    # one spelling per layout, since lru_cache keys on how the arguments are passed
-    head, keys, cells = _render_pieces(carrier, True) if pretty else _render_pieces(carrier)
+    head, keys, cells = _render_pieces[carrier, pretty]
     at1, at2, colon = _LAYOUT[pretty]
     text = head + f",{at2}".join(map(add, keys, map(cells.__getitem__, alg.table))) + at1 + "}"
     if isinstance(obj, FuzzyHyperBCK):
@@ -204,7 +180,6 @@ def parse_hom_document(
         value = doc[key]
         if isinstance(value, str):
             _expect(load is not None, "shape", f"{where}.{key}", "path references not allowed here")
-            assert load is not None
             return load(value)
         return structure_from_dict(value, f"{where}.{key}")
 

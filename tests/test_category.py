@@ -503,12 +503,13 @@ def test_the_crisp_leg_check_runs_once_per_factor_tuple_and_the_fuzzy_one_every_
         "_never_lowers_membership",
         lambda *args: fuzzy_checks.append(args) or never_lowers(*args),
     )
-    category._crisp_product.cache_clear()
+    store = category._crisp_product
+    store.clear()
     factors = [c2, FuzzyHyperBCK(c2.alg, (Fraction(1), Fraction(1, 4)))]
     first, second = product(factors), product(factors[::-1])
     assert first.object.alg is second.object.alg and first.object != second.object
     assert len(hom_checks) == 2 and len(fuzzy_checks) == 4
-    assert category._crisp_product.cache_info().maxsize == 256
+    assert list(store) == [(c2.alg, c2.alg)] and store.limit // store.least == 256
 
 
 def test_crisp_products_held_stay_under_their_cell_bound():
@@ -520,16 +521,15 @@ def test_crisp_products_held_stay_under_their_cell_bound():
     c16 = chain_example(16).alg
     chains = [c16, *(zero_moved_to(c16, k) for k in (1, 2))]
     factors = [[zero_mu(a), zero_mu(b)] for a in chains for b in chains[:2]]
-    category._crisp_product.cache_clear()
-    category._product_cells[0] = 0
+    store = category._crisp_product
+    store.clear()
     held = []
     try:
         for pair in factors:
             alg = product(pair).object.alg
             assert product(pair).object.alg is alg  # the newest is kept
-            assert category._product_cells[0] <= PRODUCT_CELLS_KEPT
-            held.append(category._crisp_product.cache_info().currsize * cells)
+            assert store.held == len(store) * cells <= PRODUCT_CELLS_KEPT
+            held.append(store.held)
     finally:
-        category._crisp_product.cache_clear()
-        category._product_cells[0] = 0
-    assert max(held) <= PRODUCT_CELLS_KEPT and len(factors) * cells > PRODUCT_CELLS_KEPT
+        store.clear()
+    assert max(held) == PRODUCT_CELLS_KEPT and len(factors) * cells > PRODUCT_CELLS_KEPT

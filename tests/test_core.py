@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import itertools
 import os
@@ -193,18 +194,18 @@ def test_walk_matches_the_product_filtered_by_the_same_checks():
 def test_every_cache_in_the_package_is_bounded():
     import hyperbck
 
-    cached = {}
+    cached, kept = {}, {}
     for info in pkgutil.iter_modules(hyperbck.__path__):
         module = importlib.import_module(f"hyperbck.{info.name}")
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 cached[f"{info.name}.{name}"] = obj.cache_info().maxsize
+            elif isinstance(obj, core._Kept):
+                kept[f"{info.name}.{name}"] = obj
     assert {
-        "category._crisp_product",
         "category.enumerate_regular_congruences",
         "cli.build_parser",
         "core.iter_bits",
-        "core._hk2_plan",
         "core._spread",
         "core._tabled_ors",
         "core._zero_bits",
@@ -215,15 +216,37 @@ def test_every_cache_in_the_package_is_bounded():
         "fuzzy._collapse_verdict",
         "fuzzy._cut_masks",
         "fuzzy._info_checks",
-        "fuzzy._membership_pairs",
-        "fuzzy._membership_verdict",
-        "io._render_pieces",
         "morphisms.enumerate_homs",
         "morphisms._probe_hom_maps",
         "morphisms._probes_by_image",
         "morphisms._table_pairs",
     } <= set(cached)
     assert {name: size for name, size in cached.items() if size is None} == {}
+    # every other module-level store is bounded by its charges, and so by its entries
+    assert {
+        "category._crisp_product",
+        "core._findings",
+        "core._hk2_plan",
+        "fuzzy._membership_pairs",
+        "fuzzy._membership_verdict",
+        "io._render_pieces",
+    } <= set(kept)
+    assert all(0 < store.least <= store.limit for store in kept.values())
+    # and no function keeps a bound by emptying its own cache
+    clearing_itself = []
+    for path in sorted((SRC / "hyperbck").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(fn):
+                    target = getattr(call, "func", None)
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr == "cache_clear"
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == fn.name
+                    ):
+                        clearing_itself.append(f"{path.name}:{call.lineno} {fn.name}")
+    assert clearing_itself == []
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -446,7 +469,11 @@ def _literal_detail(oracle, axiom, witness):
 
 def _empty_findings():
     core._findings.clear()
-    core._findings_kept[0] = 0
+
+
+def _findings_charged() -> int:
+    """A label set and each finding are charged one."""
+    return len(core._findings) + sum(map(len, core._findings.values()))
 
 
 def test_shared_findings_are_keyed_by_the_labels(corpus3):
@@ -480,28 +507,36 @@ def test_shared_findings_are_keyed_by_the_labels(corpus3):
                 assert again == report
                 assert all(a is b for a, b in zip(again.violations, report.violations))
     assert axioms == {"HK1", "HK2", "HK3", "HK4"}
-    assert 0 < core._findings_kept[0] < FINDINGS_KEPT
+    assert 0 < core._findings.held == _findings_charged() < FINDINGS_KEPT
     assert sorted(core._findings) == sorted(label_sets)
 
 
 def test_findings_kept_stop_at_their_bound():
-    """The 64-element product of two 8-chains fails far more instances than are kept."""
+    """The 64-element product of two 8-chains fails far more instances than are kept: a
+    finding that would pass the bound empties the store first, so the last ones stay."""
     chain = chain_example(8)
     alg = product([chain, chain]).object.alg
     assert alg.size == 64
     _empty_findings()
     report = validate_hyper_bck(alg)
-    assert len(report.violations) > FINDINGS_KEPT
-    kept = sum(map(len, core._findings.values()))
-    assert kept == core._findings_kept[0] == FINDINGS_KEPT
-    # a full store is emptied before the next report, which then keeps its own findings
+    n = len(report.violations)
+    assert n > FINDINGS_KEPT and len(set(report.violations)) == n
+    store = core._findings
+    kept = store[alg.carrier.labels]
+    # the label set and 4,095 findings fill the store; each emptying restarts it at one finding
+    assert len(kept) == (n - FINDINGS_KEPT) % (FINDINGS_KEPT - 1) + 1
+    assert list(store) == [alg.carrier.labels] and store.held == 1 + len(kept) <= FINDINGS_KEPT
+    assert list(kept.values()) == list(report.violations[-len(kept) :])
+    # the next report keeps its findings beside those while they fit
     small = HyperBCK(Carrier(("p", "q", "r"), 1), (7, 1, 2, 4, 4, 1, 3, 6, 5))
     small_report = validate_hyper_bck(small, strict_antisymmetry=True)
     _assert_report_matches_oracle(small, small_report, True)
-    assert list(core._findings) == [small.carrier.labels]
-    assert core._findings_kept[0] == len(set(small_report.violations)) > 0
+    assert list(store) == [alg.carrier.labels, small.carrier.labels]
+    assert store.held == _findings_charged() == 2 + len(kept) + len(small_report.violations)
+    # a report that passes the bound empties the store, the small report's findings too
     assert validate_hyper_bck(alg) == report
-    assert sum(map(len, core._findings.values())) == core._findings_kept[0] == FINDINGS_KEPT
+    assert list(store) == [alg.carrier.labels]
+    assert store.held == _findings_charged() <= FINDINGS_KEPT
 
 
 def test_axiom_checks_refuse_carriers_past_the_bound():
@@ -564,7 +599,7 @@ def test_fail_fast_agrees_with_literal_oracle_on_sampled_size3_leaves(search_lea
 
 def test_fail_fast_matches_report_on_every_size3_leaf_past_hk2(search_leaves):
     """Only these leaves reach the past-HK2 generator in the fail-fast check."""
-    plan = _hk2_plan(3, 0)
+    plan = _hk2_plan[3, 0]
     past = [t for t in search_leaves if _hk2_mismatch(t, plan) is None]
     assert len(past) == 17015
     carrier = Carrier(("0", "1", "2"), 0)
@@ -580,8 +615,19 @@ def test_fail_fast_matches_report_on_every_size3_leaf_past_hk2(search_leaves):
     assert failing == 1079
 
 
+class _CountedLookups:
+    """A store's stand-in that counts the lookups made through it."""
+
+    def __init__(self, store):
+        self.store, self.asked = store, 0
+
+    def __getitem__(self, key):
+        self.asked += 1
+        return self.store[key]
+
+
 @pytest.mark.parametrize("order", ["search", "shuffled"])
-def test_the_hk2_hint_never_changes_a_verdict_on_the_size3_leaves(search_leaves, order):
+def test_the_hk2_hint_never_changes_a_verdict_on_the_size3_leaves(search_leaves, order, monkeypatch):
     """Every leaf, in search order or shuffled: the leaves passed are exactly the search's
     output, whose bytes ``test_size3_search_output_is_frozen`` pins; a seeded sample is also
     held against the report and the literal oracle, under the hint the leaves before it left."""
@@ -590,7 +636,8 @@ def test_the_hk2_hint_never_changes_a_verdict_on_the_size3_leaves(search_leaves,
         random.Random(20261021).shuffle(leaves)
     sampled = set(random.Random(20261022).sample(range(len(leaves)), 2500))
     carrier = Carrier(("0", "1", "2"), 0)
-    looked_up = _hk2_plan.cache_info()
+    plans = _CountedLookups(_hk2_plan)
+    monkeypatch.setattr(core, "_hk2_plan", plans)
     kept = []
     for i, t in enumerate(leaves):
         verdict = hk_axioms_hold_raw(3, 0, t)
@@ -600,9 +647,8 @@ def test_the_hk2_hint_never_changes_a_verdict_on_the_size3_leaves(search_leaves,
             assert verdict == naive.hk_valid(labels, "0", table)
         if verdict:
             kept.append(t)
-    info = _hk2_plan.cache_info()
     if order == "search":  # looked up where the hint missed or HK2 held, and by each report
-        assert info.hits + info.misses - looked_up.hits - looked_up.misses <= 21485 + 17015 + 2500
+        assert plans.asked <= 21485 + 17015 + 2500
     assert sorted(kept) == list(_search_tables(3))
 
 
@@ -637,7 +683,7 @@ def test_the_hk2_hint_never_changes_a_verdict_across_sizes_and_zeros(corpus_le2,
 
     # A hint left by size 4 is not read at size 3, and a refusal leaves it as it was.
     four = (1,) * 16
-    while not _hk2_mismatch(four, _hk2_plan(4, 0)):
+    while not _hk2_mismatch(four, _hk2_plan[4, 0]):
         four = tuple(rng.randrange(1, 16) for _ in range(16))
     for alg in corpus3.models[::500]:
         assert not hk_axioms_hold_raw(4, 0, four) and core._hk2_hint[0][0] == 4
@@ -664,10 +710,12 @@ def test_the_zero_pattern_pass_lists_the_literal_oracles_items(strict):
         after = _zero_pattern.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == (n <= _TABLED_SIZE)
         if n <= _TABLED_SIZE:
-            hard = _zero_pattern(n, bytes(c >> zero & 1 for c in masks))[2]
-            skipped += hard.isdisjoint(masks)
-            entered += not hard.isdisjoint(masks)
-            assert everywhere <= hard.isdisjoint(masks)
+            _, below, easy = _zero_pattern(n, bytes(c >> zero & 1 for c in masks))
+            assert set(easy) == {m for m in range(1 << n) if below[m] == (1 << n) - 1}
+            skip = set(masks) <= set(easy)  # every cell's D is the carrier
+            skipped += skip
+            entered += not skip
+            assert everywhere <= skip
         labels, zero_label, table = naive.table_of(alg)
         oracle = [f for f in naive.hk_failures(labels, zero_label, table, strict) if f[0] != "HK2"]
         assert [(axiom, tuple(map(str, idx))) for axiom, idx, _, _ in items] == oracle
@@ -717,7 +765,7 @@ def test_hk2_plan_lists_each_instance_once_with_the_zero_row_last(n):
     # from them by divmod, as the reporting path does on a mismatch.
     for zero in range(n):
         triples = []
-        for xy, xz, gz, gy in _hk2_plan(n, zero):
+        for xy, xz, gz, gy in _hk2_plan[n, zero]:
             (x, y), (xz_row, z) = divmod(xy, n), divmod(xz, n)
             assert xz_row == x and y < z
             triples.append((x, y, z))
@@ -732,20 +780,68 @@ def test_hk2_plan_lists_each_instance_once_with_the_zero_row_last(n):
 
 
 def test_hk2_plans_held_stay_under_their_instance_bound():
-    # A plan at 32 elements lists 15,872 instances; the cache takes 16 entries,
+    # A plan at 32 elements lists 15,872 instances; the store takes 16 entries,
     # but 16 such plans would pass the bound on the instances it holds.
     per_plan = 32 * 32 * 31 // 2
     assert per_plan * 8 <= HK2_PLAN_BOUND < per_plan * 16
-    _hk2_plan.cache_clear()
+    _hk2_plan.clear()
     held = []
     try:
         for zero in range(32):
-            plan = _hk2_plan(32, zero)
-            assert len(plan) == per_plan and _hk2_plan(32, zero) is plan  # the newest is kept
-            held.append(_hk2_plan.cache_info().currsize * per_plan)
+            plan = _hk2_plan[32, zero]
+            assert len(plan) == per_plan and _hk2_plan[32, zero] is plan  # the newest is kept
+            assert _hk2_plan.held == len(_hk2_plan) * per_plan
+            held.append(_hk2_plan.held)
+        # small plans are charged a sixteenth of the bound: sixteen are kept at most
+        for n, zero in itertools.product(range(1, 6), range(5)):
+            plan = _hk2_plan[n, zero % n]
+            assert _hk2_plan[n, zero % n] is plan and len(_hk2_plan) <= 16
     finally:
-        _hk2_plan.cache_clear()
+        _hk2_plan.clear()
     assert max(held) <= HK2_PLAN_BOUND and max(held) > per_plan
+
+
+def test_kept_store_holds_exactly_its_charges_within_its_bound():
+    """Seeded key and weight sequences: ``held`` is the sum of the kept entries' charges (each
+    at least ``limit // maxsize``) and stays within the limit, the newest entry is kept unless
+    it alone passes the limit, and no more than ``maxsize`` entries are kept."""
+    rng = random.Random(20261025)
+    emptied = 0
+    for _ in range(300):
+        limit, maxsize = rng.choice([(16, 16), (100, 7), (1 << 10, 8), (50, 50), (9, 1)])
+        least, weights, built = limit // maxsize, {}, []
+        weigh = lambda key, value: weights[key]  # noqa: E731
+        store = core._Kept(lambda key: built.append(key) or -key, limit, maxsize, weigh)
+        for _ in range(40):
+            key = rng.randrange(30)
+            weight = rng.choice([0, 1, least, rng.randrange(limit + 2)])
+            charge = max(least, weights.setdefault(key, weight))
+            had, before, held, builds = key in store, dict(store), store.held, len(built)
+            assert store[key] == -key and len(built) == builds + (not had)  # a hit builds nothing
+            if had or charge > limit:  # a hit, or a value alone past the limit, keeps all as it was
+                assert dict(store) == before and store.held == held
+            elif held + charge > limit:  # emptied first, then kept
+                assert list(store) == [key]
+                emptied += 1
+            else:
+                assert dict(store) == {**before, key: -key}
+            assert store.held == sum(max(least, weights[k]) for k in store) <= limit
+            assert len(store) <= maxsize
+        store.clear()
+        assert (len(store), store.held) == (0, 0)
+    assert emptied > 100
+
+    # a make that raises keeps nothing, and raises again on the next lookup
+    alg = HyperBCK(Carrier(tuple("Oab"), 0), (1, 1, 1, 2, 1, 1, 4, 4, 1))
+    store = core._Kept(alg.restrict_mask, 4, 4)
+    assert store[0b011].carrier.labels == ("O", "a")
+    for _ in range(2):
+        with pytest.raises(InputError, match="not a subalgebra"):
+            store[0b110]
+        assert list(store) == [0b011] and store.held == 1
+    # a charge that would pass the limit empties the store first
+    assert not store.charge(3) and store.held == 4
+    assert store.charge(1) and (dict(store), store.held) == ({}, 1)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 6, 7, 9])
@@ -838,8 +934,7 @@ def test_restriction_matches_literal_oracle(corpus_le2):
                 assert refusals[0] == refusals[1]
                 continue
             sub = alg.restrict_mask(mask)
-            again = alg.restrict_mask(mask)
-            assert again is sub or (again == sub and len(alg._restrictions) == RESTRICTIONS_KEPT)
+            assert alg.restrict_mask(mask) is sub  # the newest is kept
             want = naive.restricted_table(labels, zero, table, subset)
             assert (sub.carrier.labels, sub.carrier.zero_label, naive.table_of(sub)[2]) == want
 
@@ -874,11 +969,17 @@ def test_restrictions_kept_stop_at_their_bound():
     labels = tuple("Oabcde")
     alg = HyperBCK(Carrier(labels, 0), (1,) * 36)
     masks = range(1, 63, 2)
-    first = [alg.restrict_mask(m) for m in masks]
-    assert len(alg._restrictions) == RESTRICTIONS_KEPT < len(masks)
+    first = []
+    for m in masks:
+        first.append(alg.restrict_mask(m))
+        assert alg.restrict_mask(m) is first[-1]  # the newest is kept
+        assert len(alg._restrictions) == alg._restrictions.held <= RESTRICTIONS_KEPT
+    # the 17th emptied the store first, so the last 15 are kept
+    kept = dict(alg._restrictions)
+    assert list(kept) == list(masks[RESTRICTIONS_KEPT:]) and RESTRICTIONS_KEPT < len(masks)
+    assert all(alg.restrict_mask(m) is sub for m, sub in kept.items())
     for m, sub in zip(masks, first):
-        again = alg.restrict_mask(m)
-        assert (again is sub) == (m in alg._restrictions) and again == sub
+        assert alg.restrict_mask(m) == sub
         assert sub.carrier.labels == tuple(labels[i] for i in iter_bits(m))
     fresh = HyperBCK(Carrier(labels, 0), (1,) * 36)
     assert (alg, hash(alg), repr(alg)) == (fresh, hash(fresh), repr(fresh))

@@ -24,7 +24,8 @@ from hyperbck import (
     trivial_algebra,
     validate_fuzzy,
 )
-from hyperbck.core import iter_bits
+from hyperbck import fuzzy
+from hyperbck.core import PRODUCT_CELLS_KEPT, iter_bits
 from hyperbck.corpus import chain_example
 from hyperbck.fuzzy import fuzzy_condition_holds
 
@@ -440,3 +441,25 @@ def test_restriction_is_the_whole_structure_or_the_literal_subalgebra(corpus_le2
             assert (sub.alg.carrier.labels, sub.alg.carrier.zero_label) == (kept, sub_zero)
             assert naive.table_of(sub.alg)[2] == cells
             assert sub.mu == tuple(fz.mu_of(x) for x in kept)
+
+
+def test_membership_stores_are_bounded_by_the_cells_they_hold():
+    """Eight 256-element structures: each membership store holds at most four tables of that
+    size, and every report equals the one built from cold stores."""
+    chain = chain_example(256)
+    structures = [FuzzyHyperBCK(zero_moved_to(chain.alg, k), chain.mu) for k in range(8)]
+    stores = fuzzy._membership_pairs, fuzzy._membership_verdict
+    for store in stores:
+        store.clear()
+    reports = []
+    for fz in structures:
+        reports.append(validate_fuzzy(fz))
+        for store in stores:
+            assert store.held == 256 * 256 * len(store) <= PRODUCT_CELLS_KEPT
+        assert len(fuzzy._membership_pairs) <= 4
+    assert len({r.violations for r in reports}) == 8
+    for fz, report in zip(structures, reports):
+        for store in stores:
+            store.clear()
+        assert validate_fuzzy(fz) == report
+        assert fuzzy_condition_holds(fz.alg, fz.mu) == report.passed

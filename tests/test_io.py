@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -274,30 +273,25 @@ def test_compact_text_escapes_labels_as_the_dict_encoding_does(corpus3_iso):
         assert exc.value.code == "label-comma"
 
 
-def _held_texts(pieces: dict) -> int:
-    """Texts held by the cached pieces among ``pieces`` (carrier -> (weakref, key count))."""
-    return sum(keys + len(cells()) for cells, keys in pieces.values() if cells() is not None)
-
-
 def test_render_pieces_stay_within_their_bound():
-    library_io._render_pieces.cache_clear()
-    library_io._texts_held[0] = 0
-    seen = {}
+    store = library_io._render_pieces
+    store.clear()
     chains = [chain_example(k) for k in (256, 254, 200, 150, 256, 100, 181, 3, 2)]
     small = [HyperBCK(Carrier(tuple(f"{j}.{i}" for i in range(2)), 0), (1, 1, 2, 1)) for j in range(40)]
     for obj in (*chains, *small, chains[0]):
         render_structure(obj)
         carrier = (obj.alg if isinstance(obj, FuzzyHyperBCK) else obj).carrier
-        _, keys, cells = library_io._render_pieces(carrier)  # a hit: the pieces just used
-        seen[carrier] = (weakref.ref(cells), len(keys))
-        assert _held_texts(seen) <= library_io._texts_held[0] <= library_io.RENDER_TEXTS_KEPT
-        info = library_io._render_pieces.cache_info()
-        assert info.currsize <= info.maxsize
+        _, keys, cells = store[carrier, False]  # a hit: the pieces just used
+        assert len(cells) <= cells.limit == max(store.least - len(keys), len(keys))
+        # each carrier's pieces are charged their keys and the room of their cell texts
+        assert store.held == sum(len(k) + c.limit for _, k, c in store.values())
+        assert sum(len(k) + len(c) for _, k, c in store.values()) <= store.held
+        assert store.held <= library_io.RENDER_TEXTS_KEPT and len(store) <= 16
     # a carrier with more cells than the bound renders from pieces that are not kept
     n = 363
     assert n * n > library_io.RENDER_TEXTS_KEPT
     wide = HyperBCK(Carrier(tuple(map(str, range(n))), 0), (1,) * (n * n))
-    before = library_io._render_pieces.cache_info(), library_io._texts_held[0]
+    before = dict(store), store.held
     text = render_structure(wide)
     assert text == json.dumps(structure_to_dict(wide), separators=(",", ":"))
-    assert (library_io._render_pieces.cache_info(), library_io._texts_held[0]) == before
+    assert (dict(store), store.held) == before
