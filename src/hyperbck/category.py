@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import product as iter_product
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     PRODUCT_BOUND,
@@ -324,29 +324,42 @@ def partition_meet(congs: Sequence[Congruence]) -> Congruence:
     return Congruence.from_blocks(base, list(keys.values()))
 
 
+def _generated_congruence(alg: HyperBCK, pairs: Iterable[tuple[int, int]]) -> Congruence:
+    """The least equivalence of ``alg`` relating each ``(a, b)`` of ``pairs``, merging classes."""
+    classes = [[i] for i in range(len(alg.carrier))]
+    for a, b in pairs:
+        if classes[a] is not classes[b]:
+            merged = classes[a] + classes[b]
+            for i in merged:
+                classes[i] = merged
+    return Congruence.from_blocks(alg, [c for i, c in enumerate(classes) if min(c) == i])
+
+
 def coequalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> ConstructionResult:
     """Quotient of the target by the meet of all coequalizing regular congruences.
 
-    Membership of a block is the maximum over its members.  The meet is
-    verified to be regular; a failure is a claim violation with the
-    partition as witness.  Targets past ``CONGRUENCE_BOUND`` elements are
-    refused.
+    Each member contains E, the equivalence the pairs ``(f(i), g(i))`` generate, so a regular E
+    is the meet.  Otherwise the family is listed (refused past ``CONGRUENCE_BOUND`` elements) and
+    its meet verified to be regular; a failure is a claim violation with the partition as
+    witness.  Membership of a block is the maximum over its members.
     """
     _require_fuzzy_homs("both maps must be fuzzy homomorphisms", (f, src, dst), (g, src, dst))
-    family = [
-        theta
-        for theta in enumerate_regular_congruences(dst.alg)
-        if all(theta.relates(f.mapping[i], g.mapping[i]) for i in range(len(f.mapping)))
-    ]
-    if not family:  # the total congruence always qualifies
-        raise ClaimViolation("coequalizer-family-empty", (f.as_label_map(), g.as_label_map()))
-    rho = partition_meet(family)
+    rho = _generated_congruence(dst.alg, zip(f.mapping, g.mapping))
     if not is_regular_congruence(rho):
-        raise ClaimViolation(
-            "congruence-meet-regular",
-            rho.label_blocks(),
-            "meet of the coequalizing regular congruences is not regular",
-        )
+        family = [
+            theta
+            for theta in enumerate_regular_congruences(dst.alg)
+            if all(theta.relates(f.mapping[i], g.mapping[i]) for i in range(len(f.mapping)))
+        ]
+        if not family:  # the total congruence always qualifies
+            raise ClaimViolation("coequalizer-family-empty", (f.as_label_map(), g.as_label_map()))
+        rho = partition_meet(family)
+        if not is_regular_congruence(rho):
+            raise ClaimViolation(
+                "congruence-meet-regular",
+                rho.label_blocks(),
+                "meet of the coequalizing regular congruences is not regular",
+            )
     q_alg, project = quotient(rho)
     mu = tuple(max(dst.mu[i] for i in block) for block in rho.blocks)
     obj = FuzzyHyperBCK(q_alg, mu)

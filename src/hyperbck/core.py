@@ -27,6 +27,7 @@ AXIOM_CHECK_BOUND = 64  # its HK2 plan holds n*n*(n-1)/2 = 129,024 instances, 17
 HK2_PLAN_BOUND = 1 << 17  # instances the cached HK2 plans hold at once: one plan at 64 and more
 RESTRICTIONS_KEPT = 16  # restrictions one algebra keeps; n elements have up to 2**(n-1) subalgebras
 FINDINGS_KEPT = 1 << 12  # violations the reports share, over all label sets together
+BITS_KEPT = 1 << 16  # bit positions iter_bits keeps: 256 full masks at PRODUCT_BOUND
 
 
 class InputError(ValueError):
@@ -48,22 +49,6 @@ class ClaimViolation(RuntimeError):
         self.claim = claim
         self.witness = witness
         super().__init__(message or f"{claim}: witness {witness!r}")
-
-
-@lru_cache(maxsize=1 << 12)
-def iter_bits(mask: int) -> tuple[int, ...]:
-    """The set bit positions of ``mask`` in increasing order.
-
-    Cached, because the axiom and hom checks ask for the bits of the same
-    few cell masks millions of times; the bound keeps a long-lived process
-    that sees large masks from growing without limit.
-    """
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(bits)
 
 
 class _Kept(dict):
@@ -96,6 +81,20 @@ class _Kept(dict):
             self.charge(weight)
             self[key] = value
         return value
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
+# The set bit positions of a mask in increasing order, kept because the checks ask for the bits
+# of the same few cell masks millions of times; each is charged its bits, at least 16.
+iter_bits = _Kept(_bits, BITS_KEPT, 1 << 12, lambda mask, bits: len(bits)).__getitem__
 
 
 def _walk(domains: Sequence[Iterable], ok: Callable[[int, list], bool]) -> Iterator[tuple]:
@@ -313,21 +312,25 @@ class HyperBCK:
         if mask == self.carrier.full_mask:
             return self
         if self._restrictions is None:
-            kept = _Kept(self._make_restriction, RESTRICTIONS_KEPT, RESTRICTIONS_KEPT)
+            make = partial(_restriction, self.carrier, self.table)  # no cycle through the algebra
+            kept = _Kept(make, RESTRICTIONS_KEPT, RESTRICTIONS_KEPT)
             object.__setattr__(self, "_restrictions", kept)
+        if mask not in self._restrictions:
+            self._require_subalgebra(mask)
         return self._restrictions[mask]
-
-    def _make_restriction(self, mask: int) -> HyperBCK:
-        self._require_subalgebra(mask)
-        old = iter_bits(mask)
-        bit = {o: 1 << i for i, o in enumerate(old)}  # element old[i] becomes i
-        labels = tuple(self.carrier.labels[o] for o in old)
-        table = [reduce(or_, map(bit.get, iter_bits(self.cell(x, y)))) for x in old for y in old]
-        return HyperBCK(Carrier(labels, old.index(self.zero)), table)
 
     def encode(self) -> tuple[int, int, tuple[int, ...]]:
         """A hashable exact encoding (size, zero index, cell masks)."""
         return (len(self.carrier), self.zero, self.table)
+
+
+def _restriction(carrier: Carrier, table: tuple[int, ...], mask: int) -> HyperBCK:
+    """The subalgebra on the closed ``mask`` of the algebra with ``carrier`` and ``table``."""
+    old, n = iter_bits(mask), len(carrier)
+    bit = {o: 1 << i for i, o in enumerate(old)}  # element old[i] becomes i
+    labels = tuple(carrier.labels[o] for o in old)
+    cells = [reduce(or_, map(bit.get, iter_bits(table[x * n + y]))) for x in old for y in old]
+    return HyperBCK(Carrier(labels, old.index(carrier.zero_index)), cells)
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,7 +390,7 @@ def _image_masks(mapping: Sequence[int], listed: bool = False) -> list | _Kept:
 _hk2_hint = [(0, ())]  # (n, (instance,)): the HK2 plan instance that last rejected a table
 
 
-@partial(_Kept, limit=HK2_PLAN_BOUND, maxsize=16, weigh=lambda key, plan: len(plan))
+@partial(_Kept, limit=HK2_PLAN_BOUND, maxsize=64, weigh=lambda key, plan: len(plan))
 def _hk2_plan(key: tuple[int, int]) -> tuple[tuple, ...]:
     """The HK2 instances ``(x*n + y, x*n + z, gz, gy)`` of size and zero ``key``, y < z.
 

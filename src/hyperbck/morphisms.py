@@ -12,7 +12,7 @@ bounded mono tests all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -30,12 +30,16 @@ class Hom:
     """A total element map between two carriers, by source index.
 
     Only totality and range are enforced at construction; whether the map
-    is a homomorphism is decided by :func:`is_hom`.
+    is a homomorphism is decided by :func:`is_hom`, kept in ``_hom`` apart
+    from equality, hash and repr.  A map built here starts unproved; those
+    of the hom-set walk and the mono probe, and composites of proved homs,
+    are born proved.
     """
 
     source: HyperBCK
     target: HyperBCK
     mapping: tuple[int, ...]
+    _hom: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mapping", tuple(self.mapping))
@@ -68,12 +72,16 @@ class Hom:
         )
 
     @classmethod
-    def _trusted(cls, source: HyperBCK, target: HyperBCK, mapping: tuple[int, ...]) -> Hom:
-        """Build from a mapping tuple already known to be total and in range."""
+    def _trusted(
+        cls, source: HyperBCK, target: HyperBCK, mapping: tuple[int, ...], hom: bool | None = None
+    ) -> Hom:
+        """Build from a mapping tuple already known to be total and in range, with the
+        :func:`is_hom` verdict ``hom`` if the caller has proved it (None if unknown)."""
         h = object.__new__(cls)
         object.__setattr__(h, "source", source)
         object.__setattr__(h, "target", target)
         object.__setattr__(h, "mapping", mapping)
+        object.__setattr__(h, "_hom", hom)
         return h
 
     @classmethod
@@ -93,10 +101,12 @@ class Hom:
         return out
 
     def then(self, other: Hom) -> Hom:
-        """Composition ``other after self`` (source of other = target of self)."""
+        """Composition ``other after self`` (source of other = target of self); a composite
+        of two proved homs is a hom, and is born proved."""
         if other.source is not self.target and other.source != self.target:
             raise InputError("composition endpoints do not match")
-        return Hom._trusted(self.source, other.target, _compose(self.mapping, other.mapping))
+        mapping = _compose(self.mapping, other.mapping)
+        return Hom._trusted(self.source, other.target, mapping, self._hom and other._hom or None)
 
     def is_bijective(self) -> bool:
         return len(self.source.carrier) == len(self.target.carrier) and len(
@@ -118,13 +128,16 @@ def _compose(inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_hom(h: Hom) -> bool:
-    """Strong homomorphism test: zero is fixed and images of cells match cells."""
-    src, dst, mapping = h.source, h.target, h.mapping
-    if mapping[src.zero] != dst.zero:
-        return False
-    cells = zip(*_table_pairs(len(mapping)), map(iter_bits, src.table))
-    image = [1 << v for v in mapping]
-    return _first_broken_cell(cells, mapping, image, dst.table, len(dst.carrier)) is None
+    """Strong homomorphism test, taken once per map and kept on it: zero is fixed and images of
+    cells match cells."""
+    if h._hom is None:
+        src, dst, mapping = h.source, h.target, h.mapping
+        cells = zip(*_table_pairs(len(mapping)), map(iter_bits, src.table))
+        verdict = mapping[src.zero] == dst.zero and _first_broken_cell(
+            cells, mapping, [1 << v for v in mapping], dst.table, len(dst.carrier)
+        ) is None
+        object.__setattr__(h, "_hom", verdict)
+    return h._hom
 
 
 @lru_cache(maxsize=8)  # two tuples of n*n entries: 1 MiB at PRODUCT_BOUND
@@ -222,7 +235,7 @@ def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
 
     domains = [range(m)] * n
     domains[src.zero] = (dst.zero,)
-    return tuple([Hom._trusted(src, dst, f) for f in _walk(domains, ok)])
+    return tuple([Hom._trusted(src, dst, f, True) for f in _walk(domains, ok)])
 
 
 @lru_cache(maxsize=64)
@@ -316,7 +329,7 @@ def check_mono_equivalence(
         for probe, mappings in _probe_hom_maps(source, k):
             pair = _first_collision(mappings, h.mapping)
             if pair is not None:
-                p, q = (Hom._trusted(probe, source, mappings[i]) for i in pair)
+                p, q = (Hom._trusted(probe, source, mappings[i], True) for i in pair)
                 degrees = (map(src.mu.__getitem__, w.mapping) for w in (p, q))
                 lift = FuzzyHyperBCK._trusted(probe, tuple(map(min, *degrees)))
                 witness = (p, q) if all(is_fuzzy_hom(w, lift, src) for w in (p, q)) else None

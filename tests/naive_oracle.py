@@ -343,6 +343,36 @@ def quotient_table(
     return cells, hk_valid(tuple(blocks), block_of(zero), cells)
 
 
+def coequalizer_blocks(
+    labels: tuple[str, ...], zero: str, table: Table, pairs: list[tuple[str, str]]
+) -> set[frozenset[str]]:
+    """The blocks of the meet of the family: every partition that puts each pair (a, b)
+    in one block and is a regular congruence.  Each partition of the carrier is tried, and
+    the meet puts x with y when every member of the family does."""
+    family = [
+        blocks
+        for blocks in partitions(labels)
+        if all(any(a in block and b in block for block in blocks) for a, b in pairs)
+        and quotient_table(labels, zero, table, blocks)[1]
+    ]
+    together = {
+        x: frozenset(y for y in labels if all(any(x in b and y in b for b in bs) for bs in family))
+        for x in labels
+    }
+    return set(together.values())
+
+
+def generated_blocks(labels: tuple[str, ...], pairs: list[tuple[str, str]]) -> list[frozenset[str]]:
+    """The least equivalence relating each pair (a, b): blocks joined until no pair spans two."""
+    blocks = [frozenset({x}) for x in labels]
+    for a, b in pairs:
+        ba = next(block for block in blocks if a in block)
+        bb = next(block for block in blocks if b in block)
+        if ba != bb:
+            blocks = [block for block in blocks if block not in (ba, bb)] + [ba | bb]
+    return blocks
+
+
 def restricted_table(
     labels: tuple[str, ...], zero: str, table: Table, subset: frozenset[str]
 ) -> tuple[tuple[str, ...], str, Table]:

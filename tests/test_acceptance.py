@@ -38,6 +38,7 @@ from hyperbck import (
     ClaimViolation,
     FuzzyHyperBCK,
     HyperBCK,
+    InputError,
     hk_axioms_hold,
     validate_fuzzy,
     validate_hyper_bck,
@@ -604,6 +605,52 @@ def test_c09_coequalizer_suite(corpus_le2, corpus3_iso):
         f"{pairs_checked} parallel pairs, {factored} factorizations, "
         f"{len(violations)} claim violations, {elapsed:.1f}s",
     )
+
+
+def test_c09_companion_coequalizers_into_six_element_products():
+    # c09 reaches targets of at most three elements, inside the congruence
+    # bound of five.  Here each target is a seeded product of a size-2 and a
+    # size-3 model, and the parallel pairs run into it from each factor and
+    # from the product itself.  E, the equivalence the pairs (f(i), g(i))
+    # generate, is built and tested for regularity literally.  When E is
+    # regular the coequalizer answers with E, which the literal
+    # family-and-meet over all 203 partitions confirms, and each product leg
+    # that coequalizes the pair factors through it uniquely.  Otherwise the
+    # target is refused as too large.  Counts frozen by the seed.
+    models = {k: enumerate_hyper_bck(k, up_to_iso=True).models for k in (2, 3)}
+    rng = random.Random(907)
+    answered = refused = factored = 0
+    for _ in range(16):
+        factors = [zero_mu(rng.choice(models[2])), zero_mu(rng.choice(models[3]))]
+        made = product(factors)
+        dst = made.object
+        labels, zero, table = naive.table_of(dst.alg)
+        for src in (*factors, dst):
+            homs = enumerate_homs(src.alg, dst.alg)
+            for i, f in enumerate(homs):
+                for g in homs[i + 1 :]:
+                    pairs = [(labels[a], labels[b]) for a, b in zip(f.mapping, g.mapping)]
+                    generated = naive.generated_blocks(labels, pairs)
+                    if not naive.quotient_table(labels, zero, table, generated)[1]:
+                        with pytest.raises(InputError) as refusal:
+                            coequalizer(f, g, src, dst)
+                        assert refusal.value.code == "too-large"
+                        refused += 1
+                        continue
+                    result = coequalizer(f, g, src, dst)
+                    blocks = set(result.congruence.label_blocks())
+                    assert blocks == set(generated)
+                    assert blocks == naive.coequalizer_blocks(labels, zero, table, pairs)
+                    project = result.legs["project"]
+                    assert f.then(project) == g.then(project)
+                    for leg, factor in zip(made.legs.values(), factors):
+                        if f.then(leg) == g.then(leg):
+                            psi = mediate_coequalizer(result, factor, leg)
+                            quotient_homs = enumerate_homs(result.object.alg, factor.alg)
+                            assert [h for h in quotient_homs if project.then(h) == leg] == [psi]
+                            factored += 1
+                    answered += 1
+    assert (answered, refused, factored) == (124, 13, 93)
 
 
 # --- criterion 10: which subalgebras are level sets -------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import itertools
 import os
@@ -13,6 +14,7 @@ import sys
 import time
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 import pytest
@@ -157,7 +159,28 @@ def test_hyper_order_cases(c3):
 def test_iter_bits_is_pinned_and_bounded():
     for mask in [*range(1 << 12), 1 << 40 | 9, (1 << 64) - 1, 1 << 100]:
         assert iter_bits(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-    assert iter_bits.cache_info().maxsize is not None
+    store = iter_bits.__self__
+    assert isinstance(store, core._Kept) and store.held <= store.limit == core.BITS_KEPT
+    assert store.held == sum(max(store.least, len(bits)) for bits in store.values())
+
+
+def test_iter_bits_holds_wide_masks_by_their_bits():
+    # Random 256-bit masks hold about 128 bits each: the store keeps at most about 512 of
+    # 4,096 at once, and never more than a mebibyte (4.8 MiB as 4,096 entries of any size).
+    rng = random.Random(256)
+    masks = [rng.getrandbits(256) for _ in range(1 << 12)]
+    store, most = iter_bits.__self__, 0
+    store.clear()
+    tracemalloc.start()
+    try:
+        for mask in masks:
+            iter_bits(mask)
+            most = max(most, len(store))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        store.clear()
+    assert peak <= 1 << 20 and 256 < most < 1024
 
 
 def test_walk_matches_the_product_filtered_by_the_same_checks():
@@ -200,12 +223,11 @@ def test_every_cache_in_the_package_is_bounded():
         for name, obj in vars(module).items():
             if hasattr(obj, "cache_info"):
                 cached[f"{info.name}.{name}"] = obj.cache_info().maxsize
-            elif isinstance(obj, core._Kept):
-                kept[f"{info.name}.{name}"] = obj
+            elif isinstance(getattr(obj, "__self__", obj), core._Kept):  # a store or its lookup
+                kept[f"{info.name}.{name}"] = getattr(obj, "__self__", obj)
     assert {
         "category.enumerate_regular_congruences",
         "cli.build_parser",
-        "core.iter_bits",
         "core._spread",
         "core._tabled_ors",
         "core._zero_bits",
@@ -227,6 +249,7 @@ def test_every_cache_in_the_package_is_bounded():
         "category._crisp_product",
         "core._findings",
         "core._hk2_plan",
+        "core.iter_bits",
         "fuzzy._membership_pairs",
         "fuzzy._membership_verdict",
         "io._render_pieces",
@@ -780,7 +803,7 @@ def test_hk2_plan_lists_each_instance_once_with_the_zero_row_last(n):
 
 
 def test_hk2_plans_held_stay_under_their_instance_bound():
-    # A plan at 32 elements lists 15,872 instances; the store takes 16 entries,
+    # A plan at 32 elements lists 15,872 instances; the store takes 64 entries,
     # but 16 such plans would pass the bound on the instances it holds.
     per_plan = 32 * 32 * 31 // 2
     assert per_plan * 8 <= HK2_PLAN_BOUND < per_plan * 16
@@ -792,13 +815,27 @@ def test_hk2_plans_held_stay_under_their_instance_bound():
             assert len(plan) == per_plan and _hk2_plan[32, zero] is plan  # the newest is kept
             assert _hk2_plan.held == len(_hk2_plan) * per_plan
             held.append(_hk2_plan.held)
-        # small plans are charged a sixteenth of the bound: sixteen are kept at most
-        for n, zero in itertools.product(range(1, 6), range(5)):
-            plan = _hk2_plan[n, zero % n]
-            assert _hk2_plan[n, zero % n] is plan and len(_hk2_plan) <= 16
+        # plans of up to 16 elements (1,920 instances) are charged a sixty-fourth of the
+        # bound: of these 136, sixty-four are kept at most
+        _hk2_plan.clear()
+        for n in range(1, 17):
+            for zero in range(n):
+                plan = _hk2_plan[n, zero]
+                assert _hk2_plan[n, zero] is plan and len(_hk2_plan) <= 64
+                assert _hk2_plan.held == len(_hk2_plan) * HK2_PLAN_BOUND // 64
     finally:
         _hk2_plan.clear()
     assert max(held) <= HK2_PLAN_BOUND and max(held) > per_plan
+
+
+def test_the_hk2_plan_at_the_bound_is_kept_beside_a_small_plan():
+    _hk2_plan.clear()
+    try:
+        plan = _hk2_plan[AXIOM_CHECK_BOUND, 0]
+        assert len(plan) == 129_024 and len(_hk2_plan[3, 0]) == 9
+        assert _hk2_plan[AXIOM_CHECK_BOUND, 0] is plan and _hk2_plan.held == HK2_PLAN_BOUND
+    finally:
+        _hk2_plan.clear()
 
 
 def test_kept_store_holds_exactly_its_charges_within_its_bound():
@@ -983,6 +1020,23 @@ def test_restrictions_kept_stop_at_their_bound():
         assert sub.carrier.labels == tuple(labels[i] for i in iter_bits(m))
     fresh = HyperBCK(Carrier(labels, 0), (1,) * 36)
     assert (alg, hash(alg), repr(alg)) == (fresh, hash(fresh), repr(fresh))
+
+
+def test_an_algebra_that_restricted_is_freed_without_the_cyclic_collector():
+    class Watched(HyperBCK):  # a subclass without slots takes weak references
+        pass
+
+    alg = Watched(Carrier(tuple("Oabcde"), 0), (1,) * 36)
+    sub = alg.restrict_mask(0b111)
+    assert alg.restrict_mask(0b111) is sub
+    gone = weakref.ref(alg)
+    gc.disable()
+    try:
+        del alg
+        assert gone() is None
+    finally:
+        gc.enable()
+    assert sub.carrier.labels == ("O", "a", "b")
 
 
 def test_equal_algebras_built_apart_hash_equal_and_share_one_hom_cache_entry(c3):

@@ -10,8 +10,17 @@ import pytest
 
 import naive_oracle as naive
 from conftest import grid_assignments, zero_moved_to
-from hyperbck import Carrier, FuzzyHyperBCK, HyperBCK, InputError, trivial_algebra, validate_fuzzy
-from hyperbck.category import product as product_of, terminal, terminal_map
+from hyperbck import (
+    Carrier,
+    ClaimViolation,
+    FuzzyHyperBCK,
+    HyperBCK,
+    InputError,
+    trivial_algebra,
+    validate_fuzzy,
+)
+from hyperbck.category import coequalizer, equalizer, pullback, terminal, terminal_map
+from hyperbck.category import product as product_of
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.morphisms import (
     Hom,
@@ -249,6 +258,76 @@ def test_no_map_that_breaks_one_cell_is_a_hom(subalgebra_pairs):
             dst = HyperBCK(src.carrier, src.table[:c] + (cell ^ 1 or 2,) + src.table[c + 1 :])
             assert not is_hom(Hom(src, dst, identity))
             assert identity not in [h.mapping for h in enumerate_homs(src, dst)]
+
+
+def oracle_is_hom(h: Hom) -> bool:
+    labels, zero, table = naive.table_of(h.source)
+    dst_labels, dst_zero, dst_table = naive.table_of(h.target)
+    label_map = dict(zip(labels, map(dst_labels.__getitem__, h.mapping)))
+    return naive.is_hom(table, zero, labels, dst_table, dst_zero, label_map)
+
+
+def test_every_hom_born_proved_agrees_with_the_literal_oracle(
+    corpus_le2, product_pairs, subalgebra_pairs
+):
+    # The hom-sets of the seeded pairs (products of 4, 6 and 9 elements, subalgebras of 6 and 8
+    # of products, all also with the zero moved) and their composites with the target's
+    # endomorphisms; the mono probe's witnesses; and the maps the constructions return.
+    born = []
+    for src, dst in product_pairs + subalgebra_pairs:
+        homs = enumerate_homs(src, dst)
+        born += homs
+        born += [h.then(e) for h in homs for e in enumerate_homs(dst, dst)]
+    assert all(h._hom is True for h in born)  # before any check
+    for src, dst in product(corpus_le2, corpus_le2):
+        a, c = zero_mu(src), zero_mu(dst)
+        homs = enumerate_homs(src, dst)
+        for f in homs:
+            verdict = check_mono_equivalence(f, a, c, probe_size_bound=2)
+            born += verdict.crisp_witness or ()
+            made = [product_of([a, c])]
+            made += [construct(f, g, a, c) for g in homs for construct in (coequalizer, equalizer)]
+            for g in enumerate_homs(dst, dst):
+                try:
+                    made.append(pullback(f, g, a, c, c))
+                except ClaimViolation:
+                    pass
+            born += [leg for result in made for leg in result.legs.values()]
+    kinds = {(h.source.size, h.target.size) for h in born}
+    assert len(born) == 1988 and {(6, 3), (8, 3), (6, 6), (6, 4), (4, 2), (2, 2)} <= kinds
+    for h in born:
+        assert h._hom is not None and h._hom == oracle_is_hom(h)
+
+
+def test_a_composite_is_born_proved_only_when_both_maps_are(c3):
+    alg = c3.alg
+    proved = enumerate_homs(alg, alg)
+    by_hand = Hom.identity(alg)
+    assert by_hand in proved and by_hand._hom is None  # a map built by hand starts unproved
+    assert (hash(by_hand), repr(by_hand)) == (hash(proved[-1]), repr(proved[-1]))
+    for h in proved:
+        assert h.then(by_hand)._hom is None and by_hand.then(h)._hom is None
+    assert is_hom(by_hand) and by_hand._hom is True
+    assert all(h.then(by_hand)._hom is True for h in proved)
+    assert all(Hom(alg, alg, h.mapping)._hom is None for h in proved)
+
+
+def test_a_composite_with_a_non_hom_is_refused(c3):
+    # A ``then`` that marks every composite proved, or any composite with one proved side,
+    # calls these composites homs.
+    alg = c3.alg
+    proved = enumerate_homs(alg, alg)
+    maps = [Hom(alg, alg, f) for f in product(range(3), repeat=3) if f[alg.zero] == alg.zero]
+    bad = [f for f in maps if not oracle_is_hom(f)]
+    assert bad and all(not is_hom(f) and f._hom is False for f in bad)
+    identity = Hom.identity(alg)
+    for f in bad:
+        for composite in (f.then(identity), identity.then(f), proved[-1].then(f)):
+            assert composite._hom is None and not is_hom(composite)
+        for h in proved:
+            for composite in (f.then(h), h.then(f)):
+                assert composite._hom is None and is_hom(composite) == oracle_is_hom(composite)
+        assert not is_hom(f)  # still refused after it is composed
 
 
 def test_is_fuzzy_iso_examples(c3):
