@@ -125,6 +125,15 @@ def quotient(cong: Congruence) -> tuple[HyperBCK, Hom]:
     return alg, Hom(cong.base, alg, cong._to_block)
 
 
+def _partition_by(base: HyperBCK, keys: Iterable) -> Congruence:
+    """The congruence relating i and j exactly when ``keys[i] == keys[j]``.  Listed in order
+    of first appearance, each block is sorted and the blocks come by least element."""
+    blocks: dict = {}
+    for i, key in enumerate(keys):
+        blocks.setdefault(key, []).append(i)
+    return Congruence(base, tuple(map(tuple, blocks.values())))
+
+
 def _grows_by_one(k: int, rgs: list) -> bool:
     """A restricted growth string opens at most one block past those before position k."""
     return rgs[k] <= max(rgs[:k], default=-1) + 1
@@ -140,11 +149,8 @@ def enumerate_regular_congruences(alg: HyperBCK) -> tuple[Congruence, ...]:
             f"carrier size {n} exceeds the congruence enumeration bound {CONGRUENCE_BOUND}; "
             "partition counts grow too fast beyond it", code="too-large", location="carrier"
         )
-    congs = []
-    for rgs in _walk([range(k + 1) for k in range(n)], _grows_by_one):
-        blocks = [[i for i, b in enumerate(rgs) if b == c] for c in range(max(rgs) + 1)]
-        congs.append(Congruence(alg, tuple(map(tuple, blocks))))
-    return tuple(filter(is_regular_congruence, congs))
+    walk = _walk([range(k + 1) for k in range(n)], _grows_by_one)
+    return tuple(filter(is_regular_congruence, (_partition_by(alg, rgs) for rgs in walk)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -316,23 +322,19 @@ def partition_meet(congs: Sequence[Congruence]) -> Congruence:
     if not congs:
         raise InputError("meet of an empty family is undefined")
     base = congs[0].base
-    n = len(base.carrier)
-    keys: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n):
-        key = tuple(c.block_of(i) for c in congs)
-        keys.setdefault(key, []).append(i)
-    return Congruence.from_blocks(base, list(keys.values()))
+    if any(c.base is not base and c.base != base for c in congs):
+        raise InputError("a meet needs congruences on one algebra")
+    return _partition_by(base, zip(*(c._to_block for c in congs)))
 
 
 def _generated_congruence(alg: HyperBCK, pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """The least equivalence of ``alg`` relating each ``(a, b)`` of ``pairs``, merging classes."""
-    classes = [[i] for i in range(len(alg.carrier))]
+    """The least equivalence of ``alg`` relating each ``(a, b)`` of ``pairs``: one key per
+    class, a pair across two classes giving b's class the key of a's."""
+    keys = list(range(len(alg.carrier)))
     for a, b in pairs:
-        if classes[a] is not classes[b]:
-            merged = classes[a] + classes[b]
-            for i in merged:
-                classes[i] = merged
-    return Congruence.from_blocks(alg, [c for i, c in enumerate(classes) if min(c) == i])
+        if (old := keys[b]) != (new := keys[a]):
+            keys = [new if k == old else k for k in keys]
+    return _partition_by(alg, keys)
 
 
 def coequalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> ConstructionResult:

@@ -247,8 +247,11 @@ class HyperBCK:
 
     def set_star(self, a: Iterable[str], b: Iterable[str]) -> frozenset[str]:
         """Union of ``x * y`` over ``x in a``, ``y in b`` (both non-empty)."""
-        c = self.carrier
-        return c.labels_of(self.set_star_masks(c.mask_of(a), c.mask_of(b)))
+        a, b = map(self.carrier.mask_of, (a, b))
+        if a == 0 or b == 0:
+            raise InputError("set arguments of the hyperoperation must be non-empty")
+        cells = (self.cell(x, y) for x in iter_bits(a) for y in iter_bits(b))
+        return self.carrier.labels_of(reduce(or_, cells))
 
     def hyper_order(self, x: str, y: str) -> bool:
         """``x < y`` in the hyperorder: the zero element belongs to ``x * y``."""
@@ -257,8 +260,11 @@ class HyperBCK:
 
     def set_order(self, a: Iterable[str], b: Iterable[str]) -> bool:
         """``A < B``: every element of A is below some element of B."""
-        c = self.carrier
-        return self.set_order_masks(c.mask_of(a), c.mask_of(b))
+        a, b = map(self.carrier.mask_of, (a, b))
+        if a == 0 or b == 0:
+            raise InputError("set arguments of the hyperorder must be non-empty")
+        dn = _down_masks(len(self.carrier), self.zero, self.table)
+        return not a & ~reduce(or_, [dn[v] for v in iter_bits(b)])
 
     def is_subalgebra(self, subset: Iterable[str]) -> bool:
         """True iff the subset contains zero and is closed under the operation."""
@@ -270,17 +276,6 @@ class HyperBCK:
         return self.restrict_mask(self.carrier.mask_of(subset))
 
     # -- index/mask-level operations (used by the validators and oracles) --
-
-    def set_star_masks(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            raise InputError("set arguments of the hyperoperation must be non-empty")
-        return reduce(or_, (self.cell(x, y) for x in iter_bits(a) for y in iter_bits(b)))
-
-    def set_order_masks(self, a: int, b: int) -> bool:
-        if a == 0 or b == 0:
-            raise InputError("set arguments of the hyperorder must be non-empty")
-        dn = _down_masks(len(self.carrier), self.zero, self.table)
-        return not a & ~reduce(or_, [dn[v] for v in iter_bits(b)])
 
     def is_subalgebra_mask(self, mask: int) -> bool:
         if mask == 0:
@@ -298,11 +293,6 @@ class HyperBCK:
                     return x, y, (stray & -stray).bit_length() - 1
         return None
 
-    def _require_subalgebra(self, mask: int) -> None:
-        """Refuse a mask without zero or not closed, naming its labels."""
-        if not self.is_subalgebra_mask(mask):
-            raise InputError(f"{sorted(self.carrier.labels_of(mask))!r} is not a subalgebra")
-
     def restrict_mask(self, mask: int) -> HyperBCK:
         """The subalgebra on ``mask`` (``self`` if whole); refused without zero or if not closed.
 
@@ -315,8 +305,8 @@ class HyperBCK:
             make = partial(_restriction, self.carrier, self.table)  # no cycle through the algebra
             kept = _Kept(make, RESTRICTIONS_KEPT, RESTRICTIONS_KEPT)
             object.__setattr__(self, "_restrictions", kept)
-        if mask not in self._restrictions:
-            self._require_subalgebra(mask)
+        if mask not in self._restrictions and not self.is_subalgebra_mask(mask):
+            raise InputError(f"{sorted(self.carrier.labels_of(mask))!r} is not a subalgebra")
         return self._restrictions[mask]
 
     def encode(self) -> tuple[int, int, tuple[int, ...]]:

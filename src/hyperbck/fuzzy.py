@@ -344,8 +344,7 @@ def equals_some_alpha_cut(fz: FuzzyHyperBCK, subset: Iterable[str]) -> CutVerdic
     so every element outside S is below alpha and hence below m.
     """
     mask = fz.alg.carrier.mask_of(subset)
-    fz.alg._require_subalgebra(mask)
-    alpha = min(fz.mu[i] for i in iter_bits(mask))
+    alpha = min(fz.restrict_mask(mask).mu)  # the restriction refuses a subset that is no subalgebra
     if fz.alpha_cut_mask(alpha) == mask:
         return CutVerdict(True, alpha, True)
     return CutVerdict(False, None, False)

@@ -101,10 +101,19 @@ def structure_to_dict(obj: Structure) -> dict:
     return doc
 
 
+def _unique_keys(where: str, pairs: list[tuple[str, Any]]) -> dict:
+    """A decoded JSON object; one that repeats a key is refused at ``where``, naming the key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise FormatError("shape", where, f"repeated key {key!r}")
+    return obj
+
+
 def _load_json(text: str, source: str | None = None) -> Any:
     """Decode JSON text; a syntax error is located by line and column, after ``source``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=partial(_unique_keys, source or "document"))
     except json.JSONDecodeError as exc:
         at = f"line {exc.lineno} column {exc.colno}"
         raise FormatError("syntax", f"{source} {at}" if source else at, exc.msg) from None

@@ -361,22 +361,12 @@ def separation_promotes(
     f_subset: frozenset[str] | set[str],
     alpha: Fraction,
 ) -> SeparationVerdict:
-    alg = host.alg
-    g_mask = alg.carrier.mask_of(g_subset)
-    f_mask = alg.carrier.mask_of(f_subset)
-    alg._require_subalgebra(g_mask)
-    alg._require_subalgebra(f_mask)
-
-    zbit = 1 << alg.zero
-    below = all(host.mu[i] < alpha for i in iter_bits(g_mask & ~zbit))
-    above = all(host.mu[i] > alpha for i in iter_bits(f_mask & ~zbit))
+    g_fuzzy, f_fuzzy = host.restrict(g_subset), host.restrict(f_subset)  # refused g first
+    below = all(v < alpha for i, v in enumerate(g_fuzzy.mu) if i != g_fuzzy.alg.zero)
+    above = all(v > alpha for i, v in enumerate(f_fuzzy.mu) if i != f_fuzzy.alg.zero)
     if not (below and above):
         return SeparationVerdict(False, None, None, None)
 
-    g_fuzzy = host.restrict_mask(g_mask)
-    f_fuzzy = host.restrict_mask(f_mask)
     homs = enumerate_homs(g_fuzzy.alg, f_fuzzy.alg)
-    for hom in homs:
-        if not is_fuzzy_hom(hom, g_fuzzy, f_fuzzy):
-            return SeparationVerdict(True, len(homs), False, hom)
-    return SeparationVerdict(True, len(homs), True, None)
+    failing = next((h for h in homs if not is_fuzzy_hom(h, g_fuzzy, f_fuzzy)), None)
+    return SeparationVerdict(True, len(homs), failing is None, failing)

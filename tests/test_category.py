@@ -260,6 +260,79 @@ def test_partition_meet_is_common_refinement():
             assert meet.relates(i, j) == (c1.relates(i, j) and c2_.relates(i, j))
 
 
+def test_partition_meet_refuses_congruences_on_different_algebras(c2):
+    c3 = chain_example(3)
+    on_c2 = Congruence.from_blocks(c2.alg, [[0], [1]])
+    on_c3 = Congruence.from_blocks(c3.alg, [[0, 1, 2]])
+    for family in ([on_c2, on_c3], [on_c3, on_c2]):
+        with pytest.raises(InputError, match="one algebra"):
+            partition_meet(family)
+    # an equal algebra built apart is the same algebra
+    twin = Congruence.from_blocks(chain_example(2).alg, [[0, 1]])
+    assert partition_meet([on_c2, twin]).blocks == ((0,), (1,))
+
+
+def partition_carriers(corpus2, corpus3) -> list[HyperBCK]:
+    """A 4-element product and a 5-element subalgebra of a 3 x 2 product, as the quotient
+    oracle builds them, each also with its zero moved."""
+    four = product([zero_mu(corpus2.models[0]), zero_mu(corpus2.models[1])]).object.alg
+    rng = random.Random(21)
+    while True:
+        whole = product([zero_mu(rng.choice(corpus3.models)), zero_mu(rng.choice(corpus2.models))])
+        alg = whole.object.alg
+        fives = [k for k in range(1, 1 << alg.size) if k.bit_count() == 5]
+        fives = [alg.restrict_mask(k) for k in fives if alg.is_subalgebra_mask(k)]
+        if fives:
+            break
+    return [four, fives[0], zero_moved_to(four, 3), zero_moved_to(fives[0], 2)]
+
+
+def test_partition_by_matches_literal_partitions(corpus2, corpus3):
+    rng = random.Random(26)
+    for alg in partition_carriers(corpus2, corpus3):
+        labels = alg.carrier.labels
+        parts = naive.partitions(labels)
+        assert len(parts) == {4: 15, 5: 52}[alg.size]
+        built = []
+        for blocks in parts:
+            expected = frozenset(blocks)
+            block_of = {x: b for b, block in enumerate(blocks) for x in block}
+            keys = [block_of[x] for x in labels]  # block numbers in the oracle's order
+            names = [f"k{b}" for b in rng.sample(range(100), len(blocks))]
+            for key_vector in (keys, [names[k] for k in keys], [(-k, "x") for k in keys]):
+                cong = category._partition_by(alg, key_vector)
+                assert cong.base is alg
+                assert frozenset(cong.label_blocks()) == expected
+                for i, k in enumerate(key_vector):
+                    for j, m in enumerate(key_vector):
+                        assert cong.relates(i, j) == (k == m)
+            built.append(cong)
+        assert len({c.blocks for c in built}) == len(parts)
+        # the meet relates exactly what both members relate
+        for a, b in zip(built, rng.sample(built, len(built))):
+            meet = partition_meet([a, b])
+            for i in range(alg.size):
+                for j in range(alg.size):
+                    assert meet.relates(i, j) == (a.relates(i, j) and b.relates(i, j))
+
+
+def test_generated_congruence_is_the_least_equivalence_relating_the_pairs(corpus2, corpus3):
+    rng = random.Random(2026)
+    for alg in partition_carriers(corpus2, corpus3):
+        labels = alg.carrier.labels
+        parts = naive.partitions(labels)
+        for _ in range(60):
+            count = rng.randrange(5)
+            pairs = [(rng.randrange(alg.size), rng.randrange(alg.size)) for _ in range(count)]
+            relating = [
+                blocks for blocks in parts
+                if all(any({labels[a], labels[b]} <= blk for blk in blocks) for a, b in pairs)
+            ]
+            finest = max(relating, key=len)  # the least equivalence has the most blocks
+            cong = category._generated_congruence(alg, pairs)
+            assert frozenset(cong.label_blocks()) == frozenset(finest)
+
+
 # --- coequalizers ----------------------------------------------------------------
 
 

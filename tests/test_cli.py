@@ -268,6 +268,10 @@ def test_malformed_map_file_carries_code_and_location(capsys, tmp_path, chain2_p
     code, records = run(capsys, "hom", "--check", str(bad), chain2_path, chain2_path)
     assert code == 2
     assert (records[0]["code"], records[0]["location"]) == ("shape", str(bad))
+    bad.write_text('{"1": "1", "2": "2", "2": "1"}')
+    code, records = run(capsys, "hom", "--check", str(bad), chain2_path, chain2_path)
+    assert code == 2
+    assert records[0]["message"] == f"shape at {bad}: repeated key '2'"
 
 
 @pytest.mark.parametrize(
@@ -389,6 +393,7 @@ def test_verify_output_is_frozen_on_the_product_of_two_4_chains(capsys, tmp_path
 
 _C2 = structure_to_dict(chain_example(2))
 _T2 = _C2["table"]
+_TWO = '{"carrier":["O","a"],"zero":"O","table":{"O,O":["O"],"O,a":["O"],"a,O":["a"],%s}%s}'
 
 # One malformed document per line, each with the whole record `verify` prints for it.
 # Every structure-document code of docs/format.md appears; `too-large` has its own tests.
@@ -428,6 +433,11 @@ MALFORMED_DOCUMENTS = [
      "label 1 not in carrier"),
     (dict(_C2, table={"1,1": ["1"]}), "table-incomplete", "document.table",
      "table has 1 of 4 required cells"),
+    # a key given twice, whichever value comes last (alone, "a,a": ["a"] fails HK3)
+    (_TWO % ('"a,a":["O"],"a,a":["a"]', ""), "shape", "<file>", "repeated key 'a,a'"),
+    (_TWO % ('"a,a":["a"],"a,a":["O"]', ""), "shape", "<file>", "repeated key 'a,a'"),
+    (_TWO % ('"a,a":["O"]', ',"mu":{"O":"1","a":"1/2","a":"1"}'), "shape", "<file>",
+     "repeated key 'a'"),
     (dict(_C2, mu=["1", "1/2"]), "shape", "document.mu", "mu must be an object"),
     (dict(_C2, mu={"1": "1"}), "mu-incomplete", "document.mu", "mu missing ['2']"),
     (dict(_C2, mu={"1": "1", "2": "1/2", "3": "0"}), "unknown-label", "document.mu",

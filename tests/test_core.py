@@ -915,17 +915,20 @@ def test_subalgebra_masks_agree_with_literal_oracle(corpus_le2, chains):
             assert alg.is_subalgebra_mask(mask) == naive.is_subalgebra(table, zero, subset)
 
 
-def test_set_order_masks_agree_with_literal_oracle(corpus_le2, chains):
+def test_set_order_and_set_star_agree_with_literal_oracle(corpus_le2, chains):
     algs = list(corpus_le2) + [chains[k].alg for k in range(1, 5)]
     algs += [zero_moved_to(alg, alg.size - 1) for alg in algs if alg.size > 1]
     for alg in algs:
         labels, zero, table = naive.table_of(alg)
-        for a in range(1, alg.carrier.full_mask + 1):
-            for b in range(1, alg.carrier.full_mask + 1):
-                expected = naive.set_order(
-                    table, zero, alg.carrier.labels_of(a), alg.carrier.labels_of(b)
-                )
-                assert alg.set_order_masks(a, b) == expected
+        subsets = [alg.carrier.labels_of(m) for m in range(1, alg.carrier.full_mask + 1)]
+        for a in subsets:
+            for b in subsets:
+                assert alg.set_order(a, b) == naive.set_order(table, zero, a, b)
+                assert alg.set_star(a, b) == naive.set_star(table, a, b)
+        for op in (alg.set_order, alg.set_star):
+            for args in ((set(), labels), (labels, [])):
+                with pytest.raises(InputError, match="must be non-empty"):
+                    op(*args)
 
 
 def test_reflexivity_holds_only_on_the_antisymmetric_corpus(corpus_le3):

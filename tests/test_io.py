@@ -203,6 +203,20 @@ def test_library_and_parser_refuse_with_one_code(given, code, location):
     assert str(err) == f"{code} at document.{location}: {lib.value}"
 
 
+def test_a_repeated_key_is_refused_at_the_source_or_document():
+    c2 = render_structure(chain_example(2))
+    text = c2.replace('"table":{', '"table":{"2,2":["1"],', 1)
+    assert text != c2
+    for source, where in ((None, "document"), ("c2.json", "c2.json")):
+        with pytest.raises(FormatError) as info:
+            parse_structure(text, source)
+        assert (info.value.code, info.value.location) == ("shape", where)
+        assert str(info.value) == f"shape at {where}: repeated key '2,2'"
+    hom = '{"source": %s, "target": %s, "map": {"1": "1", "1": "1", "2": "2"}}' % (c2, text)
+    with pytest.raises(FormatError, match=r"^shape at f\.json: repeated key '2,2'$"):
+        parse_hom_document(hom, where="f.json")  # the first repeat decoded is refused
+
+
 def test_parse_structure_names_its_source_in_syntax_errors():
     with pytest.raises(FormatError) as exc:
         parse_structure('{"carrier": ', "c2.json")

@@ -485,13 +485,17 @@ def zero_table_host() -> HyperBCK:
 
 
 def test_separation_promotes_hypothesis_and_conclusion():
-    host = FuzzyHyperBCK.from_map(
-        zero_table_host(), {"O": "1", "a": "1/4", "b": "3/4"}
-    )
+    host_mu = {"O": "1", "a": "1/4", "b": "3/4"}
+    host = FuzzyHyperBCK.from_map(zero_table_host(), host_mu)
     verdict = separation_promotes(host, {"O", "a"}, {"O", "b"}, Fraction(1, 2))
     assert verdict.hypothesis_holds
     assert verdict.conclusion_holds and verdict.failing_hom is None
     assert verdict.hom_count == 2  # collapse-to-zero and a |-> b
+
+    # the same host with its zero at index 1: the zero is skipped wherever it sits
+    cells = {(x, y): ["O"] for x in "aOb" for y in "aOb"}
+    moved = FuzzyHyperBCK.from_map(HyperBCK.from_sets(["a", "O", "b"], "O", cells), host_mu)
+    assert separation_promotes(moved, {"O", "a"}, {"O", "b"}, Fraction(1, 2)) == verdict
 
     # zero-only source: the strict bound is vacuous
     vac = separation_promotes(host, {"O"}, {"O", "b"}, Fraction(1, 2))
@@ -513,6 +517,13 @@ def test_separation_promotes_names_the_labels_of_a_non_subalgebra():
     chain = chain_example(3)
     with pytest.raises(InputError, match=r"^\['1', '3'\] is not a subalgebra$"):
         separation_promotes(chain, {"1", "2"}, {"1", "3"}, Fraction(1, 2))  # 3*3 holds 2
+    # with both subsets refused, the first one is named
+    with pytest.raises(InputError, match=r"^\['a'\] is not a subalgebra$"):
+        separation_promotes(host, {"a"}, {"b"}, Fraction(1, 2))
+    with pytest.raises(InputError, match=r"^\['1', '3'\] is not a subalgebra$"):
+        separation_promotes(chain, {"1", "3"}, {"2"}, Fraction(1, 2))
+    with pytest.raises(InputError, match=r"^a subalgebra candidate must be non-empty$"):
+        separation_promotes(chain, set(), {"2"}, Fraction(1, 2))
 
 
 def test_separation_holds_across_enumerated_hosts(corpus2):
