@@ -433,11 +433,6 @@ MALFORMED_DOCUMENTS = [
      "label 1 not in carrier"),
     (dict(_C2, table={"1,1": ["1"]}), "table-incomplete", "document.table",
      "table has 1 of 4 required cells"),
-    # a key given twice, whichever value comes last (alone, "a,a": ["a"] fails HK3)
-    (_TWO % ('"a,a":["O"],"a,a":["a"]', ""), "shape", "<file>", "repeated key 'a,a'"),
-    (_TWO % ('"a,a":["a"],"a,a":["O"]', ""), "shape", "<file>", "repeated key 'a,a'"),
-    (_TWO % ('"a,a":["O"]', ',"mu":{"O":"1","a":"1/2","a":"1"}'), "shape", "<file>",
-     "repeated key 'a'"),
     (dict(_C2, mu=["1", "1/2"]), "shape", "document.mu", "mu must be an object"),
     (dict(_C2, mu={"1": "1"}), "mu-incomplete", "document.mu", "mu missing ['2']"),
     (dict(_C2, mu={"1": "1", "2": "1/2", "3": "0"}), "unknown-label", "document.mu",
@@ -452,6 +447,11 @@ MALFORMED_DOCUMENTS = [
      "membership value 3/2 outside [0, 1]"),
     (dict(_C2, mu={"1": "1", "2": "-1/2"}), "mu-range", "document.mu['2']",
      "membership value -1/2 outside [0, 1]"),
+    # a key given twice, whichever value comes last (alone, "a,a": ["a"] fails HK3)
+    (_TWO % ('"a,a":["O"],"a,a":["a"]', ""), "shape", "<file>", "repeated key 'a,a'"),
+    (_TWO % ('"a,a":["a"],"a,a":["O"]', ""), "shape", "<file>", "repeated key 'a,a'"),
+    (_TWO % ('"a,a":["O"]', ',"mu":{"O":"1","a":"1/2","a":"1"}'), "shape", "<file>",
+     "repeated key 'a'"),
 ]
 
 
