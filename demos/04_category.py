@@ -9,7 +9,7 @@ returning wrong objects.
 
 from fractions import Fraction
 
-from hyperbck import ClaimViolation, FuzzyHyperBCK, validate_fuzzy, validate_hyper_bck
+from hyperbck import ClaimViolation, FuzzyHyperBCK, HyperBCK, validate_fuzzy, validate_hyper_bck
 from hyperbck.category import (
     coequalizer,
     equalizer,
@@ -61,6 +61,20 @@ print("factoring the projection through itself gives", psi.as_label_map())
 graded = FuzzyHyperBCK(c2.alg, (Fraction(1), Fraction(1, 2)))
 co2 = coequalizer(ident, collapse, zero2, graded)
 print("with graded membership the merged block takes the maximum:", co2.object.mu)
+
+print("\ncoequalizer into a 6-element product whose generated equivalence E is not regular:")
+flat = HyperBCK.from_sets(["O", "a"], "O", {(x, y): ["O"] for x in "Oa" for y in "Oa"})
+cells = {(x, y): ["a"] if (x, y) == ("b", "a") else ["O"] for x in "Oab" for y in "Oab"}
+three = HyperBCK.from_sets(["O", "a", "b"], "O", cells)  # b*a = {a}, every other cell {O}
+six = product([FuzzyHyperBCK(alg, (Fraction(0),) * alg.size) for alg in (flat, three)]).object
+to_zero = Hom.from_labels(flat, six.alg, {"O": "O|O", "a": "O|O"})
+to_b = Hom.from_labels(flat, six.alg, {"O": "O|O", "a": "O|b"})
+flat_zero = FuzzyHyperBCK(flat, (Fraction(0),) * 2)
+co6 = coequalizer(to_zero, to_b, flat_zero, six)
+print("  E merges O|O with O|b only, and its quotient cells depend on representatives")
+print("  the walk over E's 5 classes finds the least regular coarsening:",
+      [sorted(b) for b in co6.congruence.label_blocks()])
+print("  quotient carrier:", co6.object.alg.carrier.labels)
 
 print("\npullback of the identity cospan over the 2-chain:")
 try:

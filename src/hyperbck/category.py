@@ -17,7 +17,7 @@ the other claims name the property itself (``equalizer-closed``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import product as iter_product
@@ -42,40 +42,42 @@ from .core import (
 from .fuzzy import FuzzyHyperBCK
 from .morphisms import Hom, _at_least, _compose, _never_lowers_membership, is_fuzzy_hom, is_hom
 
-CONGRUENCE_BOUND = 5  # Bell(5) = 52 partitions; Bell(n) grows too fast past it
+CONGRUENCE_BOUND = 5  # classes a coarsening walk takes: Bell(5) = 52 strings, Bell(k) grows fast
 
 
 @dataclass(frozen=True, slots=True)
 class Congruence:
-    """An equivalence partition of a carrier, in canonical block order.
+    """The equivalence of a carrier relating i and j exactly when ``keys[i] == keys[j]``.
 
-    Blocks are sorted tuples of indices, ordered by least element.
+    Blocks are listed in order of first appearance, so each is sorted and
+    they come by least element: a congruence is canonical as built.
     Regularity (the quotient hyperoperation is representative-independent
     and the quotient satisfies the axioms) is checked, never assumed.
     """
 
     base: HyperBCK
-    blocks: tuple[tuple[int, ...], ...]
+    keys: InitVar[Iterable]
+    blocks: tuple[tuple[int, ...], ...] = field(init=False)
     _to_block: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _cells: tuple[int, ...] | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        seen = sorted(i for block in self.blocks for i in block)
-        if seen != list(range(len(self.base.carrier))):
-            raise InputError("blocks must partition the carrier")
-        if any(tuple(sorted(b)) != b for b in self.blocks) or list(self.blocks) != sorted(
-            self.blocks, key=lambda b: b[0]
-        ):
-            raise InputError("blocks must be sorted and ordered by least element")
-        to_block = [0] * len(seen)
-        for b, block in enumerate(self.blocks):
-            for i in block:
-                to_block[i] = b
-        object.__setattr__(self, "_to_block", tuple(to_block))
+    def __post_init__(self, keys: Iterable) -> None:
+        first: dict = {}
+        to_block = tuple(first.setdefault(key, len(first)) for key in keys)
+        if len(to_block) != len(self.base.carrier):
+            raise InputError("a congruence needs one key per element to partition the carrier")
+        blocks = (tuple(i for i, c in enumerate(to_block) if c == b) for b in range(len(first)))
+        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "_to_block", to_block)
+        object.__setattr__(self, "_cells", _quotient_cells(self))
 
     @classmethod
     def from_blocks(cls, base: HyperBCK, blocks: Sequence[Sequence[int]]) -> Congruence:
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return cls(base, canon)
+        n = len(base.carrier)
+        keys = {i: b for b, block in enumerate(blocks) for i in block if type(i) is int}
+        if not all(blocks) or sum(map(len, blocks)) != len(keys) or keys.keys() != set(range(n)):
+            raise InputError("blocks must partition the carrier")
+        return cls(base, map(keys.get, range(n)))
 
     def block_of(self, i: int) -> int:
         if not 0 <= i < len(self._to_block):
@@ -91,7 +93,7 @@ class Congruence:
 
 
 def _quotient_cells(cong: Congruence) -> tuple[int, ...] | None:
-    """Block-level table, or None if it depends on representatives."""
+    """Block-level table, or None if it depends on representatives; built once per congruence."""
     image = _image_masks(cong._to_block)
     cell = cong.base.cell
     cells = []
@@ -106,7 +108,7 @@ def _quotient_cells(cong: Congruence) -> tuple[int, ...] | None:
 
 def is_regular_congruence(cong: Congruence) -> bool:
     """Representative-independent quotient that again satisfies the axioms."""
-    cells = _quotient_cells(cong)
+    cells = cong._cells
     zero = cong.block_of(cong.base.zero)
     return cells is not None and hk_axioms_hold_raw(len(cong.blocks), zero, cells)
 
@@ -116,7 +118,7 @@ def quotient(cong: Congruence) -> tuple[HyperBCK, Hom]:
 
     Block labels are the bracketed label of the least member, e.g. ``[O]``.
     """
-    cells = _quotient_cells(cong)
+    cells = cong._cells
     if cells is None:
         raise InputError("congruence is not regular: quotient cells are ambiguous")
     base_labels = cong.base.carrier.labels
@@ -125,32 +127,31 @@ def quotient(cong: Congruence) -> tuple[HyperBCK, Hom]:
     return alg, Hom(cong.base, alg, cong._to_block)
 
 
-def _partition_by(base: HyperBCK, keys: Iterable) -> Congruence:
-    """The congruence relating i and j exactly when ``keys[i] == keys[j]``.  Listed in order
-    of first appearance, each block is sorted and the blocks come by least element."""
-    blocks: dict = {}
-    for i, key in enumerate(keys):
-        blocks.setdefault(key, []).append(i)
-    return Congruence(base, tuple(map(tuple, blocks.values())))
-
-
 def _grows_by_one(k: int, rgs: list) -> bool:
     """A restricted growth string opens at most one block past those before position k."""
     return rgs[k] <= max(rgs[:k], default=-1) + 1
 
 
-@lru_cache(maxsize=1 << 12)
-def enumerate_regular_congruences(alg: HyperBCK) -> tuple[Congruence, ...]:
-    """All regular congruences of an algebra of at most ``CONGRUENCE_BOUND`` elements, walking
-    the partitions on ``core._walk`` as restricted growth strings (i in block ``rgs[i]``)."""
-    n = len(alg.carrier)
-    if n > CONGRUENCE_BOUND:
+def _regular_coarsenings(base: HyperBCK, classes: Sequence[int]) -> tuple[Congruence, ...]:
+    """Regular congruences of ``base`` merging whole classes, i in class ``classes[i]``: the
+    restricted growth strings r over the k classes on ``core._walk``, in lexicographic order
+    (TAOCP 4A §7.2.1.5), keying i by r[classes[i]].  Refused past ``CONGRUENCE_BOUND`` classes."""
+    k = max(classes) + 1
+    if k > CONGRUENCE_BOUND:
         raise InputError(
-            f"carrier size {n} exceeds the congruence enumeration bound {CONGRUENCE_BOUND}; "
+            f"{k} classes exceed the congruence enumeration bound {CONGRUENCE_BOUND}; "
             "partition counts grow too fast beyond it", code="too-large", location="carrier"
         )
-    walk = _walk([range(k + 1) for k in range(n)], _grows_by_one)
-    return tuple(filter(is_regular_congruence, (_partition_by(alg, rgs) for rgs in walk)))
+    walk = _walk([range(b + 1) for b in range(k)], _grows_by_one)
+    coarsenings = (Congruence(base, map(r.__getitem__, classes)) for r in walk)
+    return tuple(filter(is_regular_congruence, coarsenings))
+
+
+@lru_cache(maxsize=1 << 12)
+def enumerate_regular_congruences(alg: HyperBCK) -> tuple[Congruence, ...]:
+    """All regular congruences of an algebra of at most ``CONGRUENCE_BOUND`` elements: the
+    regular coarsenings of the discrete one, in lexicographic order of their block numbers."""
+    return _regular_coarsenings(alg, range(len(alg.carrier)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,7 +325,7 @@ def partition_meet(congs: Sequence[Congruence]) -> Congruence:
     base = congs[0].base
     if any(c.base is not base and c.base != base for c in congs):
         raise InputError("a meet needs congruences on one algebra")
-    return _partition_by(base, zip(*(c._to_block for c in congs)))
+    return Congruence(base, zip(*(c._to_block for c in congs)))
 
 
 def _generated_congruence(alg: HyperBCK, pairs: Iterable[tuple[int, int]]) -> Congruence:
@@ -334,25 +335,22 @@ def _generated_congruence(alg: HyperBCK, pairs: Iterable[tuple[int, int]]) -> Co
     for a, b in pairs:
         if (old := keys[b]) != (new := keys[a]):
             keys = [new if k == old else k for k in keys]
-    return _partition_by(alg, keys)
+    return Congruence(alg, keys)
 
 
 def coequalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> ConstructionResult:
     """Quotient of the target by the meet of all coequalizing regular congruences.
 
-    Each member contains E, the equivalence the pairs ``(f(i), g(i))`` generate, so a regular E
-    is the meet.  Otherwise the family is listed (refused past ``CONGRUENCE_BOUND`` elements) and
-    its meet verified to be regular; a failure is a claim violation with the partition as
-    witness.  Membership of a block is the maximum over its members.
+    Each member contains E, the equivalence the pairs ``(f(i), g(i))`` generate, so the family is
+    the regular coarsenings of E and a regular E is the meet.  Otherwise the family is walked
+    (refused past ``CONGRUENCE_BOUND`` classes of E) and its meet verified to be regular; a
+    failure is a claim violation with the partition as witness.  Membership of a block is the
+    maximum over its members.
     """
     _require_fuzzy_homs("both maps must be fuzzy homomorphisms", (f, src, dst), (g, src, dst))
     rho = _generated_congruence(dst.alg, zip(f.mapping, g.mapping))
     if not is_regular_congruence(rho):
-        family = [
-            theta
-            for theta in enumerate_regular_congruences(dst.alg)
-            if all(theta.relates(f.mapping[i], g.mapping[i]) for i in range(len(f.mapping)))
-        ]
+        family = _regular_coarsenings(dst.alg, rho._to_block)
         if not family:  # the total congruence always qualifies
             raise ClaimViolation("coequalizer-family-empty", (f.as_label_map(), g.as_label_map()))
         rho = partition_meet(family)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from .core import HyperBCK, InputError, _image_masks, _walk, iter_bits
 from .corpus import enumerate_hyper_bck
-from .fuzzy import FuzzyHyperBCK
+from .fuzzy import FuzzyHyperBCK, fuzzy_value
 
 HOM_MAP_BOUND = 1 << 18  # zero-fixing maps past which enumerate_homs refuses before its walk
 
@@ -359,9 +359,10 @@ def separation_promotes(
     host: FuzzyHyperBCK,
     g_subset: frozenset[str] | set[str],
     f_subset: frozenset[str] | set[str],
-    alpha: Fraction,
+    alpha: int | str | Fraction,
 ) -> SeparationVerdict:
     g_fuzzy, f_fuzzy = host.restrict(g_subset), host.restrict(f_subset)  # refused g first
+    alpha = fuzzy_value(alpha)
     below = all(v < alpha for i, v in enumerate(g_fuzzy.mu) if i != g_fuzzy.alg.zero)
     above = all(v > alpha for i, v in enumerate(f_fuzzy.mu) if i != f_fuzzy.alg.zero)
     if not (below and above):

@@ -198,10 +198,45 @@ def test_equalizer_requires_parallel_fuzzy_pair(c2):
 
 
 def test_congruence_partition_validation(c2):
-    with pytest.raises(InputError, match="partition"):
-        Congruence(c2.alg, ((0,),))
+    # the key constructor needs one key per element, and any hashable keys will do
+    for keys in ((0,), ((0,), (1,), ()), "abc"):
+        with pytest.raises(InputError, match="partition"):
+            Congruence(c2.alg, keys)
+    assert Congruence(c2.alg, "ba").blocks == Congruence(c2.alg, [(1, "x"), None]).blocks
+    assert Congruence(c2.alg, iter([7, 7])).blocks == ((0, 1),)
     with pytest.raises(InputError, match="partition"):
         Congruence.from_blocks(c2.alg, [[0, 1], [1]])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [[0, 1], []],  # an empty block
+        [[0], [1], []],
+        [[0], [1, 1]],  # a repeated index
+        [[0], [1], [0]],
+        [[0], [1, 2]],  # an out-of-range index
+        [[0], [-1, 1]],
+        [[0], [1, "x"]],  # a member that is not an int
+        [[0], [1.0]],
+        [[0], [True]],
+        [[0], [[1]]],
+        [[0]],  # an element left out
+    ],
+)
+def test_from_blocks_refuses_what_does_not_partition_the_carrier(c2, blocks):
+    with pytest.raises(InputError, match="blocks must partition the carrier"):
+        Congruence.from_blocks(c2.alg, blocks)
+
+
+def test_a_congruence_is_canonical_as_built(c2):
+    # blocks come in order of first appearance: sorted, and ordered by least element
+    alg = product([zero_mu(c2.alg), zero_mu(c2.alg)]).object.alg
+    for keys in ("baab", "abba", [3, 1, 1, 3], [(0,), (), (), (0,)]):
+        cong = Congruence(alg, keys)
+        assert cong.blocks == ((0, 3), (1, 2))
+        assert [cong.block_of(i) for i in range(4)] == [0, 1, 1, 0]
+        assert cong == Congruence.from_blocks(alg, [[2, 1], [3, 0]])
 
 
 def test_block_of_reads_the_partition_and_refuses_out_of_range(c2):
@@ -300,7 +335,7 @@ def test_partition_by_matches_literal_partitions(corpus2, corpus3):
             keys = [block_of[x] for x in labels]  # block numbers in the oracle's order
             names = [f"k{b}" for b in rng.sample(range(100), len(blocks))]
             for key_vector in (keys, [names[k] for k in keys], [(-k, "x") for k in keys]):
-                cong = category._partition_by(alg, key_vector)
+                cong = Congruence(alg, key_vector)
                 assert cong.base is alg
                 assert frozenset(cong.label_blocks()) == expected
                 for i, k in enumerate(key_vector):
@@ -331,6 +366,89 @@ def test_generated_congruence_is_the_least_equivalence_relating_the_pairs(corpus
             finest = max(relating, key=len)  # the least equivalence has the most blocks
             cong = category._generated_congruence(alg, pairs)
             assert frozenset(cong.label_blocks()) == frozenset(finest)
+
+
+def walk_carriers(corpus2, corpus3) -> list[HyperBCK]:
+    """Seeded 4- and 6-element products, 5- and 6-element subalgebras of 3 x 3 products, and
+    each of them with its zero moved."""
+    rng = random.Random(27)
+    two, three = corpus2.models, corpus3.models
+    carriers = [product([zero_mu(rng.choice(two)), zero_mu(rng.choice(two))]).object.alg]
+    carriers += [product([zero_mu(rng.choice(two)), zero_mu(rng.choice(three))]).object.alg]
+    carriers += [product([zero_mu(rng.choice(three)), zero_mu(rng.choice(two))]).object.alg]
+    for size in (5, 6):
+        while len(carriers) < size - 1:
+            whole = product([zero_mu(rng.choice(three)), zero_mu(rng.choice(three))]).object.alg
+            masks = [k for k in range(1, 1 << 9) if k.bit_count() == size]
+            subs = [whole.restrict_mask(k) for k in masks if whole.is_subalgebra_mask(k)]
+            carriers += rng.sample(subs, 1) if subs else []
+    return carriers + [zero_moved_to(alg, rng.randrange(1, alg.size)) for alg in carriers]
+
+
+def test_the_coarsening_walk_lists_the_literal_regular_coarsenings(corpus2, corpus3):
+    # For seeded E of at most five classes, the walk's regular coarsenings are the oracle's
+    # partitions that contain E and have a regular quotient, in lexicographic order of the
+    # block numbers they give E's classes (taken by least element).
+    rng = random.Random(2027)
+    carriers = walk_carriers(corpus2, corpus3)
+    assert [alg.size for alg in carriers] == [4, 6, 6, 5, 6] * 2
+    lengths = set()
+    for alg in carriers:
+        labels, zero, table = naive.table_of(alg)
+        parts = naive.partitions(labels)
+        regular = [b for b in parts if naive.quotient_table(labels, zero, table, b)[1]]
+        for _ in range(8):
+            keys = [rng.randrange(rng.randrange(1, 6)) for _ in labels]
+            classes = []  # E's classes, by least element
+            for key in keys:
+                members = frozenset(x for x, k in zip(labels, keys) if k == key)
+                if members not in classes:
+                    classes.append(members)
+
+            def string(blocks):
+                numbers = {}
+                return [
+                    numbers.setdefault(next(b for b in blocks if c <= b), len(numbers))
+                    for c in classes
+                ]
+
+            family = [b for b in regular if all(any(c <= block for block in b) for c in classes)]
+            family.sort(key=string)
+            walked = category._regular_coarsenings(alg, Congruence(alg, keys)._to_block)
+            assert [frozenset(c.label_blocks()) for c in walked] == [frozenset(b) for b in family]
+            assert all(cong.base is alg for cong in walked)
+            lengths.add((len(classes), len(walked)))
+    assert len(lengths) > 10
+
+
+def test_coequalizers_past_the_bound_name_the_classes_of_e(corpus2, corpus3_iso):
+    # Size-3 sources into 2 x 2 x 2 products: two elements of the source give at most two
+    # pairs besides the zeros', so E keeps at least six of the eight elements apart.  A
+    # regular E is still the answer; one that is not leaves a walk over 7 classes, refused.
+    rng = random.Random(271)
+    answered = refused = 0
+    seen = set()  # the class counts of the refused E
+    while refused < 3 or answered < 3:
+        factors = [zero_mu(rng.choice(corpus2.models)) for _ in range(3)]
+        dst = product(factors).object
+        src = zero_mu(rng.choice(corpus3_iso.models))
+        labels = dst.alg.carrier.labels
+        homs = enumerate_homs(src.alg, dst.alg)
+        for i, f in enumerate(homs):
+            for g in homs[i + 1 :]:
+                pairs = [(labels[a], labels[b]) for a, b in zip(f.mapping, g.mapping)]
+                classes = len(naive.generated_blocks(labels, pairs))
+                try:
+                    result = coequalizer(f, g, src, dst)
+                except InputError as exc:
+                    assert (exc.code, exc.location) == ("too-large", "carrier")
+                    assert str(exc).startswith(f"{classes} classes exceed the congruence")
+                    seen.add(classes)
+                    refused += 1
+                    continue
+                assert len(result.congruence.blocks) == classes
+                answered += 1
+    assert (answered, refused, seen) == (3, 10, {7})  # frozen by the seed
 
 
 # --- coequalizers ----------------------------------------------------------------
@@ -403,6 +521,33 @@ def test_coequalizers_match_the_literal_family_and_meet(corpus_le2, corpus3_iso)
                 fast += blocks == set(naive.generated_blocks(labels, pairs))
                 checked += 1
     assert (checked, fast) == (3960, 3093)
+
+
+def test_a_coequalizing_family_without_a_least_member_is_a_claim_violation():
+    # Into a 6-element product, the zero map and a |-> a|O generate E, which merges O|O with a|O
+    # only.  E is not regular, and two of its nine regular coarsenings meet in E again, so the
+    # family has no least member: the construction fails, and the oracle agrees.
+    cells = {(x, y): ["O", "a"] if (x, y) == ("a", "a") else ["O"] for x in "Oa" for y in "Oa"}
+    two = HyperBCK.from_sets(["O", "a"], "O", cells)
+    cells = {(x, y): ["O", "a"] if x + y in ("bO", "ba") else ["O"] for x in "Oab" for y in "Oab"}
+    three = HyperBCK.from_sets(["O", "a", "b"], "O", cells)
+    assert validate_hyper_bck(two).passed and validate_hyper_bck(three).passed
+    dst = product([zero_mu(two), zero_mu(three)]).object
+    f = Hom.from_labels(two, dst.alg, {"O": "O|O", "a": "O|O"})
+    g = Hom.from_labels(two, dst.alg, {"O": "O|O", "a": "a|O"})
+    with pytest.raises(ClaimViolation) as exc:
+        coequalizer(f, g, zero_mu(two), dst)
+    assert exc.value.claim == "congruence-meet-regular"
+    e = {frozenset({"O|O", "a|O"}), *(frozenset({x}) for x in ("O|a", "O|b", "a|a", "a|b"))}
+    assert set(exc.value.witness) == e
+    labels, zero, table = naive.table_of(dst.alg)
+    family = [
+        blocks for blocks in naive.partitions(labels)
+        if all(any(c <= b for b in blocks) for c in e)
+        and naive.quotient_table(labels, zero, table, blocks)[1]
+    ]
+    assert len(family) == 9 and e not in map(set, family)
+    assert naive.coequalizer_blocks(labels, zero, table, [("O|O", "a|O")]) == e
 
 
 # --- pullbacks ----------------------------------------------------------------

@@ -188,7 +188,7 @@ def test_coequalizer_refuses_targets_past_the_congruence_bound(capsys, tmp_path)
     assert records == [
         {
             "record": "input-error",
-            "message": "carrier size 6 exceeds the congruence enumeration bound 5; "
+            "message": "6 classes exceed the congruence enumeration bound 5; "
             "partition counts grow too fast beyond it",
             "code": "too-large",
             "location": "carrier",

@@ -510,6 +510,19 @@ def test_separation_promotes_hypothesis_and_conclusion():
         separation_promotes(host, {"a"}, {"O"}, Fraction(1, 2))
 
 
+def test_separation_promotes_takes_its_level_through_the_one_degree_rule():
+    host = FuzzyHyperBCK.from_map(zero_table_host(), {"O": "1", "a": "1/4", "b": "3/4"})
+    refusals = [(0.75, "mu-syntax"), (2, "mu-range"), ("1/x", "mu-syntax"), (-1, "mu-range")]
+    for alpha, code in refusals:
+        with pytest.raises(InputError) as exc:
+            separation_promotes(host, {"O", "a"}, {"O", "b"}, alpha)
+        assert exc.value.code == code
+    verdict = separation_promotes(host, {"O", "a"}, {"O", "b"}, Fraction(1, 2))
+    assert separation_promotes(host, {"O", "a"}, {"O", "b"}, "1/2") == verdict
+    assert separation_promotes(host, {"O", "b"}, {"O", "a"}, "1/2").hypothesis_holds is False
+    assert separation_promotes(host, {"O"}, {"O", "b"}, 0).hypothesis_holds
+
+
 def test_separation_promotes_names_the_labels_of_a_non_subalgebra():
     host = FuzzyHyperBCK.from_map(zero_table_host(), {"O": "1", "a": "1/4", "b": "3/4"})
     with pytest.raises(InputError, match=r"^\['a', 'b'\] is not a subalgebra$"):
