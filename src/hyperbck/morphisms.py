@@ -261,10 +261,14 @@ def _probe_hom_maps(
     homomorphically are one group of :func:`_probes_by_image`, found by one
     lookup.  Probes come in corpus order and their hom mappings in
     lexicographic order; a probe with fewer than two homs cannot hold a
-    parallel pair.
+    parallel pair.  Refused with ``too-large`` when the m^(k-1) maps times the size-k
+    probes, the image tuples built, pass ``HOM_MAP_BOUND``.
     """
     probes = enumerate_hyper_bck(k, up_to_iso=True).models
     m, table = len(target.carrier), target.table
+    if m ** (k - 1) * len(probes) > HOM_MAP_BOUND:
+        message = f"{m}^{k - 1} maps on {len(probes)} size-{k} probes pass {HOM_MAP_BOUND}"
+        raise InputError(message, "too-large", "carrier")
     first, maps = {}, {}  # by position: a probe's first map; the maps of those with two or more
     for f in product((target.zero,), *[range(m)] * (k - 1)):
         image = tuple(table[fx * m + fy] for fx in f for fy in f)
@@ -321,7 +325,8 @@ def check_mono_equivalence(
     homs, since mu(p t) >= min(mu(p t), mu(q t)), so no grid scan is
     needed.  The lift is still checked with :func:`is_fuzzy_hom`.  The probe
     homs are tabled once per source and probe size, and the probes a map
-    sends homomorphically come from one lookup of its image table.
+    sends homomorphically come from one lookup of its image table.  A probe
+    size the search reaches is refused past the corpus or ``HOM_MAP_BOUND``.
     """
     _require_fuzzy_endpoints(h, src, dst)
     source = h.source

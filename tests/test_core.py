@@ -709,12 +709,88 @@ def test_the_hk2_hint_never_changes_a_verdict_across_sizes_and_zeros(corpus_le2,
     while not _hk2_mismatch(four, _hk2_plan[4, 0]):
         four = tuple(rng.randrange(1, 16) for _ in range(16))
     for alg in corpus3.models[::500]:
-        assert not hk_axioms_hold_raw(4, 0, four) and core._hk2_hint[0][0] == 4
+        assert not hk_axioms_hold_raw(4, 0, four) and core._hk2_hint[0] == 4
         assert hk_axioms_hold_raw(3, alg.zero, alg.table)
     n = AXIOM_CHECK_BOUND + 1
     with pytest.raises(InputError, match="not 65") as refused:
         hk_axioms_hold_raw(n, 0, (1,) * (n * n))
-    assert refused.value.code == "too-large" and core._hk2_hint[0][0] == 4
+    assert refused.value.code == "too-large" and core._hk2_hint[0] == 4
+
+
+def test_the_inline_hint_test_is_the_scan_body_for_its_instance(search_leaves, monkeypatch):
+    """The fail-fast check ORs its hint's two sides inline, a copy of ``_hk2_mismatch``'s
+    body: holding each plan instance in turn as the hint, it rejects every size-3 leaf, and
+    seeded tables of sizes 2, 4 and 5 under every instance of their plans, exactly when the
+    scan of that instance alone finds unequal sides.  With the plan store emptied, a table
+    the hint lets through raises at the plan lookup, so only the hint can reject."""
+    plan3 = _hk2_plan[3, 0]
+    cases = [(3, plan3[i % len(plan3)], t) for i, t in enumerate(search_leaves)]
+    rng = random.Random(20261025)
+    for n in (2, 4, 5):
+        plan = _hk2_plan[n, rng.randrange(n)]
+        for _ in range(40):
+            t = tuple(rng.randrange(1, 1 << n) for _ in range(n * n))
+            cases += [(n, instance, t) for instance in plan]
+    monkeypatch.setattr(core, "_hk2_plan", {})
+    rejected = 0
+    for n, instance, t in cases:
+        core._hk2_hint[:] = n, *instance
+        try:
+            rejects = hk_axioms_hold_raw(n, 0, t) is False
+        except KeyError:
+            rejects = False
+        assert rejects == (_hk2_mismatch(t, (instance,)) is not None)
+        rejected += rejects
+    assert 0 < rejected < len(cases)
+
+
+def _hk3_table(rng: random.Random, n: int, zero: int) -> tuple[list[int], list[int]]:
+    """A seeded table whose cells hold only elements below their row's x, so it meets HK3,
+    and its down masks; the zero's row holds the zero in every cell."""
+    has_zero = [[x == zero or rng.random() < 0.4 for _ in range(n)] for x in range(n)]
+    while True:  # a row whose x has only the zero below it holds the zero in every cell
+        dn = [sum(1 << u for u in range(n) if has_zero[u][v]) for v in range(n)]
+        lonely = [x for x in range(n) if dn[x] == 1 << zero and not all(has_zero[x])]
+        if not lonely:
+            break
+        for x in lonely:
+            has_zero[x] = [True] * n
+    cells = []
+    for x in range(n):
+        others = [t for t in iter_bits(dn[x]) if t != zero]
+        for y in range(n):
+            cell = sum(1 << t for t in others if rng.random() < 0.5) | has_zero[x][y] << zero
+            cells.append(cell or 1 << rng.choice(others))
+    return cells, dn
+
+
+def test_the_hk3_gate_lets_no_stray_through():
+    """Seeded tables of sizes 1 to 6, zero moved, that meet HK3; then each with one stray, an
+    element not below x, put in the first, a middle and the last cell of row x, for every
+    row that can hold one, the zero's row included.  Reports equal the literal oracle's."""
+    rng = random.Random(20261026)
+    strays = zero_rows = 0
+    for i in range(36):
+        n = 1 + i % 6
+        zero = 1 + i // 6 % (n - 1) if n > 1 else 0
+        cells, dn = _hk3_table(rng, n, zero)
+        tables = [cells]
+        for x in range(n):
+            loose = [t for t in range(n) if not dn[x] >> t & 1]
+            for y in sorted({0, n // 2, n - 1}) if loose else ():
+                stray = list(cells)
+                stray[x * n + y] |= 1 << rng.choice(loose)
+                tables.append(stray)
+                zero_rows += x == zero
+        strays += len(tables) - 1
+        for k, table in enumerate(tables):
+            alg = HyperBCK(Carrier(tuple(map(str, range(n))), zero), table)
+            oracle = naive.hk_failures(*naive.table_of(alg))
+            report = validate_hyper_bck(alg)
+            assert [(v.axiom, v.witness) for v in report.violations] == oracle
+            assert hk_axioms_hold(alg) == (not oracle)
+            assert sum(axiom == "HK3" for axiom, _ in oracle) == (k > 0)
+    assert strays > 150 and zero_rows > 10
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -733,8 +809,15 @@ def test_the_zero_pattern_pass_lists_the_literal_oracles_items(strict):
         after = _zero_pattern.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == (n <= _TABLED_SIZE)
         if n <= _TABLED_SIZE:
-            _, below, easy = _zero_pattern(n, bytes(c >> zero & 1 for c in masks))
+            _, below, easy, outside = _zero_pattern(n, bytes(c >> zero & 1 for c in masks))
             assert set(easy) == {m for m in range(1 << n) if below[m] == (1 << n) - 1}
+            dn = [sum(1 << u for u in range(n) if masks[u * n + v] >> zero & 1) for v in range(n)]
+            assert (outside == 0) == (set(dn) == {(1 << n) - 1})  # no cell mask can stray
+            for p, t in itertools.product(range(n * n), range(n)):  # t alone in cell p
+                alone = int.from_bytes(bytes(1 << t if q == p else 0 for q in range(n * n)), "big")
+                assert bool(alone & outside) == (not dn[p // n] >> t & 1)
+            no_hk3 = not any(axiom == "HK3" for axiom, *_ in items)
+            assert (int.from_bytes(bytes(masks), "big") & outside == 0) == no_hk3
             skip = set(masks) <= set(easy)  # every cell's D is the carrier
             skipped += skip
             entered += not skip

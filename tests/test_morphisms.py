@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -377,6 +378,24 @@ def test_mono_probe_refuses_a_bound_past_the_corpus_only_when_reached(c2):
         check_mono_equivalence(Hom.identity(c2.alg), fz, fz, probe_size_bound=4)
     verdict = check_mono_equivalence(Hom(c2.alg, c2.alg, (0, 0)), fz, fz, probe_size_bound=4)
     assert not verdict.crisp_mono and not verdict.fuzzy_mono
+
+
+def test_mono_probe_refuses_a_source_past_the_map_bound_only_when_reached():
+    # Probe size k builds the image tuple of each size-k probe under each of the
+    # m^(k-1) zero-fixing maps: 4^2 * 8,048 is within HOM_MAP_BOUND, 64^2 * 8,048 is not.
+    small, big = chain_example(4).alg, chain_example(64).alg
+    fz = zero_mu(small)
+    verdict = check_mono_equivalence(Hom.identity(small), fz, fz)
+    assert verdict.crisp_mono and verdict.fuzzy_mono
+    fz = zero_mu(big)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="64\\^2 maps on 8048 size-3 probes") as refused:
+        check_mono_equivalence(Hom.identity(big), fz, fz)
+    assert time.perf_counter() - start < 1
+    assert (refused.value.code, refused.value.location) == ("too-large", "carrier")
+    # The zero map's witness comes from the size-2 probes, before size 3 is reached.
+    verdict = check_mono_equivalence(Hom(big, big, (0,) * 64), fz, fz)
+    assert not verdict.crisp_mono and verdict.crisp_witness[0].source.size == 2
 
 
 def test_mono_witness_matches_literal_scan(corpus_le2):
