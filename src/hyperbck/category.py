@@ -302,15 +302,15 @@ def equalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> Constru
     """
     _require_fuzzy_homs("both maps must be fuzzy homomorphisms", (f, src, dst), (g, src, dst))
     k_mask = sum(1 << i for i, (u, v) in enumerate(zip(f.mapping, g.mapping)) if u == v)
-    escape = src.alg._first_escape(k_mask)
-    if escape is not None:
-        x, y, t = (src.alg.carrier.labels[i] for i in escape)
+    try:
+        obj = src.restrict_mask(k_mask)
+    except InputError:  # both maps fix zero, so the agreement set is not closed
+        x, y, t = (src.alg.carrier.labels[i] for i in src.alg._first_escape(k_mask))
         raise ClaimViolation(
             "equalizer-closed",
             (x, y, t),
             f"agreement set of the parallel pair is not closed: {t} in {x}*{y} escapes it",
-        )
-    obj = src.restrict_mask(k_mask)
+        ) from None
     include = Hom._trusted(obj.alg, src.alg, iter_bits(k_mask))
     _verify_hom("equalizer-leg", include, obj, src)
     if _compose(include.mapping, f.mapping) != _compose(include.mapping, g.mapping):

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Any, Iterator
@@ -29,8 +28,6 @@ from .morphisms import Hom, enumerate_homs, is_fuzzy_hom, is_hom
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, Fraction):
-        return format_fuzzy(value)
     if isinstance(value, (frozenset, set)):
         return sorted(_jsonable(v) for v in value)
     if isinstance(value, (tuple, list)):
@@ -161,36 +158,22 @@ def _cmd_product(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_parallel_pair(f_path: str, g_path: str):
-    f, f_src, f_dst = _load_hom(f_path)
-    g, g_src, g_dst = _load_hom(g_path)
-    if f_src != g_src or f_dst != g_dst:
-        at = f"{g_path}.source" if f_src != g_src else f"{g_path}.target"
-        raise InputError("the two morphisms must share source and target", "endpoint-mismatch", at)
-    return f, g, _as_fuzzy(f_src, f"{f_path}.source"), _as_fuzzy(f_dst, f"{f_path}.target")
+def _load_pair(f_path: str, g_path: str, parallel: bool) -> tuple:
+    """The maps of two morphism files and their fuzzy endpoints: the shared source and target of
+    a parallel pair, or f's source, g's source and the shared target of a cospan."""
+    (f, f_src, f_dst), (g, g_src, g_dst) = _load_hom(f_path), _load_hom(g_path)
+    if parallel and f_src != g_src or f_dst != g_dst:
+        at = f"{g_path}.source" if parallel and f_src != g_src else f"{g_path}.target"
+        shared = "source and target" if parallel else "their target"
+        raise InputError(f"the two morphisms must share {shared}", "endpoint-mismatch", at)
+    sources = [(f_src, f_path)] if parallel else [(f_src, f_path), (g_src, g_path)]
+    fuzzy = [_as_fuzzy(obj, f"{path}.source") for obj, path in sources]
+    return f, g, *fuzzy, _as_fuzzy(f_dst, f"{f_path}.target")
 
 
-def _cmd_parallel(args: argparse.Namespace) -> int:
-    """``equalizer`` or ``coequalizer``: ``args.construct`` applied to a parallel pair."""
-    f, g, src, dst = _load_parallel_pair(args.f, args.g)
-    _emit(_construction_record(args.construct(f, g, src, dst)))
-    return 0
-
-
-def _cmd_pullback(args: argparse.Namespace) -> int:
-    f, f_src, f_dst = _load_hom(args.f)
-    g, g_src, g_dst = _load_hom(args.g)
-    if f_dst != g_dst:
-        at = f"{args.g}.target"
-        raise InputError("the two morphisms must share their target", "endpoint-mismatch", at)
-    result = pullback(
-        f,
-        g,
-        _as_fuzzy(f_src, f"{args.f}.source"),
-        _as_fuzzy(g_src, f"{args.g}.source"),
-        _as_fuzzy(f_dst, f"{args.f}.target"),
-    )
-    _emit(_construction_record(result))
+def _cmd_pair(args: argparse.Namespace) -> int:
+    """``equalizer``, ``coequalizer`` or ``pullback``: ``args.construct`` on the two maps."""
+    _emit(_construction_record(args.construct(*_load_pair(args.f, args.g, args.parallel))))
     return 0
 
 
@@ -245,17 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equalizer", help="agreement subalgebra of a parallel pair")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=_cmd_parallel, construct=equalizer)
+    p.set_defaults(func=_cmd_pair, construct=equalizer, parallel=True)
 
     p = sub.add_parser("coequalizer", help="quotient by the least coequalizing congruence")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=_cmd_parallel, construct=coequalizer)
+    p.set_defaults(func=_cmd_pair, construct=coequalizer, parallel=True)
 
     p = sub.add_parser("pullback", help="pullback of a cospan (product + equalizer)")
     p.add_argument("f")
     p.add_argument("g")
-    p.set_defaults(func=_cmd_pullback)
+    p.set_defaults(func=_cmd_pair, construct=pullback, parallel=False)
 
     p = sub.add_parser("enumerate", help="all models of a given size, one per line")
     p.add_argument("--size", type=int, required=True)

@@ -318,9 +318,9 @@ class HyperBCK:
 def _restriction(carrier: Carrier, table: tuple[int, ...], mask: int) -> HyperBCK:
     """The subalgebra on the closed ``mask`` of the algebra with ``carrier`` and ``table``."""
     old, n = iter_bits(mask), len(carrier)
-    bit = {o: 1 << i for i, o in enumerate(old)}  # element old[i] becomes i
+    image = _image_masks([(mask & (1 << o) - 1).bit_count() for o in range(n)])  # old[i] is i
     labels = tuple(carrier.labels[o] for o in old)
-    cells = [reduce(or_, map(bit.get, iter_bits(table[x * n + y]))) for x in old for y in old]
+    cells = [image[table[x * n + y]] for x in old for y in old]
     return HyperBCK(Carrier(labels, old.index(carrier.zero_index)), cells)
 
 
@@ -418,9 +418,8 @@ def _tabled_ors(parts: tuple[int, ...]) -> tuple:
     return tuple(_mask_ors(parts))
 
 
-@lru_cache(maxsize=_TABLED_SIZE)  # the bytes.translate table of a mask below 256 to its zero bit
-def _zero_bits(zero: int) -> bytes:
-    return bytes(m >> zero & 1 for m in range(256))
+# per zero below _TABLED_SIZE, the bytes.translate table of a mask below 256 to its zero bit
+_ZERO_BITS = tuple(bytes(m >> zero & 1 for m in range(256)) for zero in range(_TABLED_SIZE))
 
 
 @lru_cache(maxsize=1 << 9)
@@ -468,7 +467,7 @@ def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) 
     of the table's bytes with the pattern's ``outside``, and only a stray runs its row loop."""
     ors, full, raw = _tabled_ors, (1 << n) - 1, n <= _TABLED_SIZE and bytes(table)
     if raw:  # the zero bits, read in C, pick the masks kept per zero pattern
-        dn, below, easy, outside = _zero_pattern(n, raw.translate(_zero_bits(zero)))
+        dn, below, easy, outside = _zero_pattern(n, raw.translate(_ZERO_BITS[zero]))
     else:
         ors, dn = _mask_ors, _down_masks(n, zero, table)
         below = ors(tuple(dn))

@@ -18,7 +18,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .core import PRODUCT_BOUND, Carrier, HyperBCK, InputError, _image_masks, hk_axioms_hold_raw
+from .core import PRODUCT_BOUND, Carrier, HyperBCK, InputError, _down_masks, _image_masks
+from .core import hk_axioms_hold_raw
 from .fuzzy import FuzzyHyperBCK, _membership_failures, _membership_pairs, fuzzy_value
 
 MAX_EXHAUSTIVE_SIZE = 3
@@ -51,8 +52,7 @@ def _search_tables(n: int) -> tuple[tuple[int, ...], ...]:
     found: list[tuple[int, ...]] = []
     # zeros[x*n + y] says whether O is in x*y; every table has one such pattern.
     for zeros in product((False, True), repeat=size):
-        # HK3: row x may only use the t with O in t*x.
-        down = [sum(1 << t for t in range(n) if zeros[t * n + x]) for x in range(n)]
+        down = _down_masks(n, 0, zeros)  # HK3: row x may only use the t with O in t*x
         cells = [
             [m for m in masks if not m & ~down[pos // n] and (m & 1) == zeros[pos]]
             for pos in range(size)

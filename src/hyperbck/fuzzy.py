@@ -32,6 +32,7 @@ from .core import (
     InputError,
     ValidationReport,
     Violation,
+    _down_masks,
     _Kept,
     iter_bits,
 )
@@ -232,11 +233,9 @@ def _membership_verdict(
     structures of one algebra with one weak order of mu share every answer.
     """
     table, zero, ranks = key
-    n = len(ranks)
     failures = tuple(_membership_failures(_membership_pairs[table], ranks))
-    monotone = all(
-        ranks[pos // n] <= ranks[pos % n] for pos, cell in enumerate(table) if cell >> zero & 1
-    )
+    dn = _down_masks(len(ranks), zero, table)
+    monotone = all(ranks[u] <= ranks[v] for v, below in enumerate(dn) for u in iter_bits(below))
     top = max(ranks)
     return failures, ranks[zero] == top, monotone, min(ranks) == top
 
@@ -262,8 +261,7 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
         )
         for x, y, got, bound in failures
     ]
-    top = fz.mu[alg.zero]
-    info = _info_checks(zero_max, top, _collapse_verdict(monotone, constant, top == ZERO))
+    info = _info_checks(zero_max, fz.mu[alg.zero], monotone, constant)
     return ValidationReport(not violations, tuple(violations), info)
 
 
@@ -283,7 +281,6 @@ class CollapseVerdict:
     vanishes_holds: bool | None
 
 
-@lru_cache(maxsize=8)  # one verdict per value of its three booleans
 def _collapse_verdict(monotone: bool, constant: bool, zero_applies: bool) -> CollapseVerdict:
     # both conclusions say that mu is constant: at mu(zero), or at 0 = mu(zero)
     return CollapseVerdict(
@@ -292,11 +289,10 @@ def _collapse_verdict(monotone: bool, constant: bool, zero_applies: bool) -> Col
 
 
 @lru_cache(maxsize=1 << 8)
-def _info_checks(zero_max: bool, top: Fraction, collapse: CollapseVerdict) -> tuple[InfoCheck, ...]:
-    """The informational checks of a membership report, from mu(zero) and what it reads of mu.
-
-    Cached on that key, since reports over many structures share few of them.
-    """
+def _info_checks(zero_max: bool, top: Fraction, monotone: bool, constant: bool) -> tuple:
+    """The informational checks of a membership report, from mu(zero) and what the membership
+    verdict reads of mu.  Cached on that key, since reports over many structures share few."""
+    collapse = _collapse_verdict(monotone, constant, top == ZERO)
     info = [InfoCheck("zero-max", zero_max, f"mu at zero is {format_fuzzy(top)}")]
     if collapse.monotone_applies:
         constant = collapse.constant_holds

@@ -230,12 +230,10 @@ def test_every_cache_in_the_package_is_bounded():
         "cli.build_parser",
         "core._spread",
         "core._tabled_ors",
-        "core._zero_bits",
         "core._zero_pattern",
         "corpus._corpus",
         "corpus._relabel_plans",
         "corpus._search_tables",
-        "fuzzy._collapse_verdict",
         "fuzzy._cut_masks",
         "fuzzy._info_checks",
         "morphisms.enumerate_homs",
