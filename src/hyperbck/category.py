@@ -193,13 +193,19 @@ def _verify_hom(
         raise ClaimViolation(f"{claim}-fuzzy", h.as_label_map())
 
 
-def _require_fuzzy_homs(message: str, *maps: tuple[Hom, FuzzyHyperBCK, FuzzyHyperBCK]) -> None:
-    """Refuse the input with ``message`` unless every ``(h, src, dst)`` is a fuzzy hom.
-
-    :func:`is_fuzzy_hom` itself refuses mismatched endpoints and non-homs.
+def _require_fuzzy_homs(message: str, **maps: tuple[Hom, FuzzyHyperBCK, FuzzyHyperBCK]) -> None:
+    """Refuse the input unless every ``(h, src, dst)`` is a fuzzy hom, located at the first
+    failing map's name: :func:`is_fuzzy_hom` refuses mismatched endpoints (``endpoint-mismatch``)
+    and non-homs (``not-hom``), and a hom that lowers membership gets ``message`` and
+    ``not-fuzzy-hom``.
     """
-    if not all(is_fuzzy_hom(*m) for m in maps):
-        raise InputError(message)
+    for name, (h, src, dst) in maps.items():
+        try:
+            fuzzy = is_fuzzy_hom(h, src, dst)
+        except InputError as exc:
+            raise InputError(str(exc), exc.code, name) from None
+        if not fuzzy:
+            raise InputError(message, "not-fuzzy-hom", name)
 
 
 def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
@@ -276,9 +282,8 @@ def mediate_product(
     factors: tuple[FuzzyHyperBCK, ...] = result.inputs
     if len(cone) != len(factors):
         raise InputError("cone must have one leg per factor")
-    _require_fuzzy_homs(
-        "cone legs must be fuzzy homomorphisms", *((q, source, f) for q, f in zip(cone, factors))
-    )
+    legs = {f"cone[{i}]": (q, source, f) for i, (q, f) in enumerate(zip(cone, factors))}
+    _require_fuzzy_homs("cone legs must be fuzzy homomorphisms", **legs)
     projections = [leg.mapping for leg in result.legs.values()]
     position = {t: j for j, t in enumerate(zip(*projections))}
     mapping = tuple(position[t] for t in zip(*(q.mapping for q in cone)))
@@ -300,7 +305,7 @@ def equalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> Constru
     Raises a claim violation when the agreement set is not closed under
     the operation; such instances exist and refute the construction.
     """
-    _require_fuzzy_homs("both maps must be fuzzy homomorphisms", (f, src, dst), (g, src, dst))
+    _require_fuzzy_homs("both maps must be fuzzy homomorphisms", f=(f, src, dst), g=(g, src, dst))
     k_mask = sum(1 << i for i, (u, v) in enumerate(zip(f.mapping, g.mapping)) if u == v)
     try:
         obj = src.restrict_mask(k_mask)
@@ -347,7 +352,7 @@ def coequalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> Const
     failure is a claim violation with the partition as witness.  Membership of a block is the
     maximum over its members.
     """
-    _require_fuzzy_homs("both maps must be fuzzy homomorphisms", (f, src, dst), (g, src, dst))
+    _require_fuzzy_homs("both maps must be fuzzy homomorphisms", f=(f, src, dst), g=(g, src, dst))
     rho = _generated_congruence(dst.alg, zip(f.mapping, g.mapping))
     if not is_regular_congruence(rho):
         family = _regular_coarsenings(dst.alg, rho._to_block)
@@ -381,7 +386,7 @@ def mediate_coequalizer(result: ConstructionResult, target: FuzzyHyperBCK, phi: 
     if result.kind != "coequalizer" or result.congruence is None:
         raise InputError("mediate_coequalizer needs a coequalizer construction result")
     f, g, _src, dst = result.inputs
-    _require_fuzzy_homs("map must be a fuzzy homomorphism", (phi, dst, target))
+    _require_fuzzy_homs("map must be a fuzzy homomorphism", phi=(phi, dst, target))
     if _compose(f.mapping, phi.mapping) != _compose(g.mapping, phi.mapping):
         raise InputError("map does not coequalize the parallel pair")
 
@@ -414,7 +419,7 @@ def pullback(
     composites need not be closed, and then no subset-style pullback
     exists; the claim violation propagates.
     """
-    _require_fuzzy_homs("cospan maps must be fuzzy homomorphisms", (f, a, c), (g, b, c))
+    _require_fuzzy_homs("cospan maps must be fuzzy homomorphisms", f=(f, a, c), g=(g, b, c))
     prod = product([a, b])
     eq = equalizer(prod.legs["p0"].then(f), prod.legs["p1"].then(g), prod.object, c)
     include = eq.legs["include"]

@@ -172,8 +172,15 @@ def _load_pair(f_path: str, g_path: str, parallel: bool) -> tuple:
 
 
 def _cmd_pair(args: argparse.Namespace) -> int:
-    """``equalizer``, ``coequalizer`` or ``pullback``: ``args.construct`` on the two maps."""
-    _emit(_construction_record(args.construct(*_load_pair(args.f, args.g, args.parallel))))
+    """``equalizer``, ``coequalizer`` or ``pullback``: ``args.construct`` on the two maps, a map
+    the library refuses (named ``f`` or ``g`` in its location) located at its file."""
+    pair = _load_pair(args.f, args.g, args.parallel)
+    try:
+        result = args.construct(*pair)
+    except InputError as exc:
+        files = {"f": args.f, "g": args.g}
+        raise InputError(str(exc), exc.code, files.get(exc.location, exc.location)) from None
+    _emit(_construction_record(result))
     return 0
 
 

@@ -11,7 +11,9 @@ The reporting validator lists every failure both find; the fail-fast check runs
 the same two and stops at the first, trying first the HK2 instance that last rejected a
 table with its sides ORed inline, the one copy of the scan's body, held to it by a test.
 Up to six elements the past-HK2 pass takes its masks, HK3's one-AND mask among them, from
-a bounded cache keyed on the table's zero pattern.  Results whose size varies with their
+a bounded cache keyed on the table's zero pattern, read through ``_ZERO_BITS``.  The
+hyperorder has one scan, ``_down_masks``, and the image of a mask under a map one table,
+``_image_masks``, which restrictions read too.  Results whose size varies with their
 key are weighed and kept by one class of store, ``_Kept``.
 """
 
@@ -318,7 +320,7 @@ class HyperBCK:
 def _restriction(carrier: Carrier, table: tuple[int, ...], mask: int) -> HyperBCK:
     """The subalgebra on the closed ``mask`` of the algebra with ``carrier`` and ``table``."""
     old, n = iter_bits(mask), len(carrier)
-    image = _image_masks([(mask & (1 << o) - 1).bit_count() for o in range(n)])  # old[i] is i
+    image = _image_masks([(mask & (1 << o) - 1).bit_count() for o in range(n)])  # old[i] becomes i
     labels = tuple(carrier.labels[o] for o in old)
     cells = [image[table[x * n + y]] for x in old for y in old]
     return HyperBCK(Carrier(labels, old.index(carrier.zero_index)), cells)

@@ -93,7 +93,10 @@ def _apply_plan(table: Sequence[int], plan: tuple) -> tuple[int, ...]:
 
 
 def relabel_table(n: int, table: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    """Apply an element relabeling ``perm`` (old index -> new index) to a table."""
+    """Apply an element relabeling ``perm`` (old index -> new index) to a table; refused with
+    ``shape`` at ``perm`` unless ``perm`` is a permutation of ``range(n)``."""
+    if len(perm) != n or set(perm) != set(range(n)):
+        raise InputError(f"{list(perm)} is not a permutation of range({n})", "shape", "perm")
     return _apply_plan(table, _relabel_plan(n, perm, _image_masks(perm)))
 
 

@@ -12,8 +12,9 @@ Degrees are exact; comparisons within one structure run on ranks.  The
 inequality, the collapse checks and the level list read only the weak order
 of mu, so each structure carries a rank vector (equal ranks for equal
 degrees, ordered as the degrees are) and those checks compare small ints,
-once per algebra and rank vector in bounded caches.  Wherever two structures meet (fuzzy homs, products, quotients) the exact
-degrees are compared.
+once per algebra and rank vector in bounded caches; the monotone hypothesis
+reads the hyperorder from ``core._down_masks``.  Wherever two structures meet
+(fuzzy homs, products, quotients) the exact degrees are compared.
 """
 
 from __future__ import annotations

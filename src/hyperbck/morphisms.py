@@ -167,9 +167,10 @@ def _require_fuzzy_endpoints(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> 
     if (h.source is not src.alg and h.source != src.alg) or (
         h.target is not dst.alg and h.target != dst.alg
     ):
-        raise InputError("map endpoints do not match the given fuzzy structures")
+        message = "map endpoints do not match the given fuzzy structures"
+        raise InputError(message, "endpoint-mismatch")
     if not is_hom(h):
-        raise InputError("map is not a homomorphism")
+        raise InputError("map is not a homomorphism", "not-hom")
 
 
 def is_fuzzy_hom(h: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> bool:

@@ -194,6 +194,31 @@ def test_equalizer_requires_parallel_fuzzy_pair(c2):
         equalizer(f, terminal_map(c2.alg), c2, c2)
 
 
+def test_the_map_gate_codes_each_refusal_and_names_the_refused_map(c2):
+    ident, swap = Hom.identity(c2.alg), Hom(c2.alg, c2.alg, (1, 0))
+    to_zero = Hom(c2.alg, c2.alg, (0, 0))
+    lowered = FuzzyHyperBCK(c2.alg, (Fraction(1, 2), Fraction(1)))  # to_zero lowers mu(2)
+    product_of_two = product([c2, lowered])
+    cases = [
+        (lambda: equalizer(swap, ident, c2, c2), "not-hom", "f", "map is not a homomorphism"),
+        (lambda: coequalizer(ident, swap, c2, c2), "not-hom", "g", "map is not a homomorphism"),
+        (lambda: pullback(ident, terminal_map(c2.alg), c2, c2, c2), "endpoint-mismatch", "g",
+         "map endpoints do not match the given fuzzy structures"),
+        (lambda: equalizer(ident, to_zero, lowered, lowered), "not-fuzzy-hom", "g",
+         "both maps must be fuzzy homomorphisms"),
+        (lambda: pullback(to_zero, ident, lowered, lowered, lowered), "not-fuzzy-hom", "f",
+         "cospan maps must be fuzzy homomorphisms"),
+        (lambda: mediate_product(product_of_two, c2, [ident, ident]), "not-fuzzy-hom",
+         "cone[1]", "cone legs must be fuzzy homomorphisms"),
+    ]
+    for build, code, location, message in cases:
+        with pytest.raises(InputError) as refused:
+            build()
+        assert (refused.value.code, refused.value.location, str(refused.value)) == (
+            code, location, message
+        )
+
+
 # --- congruences and quotients -------------------------------------------------
 
 

@@ -9,11 +9,12 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hyperbck import HyperBCK, product, validate_hyper_bck
+from hyperbck import FuzzyHyperBCK, HyperBCK, product, validate_hyper_bck
 from hyperbck.cli import main
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.io import parse_structure, render_structure, structure_to_dict
@@ -589,8 +590,10 @@ def test_endpoint_mismatches_are_coded_at_the_second_morphism(capsys, tmp_path):
     into_c3 = hom_doc(tmp_path, "g.json", c2, c3, {"1": "1", "2": "2"})
     out_of_c3 = hom_doc(tmp_path, "h.json", c3, c2, {"1": "1", "2": "2", "3": "2"})
     share_both = "the two morphisms must share source and target"
+    both = hom_doc(tmp_path, "k.json", c3, c3, {"1": "1", "2": "2", "3": "3"})
     for argv, message, where in [
         (["equalizer", ident, into_c3], share_both, f"{into_c3}.target"),
+        (["equalizer", ident, both], share_both, f"{both}.source"),  # the source is named first
         (["coequalizer", ident, out_of_c3], share_both, f"{out_of_c3}.source"),
         (["pullback", ident, into_c3], "the two morphisms must share their target",
          f"{into_c3}.target"),
@@ -600,6 +603,26 @@ def test_endpoint_mismatches_are_coded_at_the_second_morphism(capsys, tmp_path):
         assert records == [
             {"record": "input-error", "message": message, "code": "endpoint-mismatch",
              "location": where}
+        ]
+
+
+@pytest.mark.parametrize("command", ["equalizer", "coequalizer", "pullback"])
+def test_a_map_the_library_refuses_is_coded_at_its_file(capsys, tmp_path, command):
+    c2 = chain_example(2)
+    lowered = FuzzyHyperBCK(c2.alg, (Fraction(1, 2), Fraction(1)))  # the zero map lowers mu(2)
+    swap = hom_doc(tmp_path, "swap.json", c2, c2, {"1": "2", "2": "1"})
+    ident = hom_doc(tmp_path, "id.json", lowered, lowered, {"1": "1", "2": "2"})
+    to_zero = hom_doc(tmp_path, "zero.json", lowered, lowered, {"1": "1", "2": "1"})
+    lowers = "cospan maps" if command == "pullback" else "both maps"
+    for f, g, code, message, where in [
+        (swap, swap, "not-hom", "map is not a homomorphism", swap),
+        (ident, to_zero, "not-fuzzy-hom", f"{lowers} must be fuzzy homomorphisms", to_zero),
+        (to_zero, ident, "not-fuzzy-hom", f"{lowers} must be fuzzy homomorphisms", to_zero),
+    ]:
+        code_, records = run(capsys, command, f, g)
+        assert code_ == 2
+        assert records == [
+            {"record": "input-error", "message": message, "code": code, "location": where}
         ]
 
 

@@ -177,6 +177,14 @@ def test_canonical_form_refuses_size_nine_quickly():
     assert relabel_table(n, alg.table, list(range(n))) == alg.table
 
 
+@pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 5], [0, 1, 2, 3], [1, 2, 3]])
+def test_relabel_table_refuses_what_is_no_permutation_of_the_carrier(perm):
+    table = enumerate_hyper_bck(3).models[-1].table
+    with pytest.raises(InputError, match="is not a permutation of range") as refused:
+        relabel_table(3, table, perm)
+    assert (refused.value.code, refused.value.location) == ("shape", "perm")
+
+
 def test_relabeling_past_the_tabled_size_matches_literal_oracle():
     """Past ``_TABLED_SIZE`` the cached plans list every image while a single relabeling's
     image table fills on lookup; size 9 has no cached plans, and a single relabeling runs."""
