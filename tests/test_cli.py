@@ -619,8 +619,8 @@ def test_a_map_the_library_refuses_is_coded_at_its_file(capsys, tmp_path, comman
         (ident, to_zero, "not-fuzzy-hom", f"{lowers} must be fuzzy homomorphisms", to_zero),
         (to_zero, ident, "not-fuzzy-hom", f"{lowers} must be fuzzy homomorphisms", to_zero),
     ]:
-        code_, records = run(capsys, command, f, g)
-        assert code_ == 2
+        exit_code, records = run(capsys, command, f, g)
+        assert exit_code == 2
         assert records == [
             {"record": "input-error", "message": message, "code": code, "location": where}
         ]
