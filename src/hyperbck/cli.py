@@ -232,20 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structures", nargs="+")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("equalizer", help="agreement subalgebra of a parallel pair")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_pair, construct=equalizer, parallel=True)
-
-    p = sub.add_parser("coequalizer", help="quotient by the least coequalizing congruence")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_pair, construct=coequalizer, parallel=True)
-
-    p = sub.add_parser("pullback", help="pullback of a cospan (product + equalizer)")
-    p.add_argument("f")
-    p.add_argument("g")
-    p.set_defaults(func=_cmd_pair, construct=pullback, parallel=False)
+    for name, construct, parallel, text in (  # named, as the bench tracer rebinds these
+        ("equalizer", equalizer, True, "agreement subalgebra of a parallel pair"),
+        ("coequalizer", coequalizer, True, "quotient by the least coequalizing congruence"),
+        ("pullback", pullback, False, "pullback of a cospan (product + equalizer)"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("f")
+        p.add_argument("g")
+        p.set_defaults(func=_cmd_pair, construct=construct, parallel=parallel)
 
     p = sub.add_parser("enumerate", help="all models of a given size, one per line")
     p.add_argument("--size", type=int, required=True)

@@ -1,9 +1,9 @@
 """Finite hyper BCK-algebras: carriers, hyperoperation tables, axiom checking.
 
 A hyperoperation sends each ordered pair of elements to a *non-empty subset*
-of the carrier.  Subsets are stored as bitmasks over carrier indices, and a
-set of cells as a mask over their table positions, so HK1 tests the cells
-of a triple with one product and one AND; the public API speaks labels.
+of the carrier.  Subsets are stored as bitmasks over carrier indices, so
+HK1 ORs a triple's cells through each row's table of t*B per mask B and
+tests the union with one AND; the public API speaks labels.
 
 The axioms are tested in one place: ``_hk2_mismatch`` scans the HK2 plan and
 ``_past_hk2_failures`` yields the HK1, HK3 and HK4 failures of a table past it.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
-from operator import add, itemgetter, mul, or_
+from operator import add, itemgetter, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 PRODUCT_BOUND = 256  # the largest carrier built: 65,536 cells, the square of the carrier
@@ -435,12 +435,6 @@ def _zero_pattern(n: int, pattern: bytes) -> tuple[tuple[int, ...], tuple, bytes
     return dn, below, bytes([m for m, d in enumerate(below) if d == full]), outside
 
 
-@lru_cache(maxsize=16)
-def _spread(n: int) -> list | _Kept:
-    """Entry A has bit t*n per t in A: ``spread[A] * B`` marks the cells t*s, t in A, s in B."""
-    return _mask_ors([1 << t * n for t in range(n)])
-
-
 def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False) -> Iterator:
     """Yield every falsified axiom instance of a raw cell-mask table, cheapest first.
 
@@ -458,15 +452,14 @@ def _hk_failures(n: int, zero: int, table: tuple[int, ...], strict: bool = False
 
 
 def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) -> Iterator:
-    """HK1 per (x, y, z), HK3 per x and HK4 per pair if ``strict``, from position masks.
+    """HK1 per (x, y, z), HK3 per x and HK4 per pair if ``strict``, as the axioms state them.
 
-    HK1 at (x, y, z) asks that each cell t*s, t in x*z and s in y*z, lies in D = below[x*y],
-    the elements below a member of x*y.  Most pairs have D the whole carrier, which no cell
-    leaves: they are skipped first, and a table all of whose cells are ``easy`` skips HK1.
-    Otherwise the cells sit at the positions ``spread[x*z] * (y*z)``, and ``bad[D]`` marks
-    those whose cell leaves D, once per table and D.  A failing instance ORs its cells through
-    the rows' OR tables (t*B per mask B), built on demand.  Up to six elements HK3 is one AND
-    of the table's bytes with the pattern's ``outside``, and only a stray runs its row loop."""
+    HK1 at (x, y, z) asks that (x*z)*(y*z), the OR of t*(y*z) over t in x*z read from the
+    rows' OR tables (t*B per mask B), lies in D = below[x*y], the elements below a member
+    of x*y.  Most pairs have D the whole carrier, which no union leaves: they are skipped
+    first, and a table all of whose cells are ``easy`` skips HK1.  Up to six elements HK3
+    is one AND of the table's bytes with the pattern's ``outside``, and only a stray runs
+    its row loop."""
     ors, full, raw = _tabled_ors, (1 << n) - 1, n <= _TABLED_SIZE and bytes(table)
     if raw:  # the zero bits, read in C, pick the masks kept per zero pattern
         dn, below, easy, outside = _zero_pattern(n, raw.translate(_ZERO_BITS[zero]))
@@ -476,23 +469,19 @@ def _past_hk2_failures(n: int, zero: int, table: tuple[int, ...], strict: bool) 
     hard = not raw or raw.strip(easy)  # a byte is left exactly when some cell is not easy
     strays = not raw or int.from_bytes(raw, "big") & outside  # some cell holds more than HK3 lets
     rows = (hard or strays) and [table[r : r + n] for r in range(0, n * n, n)]
-    bad, rowstar = {}, []
     if hard:
+        rowstar = [ors(row) for row in rows]
         for x, xrow in enumerate(rows):
             for y, cxy in enumerate(xrow):
                 d = below[cxy]
                 if d == full:
                     continue
-                if d not in bad:
-                    bad[d] = sum([1 << p for p, c in enumerate(table) if c & ~d])
-                if b := bad[d]:
-                    for z, at in enumerate(map(mul, map(_spread(n).__getitem__, xrow), rows[y])):
-                        if at & b:
-                            rowstar = rowstar or [ors(row) for row in rows]
-                            lhs = 0
-                            for t in iter_bits(xrow[z]):
-                                lhs |= rowstar[t][rows[y][z]]
-                            yield "HK1", (x, y, z), lhs, cxy
+                for z, yz in enumerate(rows[y]):
+                    lhs = 0
+                    for t in iter_bits(xrow[z]):
+                        lhs |= rowstar[t][yz]
+                    if lhs & ~d:
+                        yield "HK1", (x, y, z), lhs, cxy
 
     for x, xrow in enumerate(rows if strays else ()):
         stray = reduce(or_, xrow) & ~dn[x]

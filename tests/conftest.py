@@ -1,12 +1,15 @@
-"""Shared fixtures: enumerated corpora, the membership grid, worked chains."""
+"""Shared fixtures: enumerated corpora, the membership grid, worked chains, subalgebra pairs."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import random
+
 import pytest
 
-from hyperbck import Carrier, HyperBCK
+from hyperbck import Carrier, FuzzyHyperBCK, HyperBCK
+from hyperbck.category import product
 from hyperbck.corpus import (
     chain_example,
     enumerate_fuzzy_assignments,
@@ -70,6 +73,10 @@ def zero_moved_to(alg, k):
     return HyperBCK(Carrier(tuple(labels), k), relabel_table(n, alg.table, perm))
 
 
+def zero_mu(alg: HyperBCK) -> FuzzyHyperBCK:
+    return FuzzyHyperBCK(alg, (_ZERO,) * alg.size)
+
+
 @pytest.fixture(scope="session")
 def corpus1():
     return enumerate_hyper_bck(1)
@@ -103,3 +110,27 @@ def corpus_le3(corpus_le2, corpus3):
 @pytest.fixture(scope="session")
 def chains():
     return {k: chain_example(k) for k in range(1, 7)}
+
+
+@pytest.fixture(scope="module")
+def subalgebra_pairs(corpus3):
+    """Seeded (source, target) pairs whose source is a subalgebra of 6 to 8 elements of the
+    product of two size-3 models and whose target is each of the two factors, then each with
+    the zero moved on both ends.  Sources past five elements put cells in row x = 5, and the
+    maps that follow a projection on all but a few elements break the hom equation in a few
+    cells only.  The literal scan of all 3**n maps stays small."""
+    rng = random.Random(21)
+    pairs = []
+    for _ in range(20):
+        a, b = rng.sample(corpus3.models, 2)
+        whole = product([zero_mu(a), zero_mu(b)]).object.alg
+        masks = [k for k in range(1, 1 << whole.size) if 6 <= k.bit_count() <= 8]
+        subs = [whole.restrict_mask(k) for k in masks if whole.is_subalgebra_mask(k)]
+        if subs:
+            src = rng.choice(subs)
+            pairs += [(src, a), (src, b)]
+    moved = [
+        (zero_moved_to(src, rng.randrange(1, src.size)), zero_moved_to(dst, rng.randrange(1, 3)))
+        for src, dst in pairs
+    ]
+    return pairs + moved

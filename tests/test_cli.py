@@ -648,6 +648,25 @@ def test_document_commands_print_frozen_bytes(capsys, command):
     assert digest == _FROZEN_DOCUMENT_DIGESTS[command]
 
 
+# stdout sha256 of ``--help`` at 80 columns, for the top level and the three pair commands
+_FROZEN_HELP_DIGESTS = {
+    "": "77a4c6742b833ed3a0c4632c44de5d1b57fc56405274e0c70ad7bb44386a18c6",
+    "equalizer": "204b8c26f35479dea5036734ed1d62d340c247db58afa91593bb52154e12264f",
+    "coequalizer": "eea5f71d53cda5eabeb83c86b3400c07ffa2037989690d83e3fc2ea849ac7547",
+    "pullback": "ba55509adcbe7593898bfa51547285cd746127d5072140dde29d21317e25f0c4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FROZEN_HELP_DIGESTS))
+def test_help_prints_frozen_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([*command.split(), "--help"])
+    assert done.value.code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _FROZEN_HELP_DIGESTS[command]
+
+
 def test_a_reader_closing_stdout_early_stops_the_cli_quietly_with_141():
     # The full size-3 corpus is megabytes of output, far past the pipe's buffer,
     # so the writes after the reader closes the pipe fail.

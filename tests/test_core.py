@@ -228,7 +228,6 @@ def test_every_cache_in_the_package_is_bounded():
     assert {
         "category.enumerate_regular_congruences",
         "cli.build_parser",
-        "core._spread",
         "core._tabled_ors",
         "core._zero_pattern",
         "corpus._corpus",
@@ -460,18 +459,34 @@ def test_full_report_matches_literal_oracle(corpus3, strict):
             assert hk_axioms_hold(alg, strict_antisymmetry=strict) == report.passed
 
 
+def _zero_moved_reports(alg):
+    """Both reports of ``alg`` with its zero moved to 0, 4 and 8, each matched to the literal
+    oracle and to the fail-fast check."""
+    for k in (0, 4, 8):
+        moved = zero_moved_to(alg, k)
+        for strict in (False, True):
+            report = validate_hyper_bck(moved, strict_antisymmetry=strict)
+            _assert_report_matches_oracle(moved, report, strict)
+            assert hk_axioms_hold(moved, strict_antisymmetry=strict) == report.passed
+            yield report
+
+
 def test_a_nine_element_product_with_zero_moved_matches_literal_oracle(corpus3):
     """Past ``_TABLED_SIZE``: the 3-chain, which breaks HK1, times a size-3 model."""
     factor = FuzzyHyperBCK(corpus3.models[5000], (0, 0, 0))
     alg = product([chain_example(3), factor]).object.alg
     assert alg.size == 9 > _TABLED_SIZE
-    for k in (0, 4, 8):
-        moved = zero_moved_to(alg, k)
-        for strict in (False, True):
-            report = validate_hyper_bck(moved, strict_antisymmetry=strict)
-            assert any(v.axiom == "HK1" for v in report.violations)
-            _assert_report_matches_oracle(moved, report, strict)
-            assert hk_axioms_hold(moved, strict_antisymmetry=strict) == report.passed
+    for report in _zero_moved_reports(alg):
+        assert any(v.axiom == "HK1" for v in report.violations)
+
+
+def test_a_nine_element_product_of_models_with_zero_moved_matches_literal_oracle(corpus3):
+    """Past ``_TABLED_SIZE`` where nothing may be found: two antisymmetric size-3 models,
+    whose product has no element above all, so HK1 tests every pair against its D."""
+    alg = product([FuzzyHyperBCK(corpus3.models[i], (0, 0, 0)) for i in (338, 357)]).object.alg
+    assert alg.size == 9 > _TABLED_SIZE
+    for report in _zero_moved_reports(alg):
+        assert report.passed
 
 
 def _literal_detail(oracle, axiom, witness):

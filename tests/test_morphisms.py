@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 import naive_oracle as naive
-from conftest import grid_assignments, zero_moved_to
+from conftest import grid_assignments, zero_moved_to, zero_mu
 from hyperbck import (
     Carrier,
     ClaimViolation,
@@ -46,10 +46,6 @@ def c2():
 @pytest.fixture(scope="module")
 def c3():
     return chain_example(3)
-
-
-def zero_mu(alg: HyperBCK) -> FuzzyHyperBCK:
-    return FuzzyHyperBCK(alg, (Fraction(0),) * alg.size)
 
 
 def test_hom_structural_errors(c2, c3):
@@ -193,30 +189,6 @@ def product_pairs(corpus2, corpus3):
     ]
     moved = [
         (zero_moved_to(src, rng.randrange(1, src.size)), zero_moved_to(dst, rng.randrange(1, dst.size)))
-        for src, dst in pairs
-    ]
-    return pairs + moved
-
-
-@pytest.fixture(scope="module")
-def subalgebra_pairs(corpus3):
-    """Seeded (source, target) pairs whose source is a subalgebra of 6 to 8 elements of the
-    product of two size-3 models and whose target is each of the two factors, then each with
-    the zero moved on both ends.  Sources past five elements put cells in row x = 5, and the
-    maps that follow a projection on all but a few elements break the hom equation in a few
-    cells only.  The literal scan of all 3**n maps stays small."""
-    rng = random.Random(21)
-    pairs = []
-    for _ in range(20):
-        a, b = rng.sample(corpus3.models, 2)
-        whole = product_of([zero_mu(a), zero_mu(b)]).object.alg
-        masks = [k for k in range(1, 1 << whole.size) if 6 <= k.bit_count() <= 8]
-        subs = [whole.restrict_mask(k) for k in masks if whole.is_subalgebra_mask(k)]
-        if subs:
-            src = rng.choice(subs)
-            pairs += [(src, a), (src, b)]
-    moved = [
-        (zero_moved_to(src, rng.randrange(1, src.size)), zero_moved_to(dst, rng.randrange(1, 3)))
         for src, dst in pairs
     ]
     return pairs + moved
