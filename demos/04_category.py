@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Categorical constructions, including the ones that fail on instances.
 
-Products, equalizers, coequalizers and pullbacks are built concretely and
-every guarantee is re-checked on the spot.  Two textbook claims break at
-desk scale, and the constructions surface that with witnesses instead of
-returning wrong objects.
+Products, equalizers, coequalizers and pullbacks are built concretely; what
+holds by construction is not re-checked, and what can fail is checked on
+the spot.  Two textbook claims break at desk scale, and the constructions
+surface that with witnesses instead of returning wrong objects.
 """
 
 from fractions import Fraction

@@ -32,8 +32,8 @@ class Hom:
     Only totality and range are enforced at construction; whether the map
     is a homomorphism is decided by :func:`is_hom`, kept in ``_hom`` apart
     from equality, hash and repr.  A map built here starts unproved; those
-    of the hom-set walk and the mono probe, and composites of proved homs,
-    are born proved.
+    of the hom-set walk and the mono probe, the constructions' legs and
+    coequalizer mediators, and composites of proved homs, are born proved.
     """
 
     source: HyperBCK

@@ -1,4 +1,5 @@
-"""Shared fixtures: enumerated corpora, the membership grid, worked chains, subalgebra pairs."""
+"""Shared fixtures: enumerated corpora, the membership grid, worked chains, product and
+subalgebra pairs."""
 
 from __future__ import annotations
 
@@ -107,6 +108,11 @@ def corpus_le3(corpus_le2, corpus3):
     return corpus_le2 + tuple(corpus3)
 
 
+@pytest.fixture(scope="module")
+def c2():
+    return chain_example(2)
+
+
 @pytest.fixture(scope="session")
 def chains():
     return {k: chain_example(k) for k in range(1, 7)}
@@ -131,6 +137,40 @@ def subalgebra_pairs(corpus3):
             pairs += [(src, a), (src, b)]
     moved = [
         (zero_moved_to(src, rng.randrange(1, src.size)), zero_moved_to(dst, rng.randrange(1, 3)))
+        for src, dst in pairs
+    ]
+    return pairs + moved
+
+
+@pytest.fixture(scope="module")
+def product_pairs(corpus2, corpus3):
+    """Seeded (source, target) pairs of 4-, 6- and 9-element products, then each with the
+    zero moved on both ends.  The first products share seeded factors, so hom-sets are not
+    all trivial; among the 4-element pairs of random factors, some have maps that break the
+    hom equation in one cell only.  Each pair keeps the literal scan of all m**n maps small."""
+    rng = random.Random(20)
+    a2, b2 = rng.sample(corpus2.models, 2)
+    a3, b3 = rng.sample(corpus3.models, 2)
+
+    def prod(*factors):
+        return product([zero_mu(f) for f in factors]).object.alg
+
+    def prod4():
+        return prod(rng.choice(corpus2.models), rng.choice(corpus2.models))
+
+    pairs = [(prod4(), prod4()) for _ in range(40)]
+    pairs += [
+        (prod(a2, b2), prod(a2, b2)),
+        (prod(a2, a2), prod(a2, a2)),
+        (prod(a2, b2), prod(a3, a2)),
+        (prod(a2, a2), prod(a3, b3)),
+        (prod(a2, a3), prod(a2, b2)),
+        (prod(a2, a3), prod(a3, a2)),
+        (prod(b3, b2), prod(b3, b2)),
+        (prod(a3, b3), prod(a2, a2)),
+    ]
+    moved = [
+        (zero_moved_to(src, rng.randrange(1, src.size)), zero_moved_to(dst, rng.randrange(1, dst.size)))
         for src, dst in pairs
     ]
     return pairs + moved

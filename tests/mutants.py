@@ -2,8 +2,13 @@
 
 ``MUTANTS`` maps a mutant's name to ``(owner, attribute, make, killer)``: ``make(original)``
 builds the mutant from the kernel ``getattr(owner, attribute)``, and ``killer`` names a Tier-1
-test that compares the library with a literal oracle and must fail while the mutant stands in
-for the kernel.  ``tests/test_mutants.py`` runs each killer against its mutant.
+test, with its parameters' id in brackets if it has any, that compares the library with a
+literal oracle and must fail while the mutant stands in for the kernel.
+``tests/test_mutants.py`` runs each killer against its mutant.
+
+The constructions check none of the guarantees that hold by construction, so the last five
+mutants break one of them each: the equalizer's inclusion, the product's projections, the
+quotient's projection, and the product and coequalizer mediators.
 """
 
 from __future__ import annotations
@@ -11,23 +16,25 @@ from __future__ import annotations
 import __future__
 import inspect
 
-from hyperbck import core, fuzzy, morphisms
+from hyperbck import category, core, corpus, fuzzy, io, morphisms
 from hyperbck.core import HyperBCK, iter_bits
 
 
 def edited(old, new):
-    """A ``make`` that recompiles the kernel in its module with its one ``old`` text as ``new``."""
+    """A ``make`` that recompiles the kernel in its module with its one ``old`` text as ``new``;
+    a bounded store's ``make`` is recompiled with its decorator, which builds a new store."""
 
     def make(original):
-        source = inspect.getsource(original)
-        assert source.count(old) == 1, (original.__name__, old)
+        function = getattr(original, "make", original)
+        source = inspect.getsource(function)
+        assert source.count(old) == 1, (function.__name__, old)
         code = compile(
-            source.replace(old, new), inspect.getsourcefile(original), "exec",
+            source.replace(old, new), inspect.getsourcefile(function), "exec",
             __future__.annotations.compiler_flag, dont_inherit=True,
         )
         defined = {}
-        exec(code, original.__globals__, defined)
-        return defined[original.__name__]
+        exec(code, function.__globals__, defined)
+        return defined[function.__name__]
 
     return make
 
@@ -118,5 +125,53 @@ MUTANTS = {
     "fuzzy._membership_failures with <= for <": (
         fuzzy, "_membership_failures", edited("mu[t] < bound", "mu[t] <= bound"),
         "test_fuzzy.py::test_fail_fast_and_report_agree_with_oracle",
+    ),
+    "category._quotient_cells reading one row per block": (
+        category, "_quotient_cells",
+        edited("for x in bx for y in by", "for x in bx[:1] for y in by"),
+        "test_category.py::test_quotients_match_literal_oracle",
+    ),
+    "corpus._apply_plan leaving the last cell unrelabeled": (
+        corpus, "_apply_plan", edited(
+            "tuple([image[table[pos]] for pos in sources])",
+            "(*[image[table[pos]] for pos in sources[:-1]], table[sources[-1]])",
+        ),
+        "test_corpus.py::test_relabeling_matches_literal_oracle",
+    ),
+    "io._render_pieces keying the cells in column order": (
+        io, "_render_pieces",
+        edited("for x in labels for y in labels", "for y in labels for x in labels"),
+        "test_cli.py::test_document_commands_print_frozen_bytes[example --chain 3]",
+    ),
+    "category.equalizer including the last agreeing element as the zero": (
+        category, "equalizer", edited(
+            "iter_bits(k_mask), True)", "(*iter_bits(k_mask)[:-1], src.alg.zero), True)"
+        ),
+        "test_construction_oracles.py::test_equalizers_are_the_literal_agreement_subalgebra",
+    ),
+    "category._crisp_product projecting the last tuple to the zero": (
+        category, "_crisp_product",
+        edited("(alg, a, p, True)", "(alg, a, (*p[:-1], a.zero), True)"),
+        "test_construction_oracles.py::test_product_legs_and_mediators_are_literal_fuzzy_homs",
+    ),
+    "category.quotient projecting the last element to the zero's block": (
+        category, "quotient", edited(
+            "cong._to_block, True)",
+            "(*cong._to_block[:-1], cong.block_of(cong.base.zero)), True)",
+        ),
+        "test_construction_oracles.py::test_coequalizer_legs_and_mediators_are_literal_fuzzy_homs",
+    ),
+    "category.mediate_product sending the last element to the zero": (
+        category, "mediate_product", edited(
+            "result.object.alg, mapping)",
+            "result.object.alg, (*mapping[:-1], result.object.alg.zero))",
+        ),
+        "test_construction_oracles.py::test_product_legs_and_mediators_are_literal_fuzzy_homs",
+    ),
+    "category.mediate_coequalizer sending the last block to the zero": (
+        category, "mediate_coequalizer", edited(
+            "tuple(mapping), True)", "(*mapping[:-1], target.alg.zero), True)"
+        ),
+        "test_construction_oracles.py::test_coequalizer_legs_and_mediators_are_literal_fuzzy_homs",
     ),
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 import naive_oracle as naive
 from conftest import grid_assignments, zero_moved_to
 from hyperbck import (
+    Carrier,
     ClaimViolation,
     FuzzyHyperBCK,
     HyperBCK,
@@ -37,11 +39,6 @@ from hyperbck.category import (
 )
 from hyperbck.corpus import chain_example
 from hyperbck.morphisms import Hom, enumerate_homs, is_fuzzy_hom, is_hom
-
-
-@pytest.fixture(scope="module")
-def c2():
-    return chain_example(2)
 
 
 def zero_mu(alg: HyperBCK) -> FuzzyHyperBCK:
@@ -528,6 +525,31 @@ def test_mediate_coequalizer(c2):
         mediate_coequalizer(result, w, Hom.identity(c2.alg))
 
 
+def test_a_map_into_a_table_that_fails_the_axioms_need_not_factor_through_the_coequalizer():
+    # ``coequalizer-factors`` is the one mediator claim that stays: no construction checks that
+    # its target satisfies the axioms, and the kernel of a hom into one that does is a regular
+    # congruence containing E, so only such a target can separate a block.  Here the zero map
+    # out of the one-element algebra is paired with itself, so E is discrete; over a table that
+    # fails the axioms its quotient is the table again, not regular, and the meet is the total
+    # congruence, whose one block the identity separates.  Of the 27 2-element tables with
+    # O*O = {O}, exactly the 20 that fail the axioms refuse the identity this way.
+    refused = []
+    for cells in itertools.product((1, 2, 3), repeat=3):
+        alg = HyperBCK(Carrier(("O", "a"), 0), (1, *cells))
+        zero = Hom(trivial_algebra(), alg, (0,))
+        result = coequalizer(zero, zero, zero_mu(trivial_algebra()), zero_mu(alg))
+        try:
+            mediate_coequalizer(result, zero_mu(alg), Hom.identity(alg))
+        except ClaimViolation as exc:
+            assert (exc.claim, exc.witness) == ("coequalizer-factors", ("O", "a"))
+            assert result.congruence.blocks == ((0, 1),)
+            refused.append(alg)
+    failing = [alg for alg in refused if not validate_hyper_bck(alg).passed]
+    assert len(refused) == len(failing) == 20
+    # the instance named in the docs: O*a = a*O = {O} and a*a = {a}
+    assert HyperBCK(Carrier(("O", "a"), 0), (1, 1, 1, 2)) in refused
+
+
 def test_coequalizers_match_the_literal_family_and_meet(corpus_le2, corpus3_iso):
     # Every parallel pair f != g between algebras of at most three elements (one per relabeling
     # class at three) whose source has at most two elements or is the target itself: all 65M
@@ -759,23 +781,19 @@ def test_derived_values_equal_what_the_public_constructors_build(corpus_le2):
                     assert type(composite.mapping) is tuple
 
 
-def test_the_crisp_leg_check_runs_once_per_factor_tuple_and_the_fuzzy_one_every_call(
+def test_the_crisp_part_is_built_once_per_factor_tuple_and_the_degrees_every_call(
     monkeypatch, c2
 ):
-    hom_checks, fuzzy_checks = [], []
-    is_hom_, never_lowers = category.is_hom, category._never_lowers_membership
-    monkeypatch.setattr(category, "is_hom", lambda h: hom_checks.append(h) or is_hom_(h))
-    monkeypatch.setattr(
-        category,
-        "_never_lowers_membership",
-        lambda *args: fuzzy_checks.append(args) or never_lowers(*args),
-    )
-    store = category._crisp_product
+    builds, degrees = [], []
+    store, least = category._crisp_product, category._least
+    make = store.make
+    monkeypatch.setattr(store, "make", lambda algs: builds.append(algs) or make(algs))
+    monkeypatch.setattr(category, "_least", lambda column: degrees.append(column) or least(column))
     store.clear()
     factors = [c2, FuzzyHyperBCK(c2.alg, (Fraction(1), Fraction(1, 4)))]
     first, second = product(factors), product(factors[::-1])
     assert first.object.alg is second.object.alg and first.object != second.object
-    assert len(hom_checks) == 2 and len(fuzzy_checks) == 4
+    assert builds == [(c2.alg, c2.alg)] and len(degrees) == 2 * 4
     assert list(store) == [(c2.alg, c2.alg)] and store.limit // store.least == 256
 
 

@@ -39,11 +39,6 @@ from hyperbck.morphisms import (
 
 
 @pytest.fixture(scope="module")
-def c2():
-    return chain_example(2)
-
-
-@pytest.fixture(scope="module")
 def c3():
     return chain_example(3)
 
@@ -158,40 +153,6 @@ def test_enumerate_homs_matches_literal_oracle(c2, corpus_le2, corpus3):
     for src, dst in pairs:
         got = [h.mapping for h in enumerate_homs(src, dst)]
         assert got == naive.hom_maps(naive.table_of(src), naive.table_of(dst))
-
-
-@pytest.fixture(scope="module")
-def product_pairs(corpus2, corpus3):
-    """Seeded (source, target) pairs of 4-, 6- and 9-element products, then each with the
-    zero moved on both ends.  The first products share seeded factors, so hom-sets are not
-    all trivial; among the 4-element pairs of random factors, some have maps that break the
-    hom equation in one cell only.  Each pair keeps the literal scan of all m**n maps small."""
-    rng = random.Random(20)
-    a2, b2 = rng.sample(corpus2.models, 2)
-    a3, b3 = rng.sample(corpus3.models, 2)
-
-    def prod(*factors):
-        return product_of([zero_mu(f) for f in factors]).object.alg
-
-    def prod4():
-        return prod(rng.choice(corpus2.models), rng.choice(corpus2.models))
-
-    pairs = [(prod4(), prod4()) for _ in range(40)]
-    pairs += [
-        (prod(a2, b2), prod(a2, b2)),
-        (prod(a2, a2), prod(a2, a2)),
-        (prod(a2, b2), prod(a3, a2)),
-        (prod(a2, a2), prod(a3, b3)),
-        (prod(a2, a3), prod(a2, b2)),
-        (prod(a2, a3), prod(a3, a2)),
-        (prod(b3, b2), prod(b3, b2)),
-        (prod(a3, b3), prod(a2, a2)),
-    ]
-    moved = [
-        (zero_moved_to(src, rng.randrange(1, src.size)), zero_moved_to(dst, rng.randrange(1, dst.size)))
-        for src, dst in pairs
-    ]
-    return pairs + moved
 
 
 def test_enumerate_homs_matches_literal_oracle_past_three_elements(product_pairs, subalgebra_pairs):
