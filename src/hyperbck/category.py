@@ -45,6 +45,7 @@ from .core import (
     _walk,
     hk_axioms_hold_raw,
     iter_bits,
+    located,
     trivial_algebra,
 )
 from .fuzzy import FuzzyHyperBCK
@@ -194,22 +195,21 @@ def _require_fuzzy_homs(message: str, **maps: tuple[Hom, FuzzyHyperBCK, FuzzyHyp
     ``not-fuzzy-hom``.
     """
     for name, (h, src, dst) in maps.items():
-        try:
+        with located(name):
             fuzzy = is_fuzzy_hom(h, src, dst)
-        except InputError as exc:
-            raise InputError(str(exc), exc.code, name) from None
         if not fuzzy:
             raise InputError(message, "not-fuzzy-hom", name)
 
 
 def product(factors: Sequence[FuzzyHyperBCK]) -> ConstructionResult:
-    """Finite product: tuple carrier, componentwise cells, min membership.
+    """Finite product: tuple carrier labelled ``x|y``, componentwise cells, min membership.
 
     The cell of two tuples is the full componentwise set
     ``{t : t_i in x_i * y_i}``, the choice under which every projection is
     a homomorphism: the AND over i of the preimage of ``x_i * y_i`` under
     projection i.  Membership of a tuple is the minimum over components.
-    Products of more than ``PRODUCT_BOUND`` elements are refused unbuilt.
+    Products of more than ``PRODUCT_BOUND`` elements are refused unbuilt, and
+    so are factors whose labels, joined with ``|``, give two tuples one label.
     The crisp part depends on the algebras only and is built once per factor
     tuple; the degrees are taken on every call.
     """
@@ -237,7 +237,13 @@ def _least(degrees: Sequence[Fraction]) -> Fraction:
 def _crisp_product(algs: tuple[HyperBCK, ...]) -> tuple[HyperBCK, tuple[Hom, ...]]:
     """The product algebra of ``algs`` and its projections, homs since every cell is non-empty."""
     tuples = list(iter_product(*(range(len(a.carrier)) for a in algs)))
-    labels = tuple("|".join(a.carrier.labels[c] for a, c in zip(algs, t)) for t in tuples)
+    named = [tuple(a.carrier.labels[c] for a, c in zip(algs, t)) for t in tuples]
+    labels = tuple(map("|".join, named))
+    first: dict = {}  # a factor label holding "|" can give two tuples one label
+    if twice := next((t for lab, t in zip(labels, named) if first.setdefault(lab, t) != t), None):
+        label = "|".join(twice)
+        message = f"factor tuples {first[label]} and {twice} both get the product label {label!r}"
+        raise InputError(message, "carrier", "carrier")
     projections = [tuple(t[i] for t in tuples) for i in range(len(algs))]
     preimages = [
         _mask_ors([sum(1 << j for j, v in enumerate(p) if v == c) for c in range(len(a.carrier))])
@@ -291,6 +297,11 @@ def equalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> Constru
     the operation; such instances exist and refute the construction.
     """
     _require_fuzzy_homs("both maps must be fuzzy homomorphisms", f=(f, src, dst), g=(g, src, dst))
+    return _equalize(f, g, src, dst)
+
+
+def _equalize(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> ConstructionResult:
+    """:func:`equalizer` of two maps known to be fuzzy homs ``src -> dst``."""
     k_mask = sum(1 << i for i, (u, v) in enumerate(zip(f.mapping, g.mapping)) if u == v)
     try:
         obj = src.restrict_mask(k_mask)
@@ -345,8 +356,7 @@ def coequalizer(f: Hom, g: Hom, src: FuzzyHyperBCK, dst: FuzzyHyperBCK) -> Const
                 "meet of the coequalizing regular congruences is not regular",
             )
     q_alg, project = quotient(rho)
-    mu = tuple(max(dst.mu[i] for i in block) for block in rho.blocks)
-    obj = FuzzyHyperBCK(q_alg, mu)
+    obj = FuzzyHyperBCK._trusted(q_alg, tuple(max(dst.mu[i] for i in b) for b in rho.blocks))
     return ConstructionResult(
         obj, {"project": project}, "coequalizer", (f, g, src, dst), congruence=rho
     )
@@ -387,13 +397,13 @@ def pullback(
 ) -> ConstructionResult:
     """Pullback of a cospan, built as an equalizer inside the product.
 
-    Inherits the equalizer's failure mode: the agreement set of the two
-    composites need not be closed, and then no subset-style pullback
-    exists; the claim violation propagates.
+    f and g are gated once: the composites p0.f and p1.g are fuzzy homs, so the equalizer's
+    body takes them ungated.  It inherits the equalizer's failure mode: an agreement set that
+    is not closed leaves no subset-style pullback, and the claim violation propagates.
     """
     _require_fuzzy_homs("cospan maps must be fuzzy homomorphisms", f=(f, a, c), g=(g, b, c))
     prod = product([a, b])
-    eq = equalizer(prod.legs["p0"].then(f), prod.legs["p1"].then(g), prod.object, c)
+    eq = _equalize(prod.legs["p0"].then(f), prod.legs["p1"].then(g), prod.object, c)
     include = eq.legs["include"]
     legs = {"to_a": include.then(prod.legs["p0"]), "to_b": include.then(prod.legs["p1"])}
     return ConstructionResult(eq.object, legs, "pullback", (f, g, a, b, c))

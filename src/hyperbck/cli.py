@@ -13,12 +13,11 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from .core import ClaimViolation, InputError, ValidationReport, validate_hyper_bck
+from .core import ClaimViolation, InputError, ValidationReport, located, validate_hyper_bck
 from .corpus import chain_example, enumerate_hyper_bck
 from .category import coequalizer, equalizer, product, pullback
 from .fuzzy import FuzzyHyperBCK, format_fuzzy, fuzzy_value, validate_fuzzy
@@ -50,15 +49,6 @@ def _read_text(path: str) -> str:
 
 def _load_structure(path: str) -> Structure:
     return parse_structure(_read_text(path), path)
-
-
-@contextmanager
-def _at_flag(flag: str) -> Iterator[None]:
-    """Locate a refusal raised in the block at the command-line ``flag``."""
-    try:
-        yield
-    except InputError as exc:
-        raise InputError(str(exc), exc.code, flag) from None
 
 
 def _as_fuzzy(obj: Structure, where: str) -> FuzzyHyperBCK:
@@ -111,7 +101,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_cut(args: argparse.Namespace) -> int:
     obj = _as_fuzzy(_load_structure(args.structure), args.structure)
-    with _at_flag("--alpha"):
+    with located("--alpha"):
         alpha = fuzzy_value(args.alpha)
     members = obj.alpha_cut(alpha)
     ordered = [lab for lab in obj.alg.carrier.labels if lab in members]
@@ -178,21 +168,21 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     try:
         result = args.construct(*pair)
     except InputError as exc:
-        files = {"f": args.f, "g": args.g}
-        raise InputError(str(exc), exc.code, files.get(exc.location, exc.location)) from None
+        exc.location = {"f": args.f, "g": args.g}.get(exc.location, exc.location)
+        raise
     _emit(_construction_record(result))
     return 0
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    with _at_flag("--size"):
+    with located("--size"):
         corpus = enumerate_hyper_bck(args.size, up_to_iso=args.up_to_iso)
     sys.stdout.writelines(f"{render_structure(model)}\n" for model in corpus)
     return 0
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
-    with _at_flag("--chain"):
+    with located("--chain"):
         chain = chain_example(args.chain)
     text = render_structure(chain, pretty=True)
     # in pieces: unbuffered, a closed pipe fails the next piece's write, not one short count

@@ -19,6 +19,7 @@ key are weighed and kept by one class of store, ``_Kept``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from operator import add, itemgetter, or_
@@ -39,6 +40,15 @@ class InputError(ValueError):
     def __init__(self, message: str, code: str | None = None, location: str | None = None):
         super().__init__(message)
         self.code, self.location = code, location
+
+
+@contextmanager
+def located(at: str) -> Iterator[None]:
+    """Locate at ``at`` a refusal raised in the block, keeping its message and code."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(str(exc), exc.code, at) from None
 
 
 class ClaimViolation(RuntimeError):
@@ -138,7 +148,7 @@ class Carrier:
         object.__setattr__(self, "labels", tuple(labels))
         if len(set(labels)) != len(labels):
             raise InputError("carrier labels must be distinct", "carrier", "carrier")
-        if not 0 <= self.zero_index < len(labels):
+        if type(self.zero_index) is not int or not 0 <= self.zero_index < len(labels):
             raise InputError(f"zero index {self.zero_index} out of range", "zero-unknown", "zero")
 
     def __len__(self) -> int:
@@ -346,13 +356,12 @@ class InfoCheck:
 
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
-    passed: bool
     violations: tuple[Violation, ...]
     info: tuple[InfoCheck, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.passed != (not self.violations):
-            raise InputError("report invariant: passed iff no violations")
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def witnesses(self, axiom: str) -> list[tuple[str, ...]]:
         return [v.witness for v in self.violations if v.axiom == axiom]
@@ -361,12 +370,10 @@ class ValidationReport:
 _TABLED_SIZE = 6  # past it a mask table fills entries on lookup instead of all 2**n
 
 
-def _mask_ors(
-    parts: Sequence, join: Callable = or_, empty: object = 0, listed: bool = False
-) -> list | _Kept:
+def _mask_ors(parts: Sequence, join: Callable = or_, empty: object = 0) -> list | _Kept:
     """Entry B joins ``parts[i]`` over the bits i of mask B in order (OR by default); past
-    ``_TABLED_SIZE`` parts entries fill on lookup, 256 kept, unless all 2**n are ``listed``."""
-    if len(parts) > _TABLED_SIZE and not listed:
+    ``_TABLED_SIZE`` parts entries fill on lookup, 256 kept: a caller wanting all reads each."""
+    if len(parts) > _TABLED_SIZE:
         return _Kept(lambda b: reduce(join, [parts[i] for i in iter_bits(b)], empty), 256, 256)
     ors = [empty] * (1 << len(parts))
     for b in range(1, len(ors)):
@@ -375,9 +382,9 @@ def _mask_ors(
     return ors
 
 
-def _image_masks(mapping: Sequence[int], listed: bool = False) -> list | _Kept:
+def _image_masks(mapping: Sequence[int]) -> list | _Kept:
     """Entry B is the image ``{mapping[t] : t in B}`` of mask B, for reading many masks."""
-    return _mask_ors([1 << v for v in mapping], listed=listed)
+    return _mask_ors([1 << v for v in mapping])
 
 
 _hk2_hint = [0, 0, 0, (), ()]  # n, xy, xz, gz, gy: the HK2 instance that last rejected a table
@@ -550,7 +557,7 @@ def validate_hyper_bck(alg: HyperBCK, strict_antisymmetry: bool = False) -> Vali
                 store = _findings[labels]
             store[item] = v
         violations.append(v)
-    return ValidationReport(not violations, tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def _down_masks(n: int, zero: int, table: Sequence[int]) -> list[int]:

@@ -77,14 +77,15 @@ def _relabel_plan(n: int, perm: Sequence[int], image: Sequence[int]) -> tuple:
 def _relabel_plans(n: int, zero: int) -> tuple[tuple, ...]:
     """The plans of every zero-fixing relabeling of size ``n`` but the identity.
 
-    There are (n-1)! of them, so sizes past ``_MAX_CANONICAL_SIZE`` are refused.  Each
-    lists its image table as bytes: 2**n masks of at most 8 bits, 256 bytes at size 8."""
+    There are (n-1)! of them, so sizes past ``_MAX_CANONICAL_SIZE`` are refused.  Each lists
+    the ``_image_masks`` of its perm as bytes: 2**n masks of at most 8 bits, 256 at size 8."""
     if n > _MAX_CANONICAL_SIZE:
         message = f"canonical forms are limited to sizes up to {_MAX_CANONICAL_SIZE}"
         raise InputError(message, "too-large", "carrier")
     others = permutations([i for i in range(n) if i != zero])
     perms = [[*p[:zero], zero, *p[zero:]] for p in others][1:]  # the identity comes first
-    return tuple(_relabel_plan(n, p, bytes(_image_masks(p, listed=True))) for p in perms)
+    images = (bytes(map(_image_masks(p).__getitem__, range(1 << n))) for p in perms)
+    return tuple(_relabel_plan(n, p, image) for p, image in zip(perms, images))
 
 
 def _apply_plan(table: Sequence[int], plan: tuple) -> tuple[int, ...]:

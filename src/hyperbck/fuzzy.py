@@ -36,6 +36,7 @@ from .core import (
     _down_masks,
     _Kept,
     iter_bits,
+    located,
 )
 
 ZERO = Fraction(0)
@@ -92,10 +93,8 @@ class FuzzyHyperBCK:
             raise InputError("membership map must cover every carrier element", "mu-incomplete", "mu")
         degrees = []
         for lab, value in zip(labels, mu):
-            try:
+            with located(f"mu[{lab!r}]"):
                 degrees.append(fuzzy_value(value))
-            except InputError as exc:
-                raise InputError(str(exc), exc.code, f"mu[{lab!r}]") from None
         object.__setattr__(self, "mu", tuple(degrees))
 
     @classmethod
@@ -263,7 +262,7 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
         for x, y, got, bound in failures
     ]
     info = _info_checks(zero_max, fz.mu[alg.zero], monotone, constant)
-    return ValidationReport(not violations, tuple(violations), info)
+    return ValidationReport(tuple(violations), info)
 
 
 @dataclass(frozen=True, slots=True)

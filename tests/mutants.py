@@ -6,9 +6,10 @@ test, with its parameters' id in brackets if it has any, that compares the libra
 literal oracle and must fail while the mutant stands in for the kernel.
 ``tests/test_mutants.py`` runs each killer against its mutant.
 
-The constructions check none of the guarantees that hold by construction, so the last five
-mutants break one of them each: the equalizer's inclusion, the product's projections, the
-quotient's projection, and the product and coequalizer mediators.
+The constructions check none of the guarantees that hold by construction, so five mutants
+break one of them each: the equalizer's inclusion, the product's projections, the quotient's
+projection, and the product and coequalizer mediators.  The last keeps a refusal where
+``core.located``, the one relocation of a refusal, should move it.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from hyperbck.core import HyperBCK, iter_bits
 
 def edited(old, new):
     """A ``make`` that recompiles the kernel in its module with its one ``old`` text as ``new``;
-    a bounded store's ``make`` is recompiled with its decorator, which builds a new store."""
+    a bounded store's ``make`` or a wrapped function is recompiled with its decorator, which
+    builds a new store or wrapper."""
 
     def make(original):
-        function = getattr(original, "make", original)
+        function = inspect.unwrap(getattr(original, "make", original))
         source = inspect.getsource(function)
         assert source.count(old) == 1, (function.__name__, old)
         code = compile(
@@ -53,8 +55,8 @@ def down_masks_one_bit_off(original):
 def image_masks_dropping_the_last_part(original):
     """Image tables that join every part but the last, so the last element maps to nothing."""
 
-    def mutant(mapping, listed=False):
-        return core._mask_ors([*(1 << v for v in list(mapping)[:-1]), 0], listed=listed)
+    def mutant(mapping):
+        return core._mask_ors([*(1 << v for v in list(mapping)[:-1]), 0])
 
     return mutant
 
@@ -144,7 +146,7 @@ MUTANTS = {
         "test_cli.py::test_document_commands_print_frozen_bytes[example --chain 3]",
     ),
     "category.equalizer including the last agreeing element as the zero": (
-        category, "equalizer", edited(
+        category, "_equalize", edited(
             "iter_bits(k_mask), True)", "(*iter_bits(k_mask)[:-1], src.alg.zero), True)"
         ),
         "test_construction_oracles.py::test_equalizers_are_the_literal_agreement_subalgebra",
@@ -173,5 +175,9 @@ MUTANTS = {
             "tuple(mapping), True)", "(*mapping[:-1], target.alg.zero), True)"
         ),
         "test_construction_oracles.py::test_coequalizer_legs_and_mediators_are_literal_fuzzy_homs",
+    ),
+    "core.located keeping the old location": (
+        core, "located", edited("exc.code, at)", "exc.code, exc.location)"),
+        "test_category.py::test_the_map_gate_codes_each_refusal_and_names_the_refused_map",
     ),
 }

@@ -37,7 +37,7 @@ from hyperbck.category import (
     terminal,
     terminal_map,
 )
-from hyperbck.corpus import chain_example
+from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.morphisms import Hom, enumerate_homs, is_fuzzy_hom, is_hom
 
 
@@ -621,6 +621,20 @@ def test_pullback_of_identity_cospan_fails_closure(c2):
     assert exc.value.claim == "equalizer-closed"
 
 
+def test_a_pullback_gates_each_cospan_map_once(c2, monkeypatch):
+    """The composites handed to the equalizer's body are fuzzy homs by construction."""
+    calls = []
+
+    def counted(h, src, dst):
+        calls.append(h)
+        return is_fuzzy_hom(h, src, dst)
+
+    monkeypatch.setattr(category, "is_fuzzy_hom", counted)
+    a, f = zero_mu(c2.alg), terminal_map(c2.alg)
+    pullback(f, f, a, a, terminal())
+    assert calls == [f, f]
+
+
 def test_pullback_of_identity_cospan_on_trivial():
     t = terminal()
     ident = Hom.identity(t.alg)
@@ -720,6 +734,25 @@ def test_products_past_the_bound_are_refused_unbuilt():
     assert "729" in str(exc.value)
     c16 = chain_example(16)
     assert len(product([c16, c16]).object.alg.carrier) == PRODUCT_BOUND
+
+
+def labelled_pair():
+    """The first size-3 model up to isomorphism, labelled (O, a, a|b) and (O, b|c, c): the
+    tuples (a, b|c) and (a|b, c) of their product both join to a|b|c."""
+    table = enumerate_hyper_bck(3, up_to_iso=True).models[0].table
+    labels = (("O", "a", "a|b"), ("O", "b|c", "c"))
+    return [zero_mu(HyperBCK(Carrier(names, 0), table)) for names in labels]
+
+
+def test_product_labels_that_collide_are_refused_naming_both_tuples():
+    with pytest.raises(InputError) as refused:
+        product(labelled_pair())
+    assert (refused.value.code, refused.value.location, str(refused.value)) == (
+        "carrier", "carrier",
+        "factor tuples ('a', 'b|c') and ('a|b', 'c') both get the product label 'a|b|c'",
+    )
+    a = labelled_pair()[0]
+    assert product([a, a]).object.alg.carrier.labels[:4] == ("O|O", "O|a", "O|a|b", "a|O")
 
 
 def test_products_over_grid_memberships_match_the_literal_product(corpus_le2):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperbck import FuzzyHyperBCK, HyperBCK, product, validate_hyper_bck
+from hyperbck import Carrier, FuzzyHyperBCK, HyperBCK, product, validate_hyper_bck
 from hyperbck.cli import main
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.io import parse_structure, render_structure, structure_to_dict
@@ -153,6 +153,21 @@ def test_product_command(capsys, chain2_path):
     assert obj["carrier"] == ["1|1", "1|2", "2|1", "2|2"]
     assert record["legs"]["p0"]["2|1"] == "2"
     assert parse_structure(json.dumps(obj))  # emitted object is a valid document
+
+
+def test_product_labels_that_collide_exit_two_naming_both_tuples(capsys, tmp_path):
+    table = enumerate_hyper_bck(3, up_to_iso=True).models[0].table
+    paths = []
+    for name, labels in (("a.json", ("O", "a", "a|b")), ("b.json", ("O", "b|c", "c"))):
+        alg = HyperBCK(Carrier(labels, 0), table)
+        (tmp_path / name).write_text(render_structure(FuzzyHyperBCK(alg, (Fraction(0),) * 3)))
+        paths.append(str(tmp_path / name))
+    assert run(capsys, "product", *paths) == (2, [{
+        "record": "input-error",
+        "message": "factor tuples ('a', 'b|c') and ('a|b', 'c') both get the product label 'a|b|c'",
+        "code": "carrier",
+        "location": "carrier",
+    }])
 
 
 def test_product_requires_mu(capsys, tmp_path):

@@ -26,9 +26,9 @@ from conftest import zero_moved_to
 from hyperbck import (
     Carrier,
     FuzzyHyperBCK,
+    Hom,
     HyperBCK,
     InputError,
-    ValidationReport,
     Violation,
     hk_axioms_hold,
     product,
@@ -313,11 +313,6 @@ def test_is_subalgebra_cases(c3):
 def test_trivial_algebra_validates():
     report = validate_hyper_bck(trivial_algebra())
     assert report.passed and not report.violations
-
-
-def test_report_invariant():
-    with pytest.raises(InputError):
-        ValidationReport(True, (Violation("HK1", ("x",)),))
 
 
 def test_chain3_fails_hk1_with_frozen_witness(c3):
@@ -1186,3 +1181,15 @@ def test_structure_refusals_carry_codes_and_locations():
     with pytest.raises(InputError) as exc:
         trivial_algebra().star("O", "9")
     assert exc.value.code == "unknown-label"
+
+
+def test_an_index_that_is_no_int_is_refused_as_out_of_range():
+    """A float, bool or string index would be kept and raise a bare TypeError in a later check."""
+    for zero in (1.0, True, "1"):
+        with pytest.raises(InputError) as exc:
+            Carrier(("O", "a"), zero)
+        assert (exc.value.code, exc.value.location) == ("zero-unknown", "zero")
+    t = trivial_algebra()
+    for value in (0.0, False, "0"):
+        with pytest.raises(InputError, match="map value out of target range"):
+            Hom(t, t, (value,))

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 
 import naive_oracle as naive
-from conftest import grid_assignments, zero_moved_to, zero_mu
+from conftest import GRID, grid_assignments, zero_moved_to, zero_mu
 from hyperbck import (
     Carrier,
     ClaimViolation,
@@ -21,6 +21,7 @@ from hyperbck import (
     validate_fuzzy,
 )
 from hyperbck.category import coequalizer, equalizer, pullback, terminal, terminal_map
+from hyperbck.core import _TABLED_SIZE, _image_masks
 from hyperbck.category import product as product_of
 from hyperbck.corpus import chain_example, enumerate_hyper_bck
 from hyperbck.morphisms import (
@@ -100,7 +101,7 @@ def test_fuzzy_hom_via_cuts_examples(c3):
     assert not fuzzy_hom_via_cuts(to_terminal, c3, terminal())
     # the witnessing level: the cut at 1/3 maps onto {O}, whose target cut is empty
     alpha = Fraction(1, 3)
-    image = to_terminal.image_mask(c3.alpha_cut_mask(alpha))
+    image = _image_masks(to_terminal.mapping)[c3.alpha_cut_mask(alpha)]
     assert image & ~terminal().alpha_cut_mask(alpha)
 
 
@@ -113,8 +114,9 @@ def test_image_mask_matches_literal_image(c3):
     for h in homs:
         labels = h.source.carrier.labels
         label_map = h.as_label_map()
+        image = _image_masks(h.mapping)
         for mask in range(1 << len(labels)):
-            got = h.image_mask(mask)
+            got = image[mask]
             got_labels = {lab for t, lab in enumerate(h.target.carrier.labels) if got >> t & 1}
             assert got_labels == {label_map[x] for i, x in enumerate(labels) if mask >> i & 1}
 
@@ -127,6 +129,32 @@ def test_via_cuts_agrees_with_direct_check(corpus2):
                 for dst in grid_assignments(dst_alg)[:4]:
                     for h in homs:
                         assert is_fuzzy_hom(h, src, dst) == fuzzy_hom_via_cuts(h, src, dst)
+
+
+def test_the_level_set_criterion_past_six_elements_matches_a_literal_fraction_check(
+    product_pairs, subalgebra_pairs
+):
+    """Sources past ``_TABLED_SIZE`` read their cuts' images from the on-lookup table: seeded
+    homs out of the 8- and 9-element sources, under seeded GRID memberships of which half
+    lower none by construction and half have one source degree drawn afresh."""
+    rng = random.Random(33)
+    verdicts = []
+    for src, dst in product_pairs + subalgebra_pairs:
+        if src.size <= _TABLED_SIZE:
+            continue
+        homs = enumerate_homs(src, dst)
+        for h in rng.sample(homs, min(3, len(homs))):
+            for _ in range(20):
+                nu = [rng.choice(GRID) for _ in range(dst.size)]
+                mu = [rng.choice([v for v in GRID if v <= nu[y]]) for y in h.mapping]
+                if rng.random() < 0.5:
+                    mu[rng.randrange(src.size)] = rng.choice(GRID)
+                a, b = FuzzyHyperBCK(src, mu), FuzzyHyperBCK(dst, nu)
+                want = all(Fraction(nu[y]) >= Fraction(v) for y, v in zip(h.mapping, mu))
+                assert is_fuzzy_hom(h, a, b) == fuzzy_hom_via_cuts(h, a, b) == want
+                verdicts.append(want)
+    assert {src.size for src, _ in product_pairs + subalgebra_pairs} >= {8, 9}
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 20
 
 
 def test_enumerate_homs_examples(c2, c3):

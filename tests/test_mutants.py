@@ -16,7 +16,13 @@ import pytest
 import hyperbck
 from hyperbck import ClaimViolation, FuzzyHyperBCK, HyperBCK
 from hyperbck.core import _Kept
-from hyperbck.corpus import ModelCorpus, _corpus, _search_tables
+from hyperbck.corpus import (
+    MAX_EXHAUSTIVE_SIZE,
+    ModelCorpus,
+    _corpus,
+    _search_tables,
+    enumerate_hyper_bck,
+)
 from mutants import MUTANTS
 
 PACKAGE = [
@@ -41,8 +47,9 @@ def _fresh(value):
 
 
 def _clear_package_caches() -> None:
-    """Empty every cache and store of the package but the model search's, which the killers
-    never fill (checked), so no answer a mutant computed is read by a later test."""
+    """Empty every cache and store of the package but the model search's, which hold every
+    corpus before a mutant stands in and gain none under it (checked), so no answer a mutant
+    computed is read by a later test."""
     for module in PACKAGE:
         for obj in vars(module).values():
             if obj is _search_tables or obj is _corpus:
@@ -96,18 +103,20 @@ def test_every_kernel_mutant_fails_its_oracle_test(name, request, monkeypatch):
     args = {p: _fresh(value) for p, value in args.items()}
     original = getattr(owner, attribute)
     mutant = make(original)
+    for n, up_to_iso in itertools.product(range(1, MAX_EXHAUSTIVE_SIZE + 1), (False, True)):
+        enumerate_hyper_bck(n, up_to_iso)  # built unmutated, whatever ran before, and only read
+    searched = _search_tables.cache_info().misses, _corpus.cache_info().misses
     # a module kernel is patched wherever the package or the killer binds it; a method on its class
     owners = [m for m in (*PACKAGE, module) if vars(m).get(attribute) is original]
     for where in owners if isinstance(owner, types.ModuleType) else [owner]:
         monkeypatch.setattr(where, attribute, mutant)
-    searched = _search_tables.cache_info(), _corpus.cache_info()
     try:
         with pytest.raises(AssertionError):
             test(**args)
     finally:
         monkeypatch.undo()
         _clear_package_caches()
-    assert (_search_tables.cache_info(), _corpus.cache_info()) == searched
+    assert (_search_tables.cache_info().misses, _corpus.cache_info().misses) == searched
 
 
 # Each claim the library can raise, with a Tier-1 test that raises it.  The other guarantees of
@@ -147,3 +156,25 @@ def test_every_claim_the_library_raises_is_raised_by_a_named_test(request, monke
         test(**args)
         assert claim in made, name
 
+
+def test_a_refusal_is_relocated_by_core_located_alone():
+    """No ``except InputError`` block rebuilds the refusal as ``InputError(str(exc), exc.code,
+    ...)`` at a new location but the one in ``core.located``."""
+    relocations = []
+    for path in sorted(Path(hyperbck.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for handler in ast.walk(tree):
+            if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+                continue
+            if "InputError" not in ast.unparse(handler.type):
+                continue
+            for node in ast.walk(handler):
+                call = node.exc if isinstance(node, ast.Raise) else None
+                if not (isinstance(call, ast.Call) and ast.unparse(call.func) == "InputError"):
+                    continue
+                args = [ast.unparse(a) for a in (*call.args, *(k.value for k in call.keywords))]
+                if {f"str({handler.name})", f"{handler.name}.code"} <= set(args):
+                    inside = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                    relocations.append((path.name, max(inside, key=lambda f: f.lineno).name))
+    assert relocations == [("core.py", "located")]
