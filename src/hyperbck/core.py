@@ -370,11 +370,36 @@ class ValidationReport:
 _TABLED_SIZE = 6  # past it a mask table fills entries on lookup instead of all 2**n
 
 
+class _Ors(_Kept):
+    """A mask table past ``_TABLED_SIZE`` parts, 256 entries kept: a missing entry B joins the
+    parts of its low bits, lowest first, with the kept entry of the rest of B; so a caller that
+    reads the masks in increasing order pays one join per entry, as the full table does."""
+
+    __slots__ = ("parts", "join", "empty")
+
+    def __init__(self, parts: Sequence, join: Callable, empty: object):
+        super().__init__(None, 256, 256)
+        self.parts, self.join, self.empty = parts, join, empty
+
+    def __missing__(self, b: int) -> object:
+        lows, rest = [], b
+        while rest and (value := self.get(rest)) is None:
+            lows.append(rest & -rest)
+            rest ^= lows[-1]
+        if not rest:
+            value = self.empty
+        for low in reversed(lows):
+            value = self.join(self.parts[low.bit_length() - 1], value)
+        self.charge(1)
+        self[b] = value
+        return value
+
+
 def _mask_ors(parts: Sequence, join: Callable = or_, empty: object = 0) -> list | _Kept:
-    """Entry B joins ``parts[i]`` over the bits i of mask B in order (OR by default); past
-    ``_TABLED_SIZE`` parts entries fill on lookup, 256 kept: a caller wanting all reads each."""
+    """Entry B joins ``parts[i]`` over the bits i of mask B in order (OR by default), from the
+    entry of B without its lowest bit; past ``_TABLED_SIZE`` parts entries fill on lookup."""
     if len(parts) > _TABLED_SIZE:
-        return _Kept(lambda b: reduce(join, [parts[i] for i in iter_bits(b)], empty), 256, 256)
+        return _Ors(parts, join, empty)
     ors = [empty] * (1 << len(parts))
     for b in range(1, len(ors)):
         low = b & -b

@@ -14,15 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product, repeat
+from functools import lru_cache, partial
+from itertools import combinations, compress, permutations, product, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .core import PRODUCT_BOUND, Carrier, HyperBCK, InputError, _down_masks, _image_masks
+from .core import PRODUCT_BOUND, Carrier, HyperBCK, InputError, _down_masks, _image_masks, _Kept
 from .core import hk_axioms_hold_raw
-from .fuzzy import FuzzyHyperBCK, _membership_failures, _membership_pairs, fuzzy_value
+from .fuzzy import FuzzyHyperBCK, _cut_data, _cut_masks, _membership_failures, _membership_pairs
+from .fuzzy import fuzzy_value
 
 MAX_EXHAUSTIVE_SIZE = 3
+ASSIGNMENT_BOUND = 1 << 12  # maps into a grid one assignment table holds: 12 elements on {0, 1}
 _MAX_CANONICAL_SIZE = 8
 
 _CORPUS_LABELS = ("O", "a", "b")
@@ -168,6 +170,35 @@ def _weak_orders(n: int, levels: int) -> Iterator[tuple[int, ...]]:
             yield ranks
 
 
+@partial(_Kept, limit=ASSIGNMENT_BOUND, maxsize=64, weigh=lambda key, table: len(table[1]))
+def _assignment_table(key: tuple) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple]:
+    """The weak orders of ``n`` elements with at most as many levels as the grid has distinct
+    values, and every map into the grid in the documented order, as its order's index and
+    ``(degrees, ranks, cut data)``, for ``key`` = ``(n, *grid)``, the grid as integer ratios.
+
+    An order with k levels takes every increasing choice of k distinct values, each at every
+    grid position that holds it; sorting the position tuples gives the documented order.  The
+    maps of one order and choice share their cut data, whose levels are the first grid
+    position's value objects, and all of an order's maps share its rank vector.
+    """
+    n, values = key[0], [Fraction(p, q) for p, q in key[1:]]
+    rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
+    levels: list[list[int]] = [[] for _ in rank_of]  # the grid positions of each distinct value
+    for p, v in enumerate(values):
+        levels[rank_of[v]].append(p)
+    orders = tuple(_weak_orders(n, len(levels)))
+    found: list[tuple[tuple[int, ...], tuple]] = []
+    for i, order in enumerate(orders):
+        cuts = _cut_masks(order)[1]
+        for chosen in combinations(levels, max(order) + 1):
+            cut = _cut_data(tuple(values[ps[0]] for ps in chosen), cuts)
+            found.extend(zip(product(*[chosen[r] for r in order]), repeat((i, cut))))
+    found.sort()  # positions are distinct, so nothing past them is compared
+    ids = tuple(i for _, (i, _) in found)
+    maps = tuple((tuple(map(values.__getitem__, pos)), orders[i], cut) for pos, (i, cut) in found)
+    return orders, ids, maps
+
+
 def enumerate_fuzzy_assignments(
     alg: HyperBCK, grid: Iterable[int | str | Fraction]
 ) -> list[FuzzyHyperBCK]:
@@ -177,25 +208,24 @@ def enumerate_fuzzy_assignments(
     grid as given, element by element in carrier order, duplicates included.
     The inequality only ever compares degrees, so the membership kernel runs
     once per weak order of the elements with at most as many levels as the
-    grid has distinct values.  A passing order with k levels takes every
-    increasing choice of k distinct values, each at every grid position that
-    holds it; sorting the position tuples restores the grid order.
+    grid has distinct values, and a passing order keeps all its maps.  The
+    orders and the maps, each with its ranks and cut data, are tabled once per
+    carrier size and grid (see :func:`_assignment_table`), so structures on one
+    grid share all but their algebra.  Refused with ``too-large`` before any
+    work when the |grid|^n maps pass ``ASSIGNMENT_BOUND``.
     """
-    values = [fuzzy_value(v) for v in grid]
-    if not values:
+    grid, n = list(grid), len(alg.carrier)
+    if not grid:
         raise InputError("value grid must be non-empty")
-    rank_of = {v: r for r, v in enumerate(sorted(set(values)))}
-    levels: list[list[int]] = [[] for _ in rank_of]  # the grid positions of each distinct value
-    for p, v in enumerate(values):
-        levels[rank_of[v]].append(p)
+    if len(grid) ** n > ASSIGNMENT_BOUND:
+        message = f"{len(grid)}^{n} maps into the grid exceed {ASSIGNMENT_BOUND}"
+        raise InputError(message, "too-large", "carrier")
+    ratios = (fuzzy_value(v).as_integer_ratio() for v in grid)
+    orders, ids, maps = _assignment_table[(n, *ratios)]
     pairs = _membership_pairs[alg.table]
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for order in _weak_orders(len(alg.carrier), len(levels)):
-        if next(_membership_failures(pairs, order), None) is None:
-            for chosen in combinations(levels, max(order) + 1):
-                found.extend(zip(product(*[chosen[r] for r in order]), repeat(order)))
-    found.sort()  # positions are distinct, so the orders are never compared
+    passing = [next(_membership_failures(pairs, order), None) is None for order in orders]
+    trusted = FuzzyHyperBCK._trusted
     return [
-        FuzzyHyperBCK._trusted(alg, tuple(map(values.__getitem__, pos)), order)
-        for pos, order in found
+        trusted(alg, mu, ranks, cut)
+        for mu, ranks, cut in compress(maps, map(passing.__getitem__, ids))
     ]

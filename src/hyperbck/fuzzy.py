@@ -99,12 +99,19 @@ class FuzzyHyperBCK:
 
     @classmethod
     def _trusted(
-        cls, alg: HyperBCK, mu: tuple[Fraction, ...], ranks: tuple[int, ...] | None = None
+        cls,
+        alg: HyperBCK,
+        mu: tuple[Fraction, ...],
+        ranks: tuple[int, ...] | None = None,
+        cuts: tuple | None = None,
     ) -> FuzzyHyperBCK:
-        """Build from degrees already checked, with ranks order-isomorphic to them if known."""
+        """Build from degrees already checked, with ranks order-isomorphic to them and their
+        cut data (see :meth:`_cuts`) if known."""
         fz = object.__new__(cls)
-        for name, value in (("alg", alg), ("mu", mu), ("_rank_cache", ranks), ("_cut_cache", None)):
-            object.__setattr__(fz, name, value)
+        _set_alg(fz, alg)
+        _set_mu(fz, mu)
+        _set_ranks(fz, ranks)
+        _set_cuts(fz, cuts)
         return fz
 
     def _ranks(self) -> tuple[int, ...]:
@@ -138,9 +145,7 @@ class FuzzyHyperBCK:
             ranks = self._ranks()
             order, cuts = _cut_masks(ranks)
             by_rank = dict(zip(ranks, self.mu))
-            levels = tuple(map(by_rank.__getitem__, order))
-            at = {id(a): c for a, c in zip(levels, cuts)}  # the levels tuple keeps each id live
-            object.__setattr__(self, "_cut_cache", (levels, cuts, at))
+            _set_cuts(self, _cut_data(tuple(map(by_rank.__getitem__, order)), cuts))
         return self._cut_cache
 
     def alpha_cut_mask(self, alpha: Fraction) -> int:
@@ -167,10 +172,15 @@ class FuzzyHyperBCK:
         if sub is self.alg:  # the whole carrier
             return self
         bits = iter_bits(mask)
-        ranks = self._ranks()
         return FuzzyHyperBCK._trusted(
-            sub, tuple(self.mu[i] for i in bits), tuple(ranks[i] for i in bits)
+            sub, tuple(map(self.mu.__getitem__, bits)), tuple(map(self._ranks().__getitem__, bits))
         )
+
+
+# the slots' own setters, which a frozen dataclass's __setattr__ would refuse
+_set_alg, _set_mu, _set_ranks, _set_cuts = (
+    getattr(FuzzyHyperBCK, name).__set__ for name in ("alg", "mu", "_rank_cache", "_cut_cache")
+)
 
 
 @lru_cache(maxsize=1 << 10)
@@ -181,6 +191,12 @@ def _cut_masks(ranks: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
     """
     order = sorted(set(ranks))
     return tuple(order), (*(sum(1 << i for i, r in enumerate(ranks) if r >= s) for s in order), 0)
+
+
+def _cut_data(levels: tuple[Fraction, ...], cuts: tuple[int, ...]) -> tuple:
+    """A structure's cut data: its ``levels`` in increasing order, the cut mask at each followed
+    by 0, and the cut at each level by the level object's ``id``, kept live by ``levels``."""
+    return levels, cuts, {id(a): c for a, c in zip(levels, cuts)}
 
 
 @partial(_Kept, limit=PRODUCT_CELLS_KEPT, maxsize=1 << 8, weigh=lambda table, _: len(table))
@@ -247,12 +263,15 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
     zero element, and the two collapse properties (order-monotone mu is
     constant; mu(O) = 0 forces mu = 0).  These are consequences, so on a
     validated algebra they can only fail if the main inequality fails.
+    A passing report is frozen and shared (see :func:`_passing_report`).
     """
     alg = fz.alg
-    labels = alg.carrier.labels
     ranks = fz._ranks()
     failures, zero_max, monotone, constant = _membership_verdict[alg.table, alg.zero, ranks]
-    degree = dict(zip(ranks, fz.mu)) if failures else {}
+    passing = _passing_report[zero_max, fz.mu[alg.zero].as_integer_ratio(), monotone, constant]
+    if not failures:
+        return passing
+    labels, degree = alg.carrier.labels, dict(zip(ranks, fz.mu))
     violations = [
         Violation(
             "MU",
@@ -261,8 +280,7 @@ def validate_fuzzy(fz: FuzzyHyperBCK) -> ValidationReport:
         )
         for x, y, got, bound in failures
     ]
-    info = _info_checks(zero_max, fz.mu[alg.zero], monotone, constant)
-    return ValidationReport(tuple(violations), info)
+    return ValidationReport(tuple(violations), passing.info)
 
 
 @dataclass(frozen=True, slots=True)
@@ -288,19 +306,22 @@ def _collapse_verdict(monotone: bool, constant: bool, zero_applies: bool) -> Col
     )
 
 
-@lru_cache(maxsize=1 << 8)
-def _info_checks(zero_max: bool, top: Fraction, monotone: bool, constant: bool) -> tuple:
-    """The informational checks of a membership report, from mu(zero) and what the membership
-    verdict reads of mu.  Cached on that key, since reports over many structures share few."""
-    collapse = _collapse_verdict(monotone, constant, top == ZERO)
-    info = [InfoCheck("zero-max", zero_max, f"mu at zero is {format_fuzzy(top)}")]
+@partial(_Kept, limit=1 << 8, maxsize=1 << 8)
+def _passing_report(key: tuple[bool, tuple[int, int], bool, bool]) -> ValidationReport:
+    """The membership report of a structure with no failure, shared by every structure with its
+    key: whether mu is maximal at zero, mu(zero) as an integer ratio (an int pair hashes in C,
+    a Fraction does not), and whether mu is monotone and constant.  These four facts decide its
+    informational checks, which a failing report carries too."""
+    zero_max, (p, q), monotone, constant = key
+    collapse = _collapse_verdict(monotone, constant, p == 0)
+    info = [InfoCheck("zero-max", zero_max, f"mu at zero is {format_fuzzy(Fraction(p, q))}")]
     if collapse.monotone_applies:
         constant = collapse.constant_holds
         info.append(InfoCheck("collapse-monotone", constant, "order-monotone mu must be constant"))
     if collapse.zero_applies:
         vanishes = collapse.vanishes_holds
         info.append(InfoCheck("collapse-zero", vanishes, "mu(zero) = 0 must force mu = 0"))
-    return tuple(info)
+    return ValidationReport((), tuple(info))
 
 
 def check_collapse_properties(fz: FuzzyHyperBCK) -> CollapseVerdict:

@@ -235,13 +235,15 @@ def enumerate_homs(src: HyperBCK, dst: HyperBCK) -> tuple[Hom, ...]:
 
 
 @lru_cache(maxsize=64)
-def _probes_by_image(k: int, f: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Positions in the size-k probe corpus by their table's image under ``f``, in corpus order."""
-    img = _image_masks(f)
-    groups: dict[tuple[int, ...], list[int]] = {}
+def _probes_by_image(k: int, g: tuple[int, ...]) -> dict[bytes, tuple[int, ...]]:
+    """Positions in the size-k probe corpus by their table's image under ``g``, a map into
+    ``range(k)``, in corpus order.  Masks of k bits and their images are bytes, so an image
+    is one ``bytes.translate`` of the table through ``_image_masks(g)``, padded to 256."""
+    img = bytes(_image_masks(g)).ljust(256, b"\0")
+    groups: dict[bytes, list[int]] = {}
     for pos, probe in enumerate(enumerate_hyper_bck(k, up_to_iso=True)):
-        groups.setdefault(tuple(map(img.__getitem__, probe.table)), []).append(pos)
-    return {image: tuple(g) for image, g in groups.items()}
+        groups.setdefault(bytes(probe.table).translate(img), []).append(pos)
+    return {image: tuple(group) for image, group in groups.items()}
 
 
 @lru_cache(maxsize=64)
@@ -255,10 +257,13 @@ def _probe_hom_maps(
     ``(T[f(x)*m + f(y)] for x, y)`` under f, T the target's table and m its
     size: that is the hom equation over the whole table.  So the probes f maps
     homomorphically are one group of :func:`_probes_by_image`, found by one
-    lookup.  Probes come in corpus order and their hom mappings in
-    lexicographic order; a probe with fewer than two homs cannot hold a
-    parallel pair.  Refused with ``too-large`` when the m^(k-1) maps times the size-k
-    probes, the image tuples built, pass ``HOM_MAP_BOUND``.
+    lookup.  The groups are those of f's ranks (its values relabeled ``0..``
+    in order), so the cells are read as images under the ranks, and a cell
+    that is no image under f as the empty mask, which no probe's image holds.
+    Probes come in corpus order and their hom mappings in lexicographic
+    order; a probe with fewer than two homs cannot hold a parallel pair.
+    Refused with ``too-large`` when the m^(k-1) maps times the size-k probes
+    pass ``HOM_MAP_BOUND``.
     """
     probes = enumerate_hyper_bck(k, up_to_iso=True).models
     m, table = len(target.carrier), target.table
@@ -267,8 +272,10 @@ def _probe_hom_maps(
         raise InputError(message, "too-large", "carrier")
     first, maps = {}, {}  # by position: a probe's first map; the maps of those with two or more
     for f in product((target.zero,), *[range(m)] * (k - 1)):
-        image = tuple(table[fx * m + fy] for fx in f for fy in f)
-        for pos in _probes_by_image(k, f).get(image, ()):
+        ranks = tuple(map(sorted(set(f)).index, f))
+        as_ranks = dict(zip(_image_masks(f), _image_masks(ranks)))
+        image = bytes([as_ranks.get(table[fx * m + fy], 0) for fx in f for fy in f])
+        for pos in _probes_by_image(k, ranks).get(image, ()):
             if (g := first.setdefault(pos, f)) is not f:
                 maps.setdefault(pos, [g]).append(f)
     return tuple((probes[pos], tuple(maps[pos])) for pos in sorted(maps))

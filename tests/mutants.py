@@ -128,6 +128,11 @@ MUTANTS = {
         fuzzy, "_membership_failures", edited("mu[t] < bound", "mu[t] <= bound"),
         "test_fuzzy.py::test_fail_fast_and_report_agree_with_oracle",
     ),
+    "corpus._assignment_table taking each cut one level up": (
+        corpus, "_assignment_table",
+        edited("for ps in chosen), cuts)", "for ps in chosen), (*cuts[1:], 0))"),
+        "test_fuzzy.py::test_tabled_assignments_carry_the_data_of_fresh_structures[grid0]",
+    ),
     "category._quotient_cells reading one row per block": (
         category, "_quotient_cells",
         edited("for x in bx for y in by", "for x in bx[:1] for y in by"),

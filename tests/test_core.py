@@ -234,7 +234,6 @@ def test_every_cache_in_the_package_is_bounded():
         "corpus._relabel_plans",
         "corpus._search_tables",
         "fuzzy._cut_masks",
-        "fuzzy._info_checks",
         "morphisms.enumerate_homs",
         "morphisms._probe_hom_maps",
         "morphisms._probes_by_image",
@@ -247,8 +246,10 @@ def test_every_cache_in_the_package_is_bounded():
         "core._findings",
         "core._hk2_plan",
         "core.iter_bits",
+        "corpus._assignment_table",
         "fuzzy._membership_pairs",
         "fuzzy._membership_verdict",
+        "fuzzy._passing_report",
         "io._render_pieces",
     } <= set(kept)
     assert all(0 < store.least <= store.limit for store in kept.values())

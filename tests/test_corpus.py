@@ -23,7 +23,9 @@ from hyperbck import (
 )
 from hyperbck.core import hk_axioms_hold_raw
 from hyperbck.corpus import (
+    ASSIGNMENT_BOUND,
     MAX_EXHAUSTIVE_SIZE,
+    _assignment_table,
     _search_tables,
     _weak_orders,
     canonical_form,
@@ -341,6 +343,23 @@ def test_fuzzy_assignments_with_more_elements_than_levels():
     got = enumerate_fuzzy_assignments(chain7, ["1/3", 1])
     assert [fz.mu for fz in got] == _literal_assignments(chain7, ["1/3", 1])
     assert len(got) > 1
+
+
+def test_assignments_past_the_bound_are_refused_at_once():
+    # 2^64 maps of the 64-chain into {0, 1}: the orders alone were min(n, k)^n candidates.
+    chain, start = chain_example(64).alg, time.perf_counter()
+    with pytest.raises(InputError, match="2\\^64 maps") as refused:
+        enumerate_fuzzy_assignments(chain, [0, 1])
+    assert time.perf_counter() - start < 0.1
+    assert (refused.value.code, refused.value.location) == ("too-large", "carrier")
+    # at the bound the table is built and kept alone; one value more is refused
+    trivial = enumerate_hyper_bck(1).models[0]
+    grid = [Fraction(i, ASSIGNMENT_BOUND) for i in range(ASSIGNMENT_BOUND)]
+    assert [fz.mu for fz in enumerate_fuzzy_assignments(trivial, grid)] == [(v,) for v in grid]
+    assert _assignment_table.held == ASSIGNMENT_BOUND == _assignment_table.limit
+    with pytest.raises(InputError, match=f"{ASSIGNMENT_BOUND + 1}\\^1 maps"):
+        enumerate_fuzzy_assignments(trivial, [*grid, 1])
+    _assignment_table.clear()
 
 
 def test_weak_order_counts_are_the_fubini_numbers():

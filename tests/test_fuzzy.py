@@ -26,7 +26,7 @@ from hyperbck import (
 )
 from hyperbck import fuzzy
 from hyperbck.core import PRODUCT_CELLS_KEPT, iter_bits
-from hyperbck.corpus import chain_example
+from hyperbck.corpus import chain_example, enumerate_fuzzy_assignments
 from hyperbck.fuzzy import fuzzy_condition_holds
 
 
@@ -140,6 +140,30 @@ def test_membership_reports_match_the_literal_report(corpus_le2, corpus3, chains
             violating += bool(expected[0])
             repeated += len(set(mu)) < len(mu)
     assert violating > 1000 and repeated > 1000
+
+
+@pytest.mark.parametrize("grid", [GRID, (1, "1/3", 0, "1/3", 1)])  # unsorted, with duplicates
+def test_tabled_assignments_carry_the_data_of_fresh_structures(corpus_le2, corpus3, grid):
+    # Grid assignments take their ranks and cut data from a table built once per size and
+    # grid, and a passing report shared by its four facts; a fresh structure builds its own.
+    # Alpha runs over the levels, every grid value (mostly not a level) and values off the grid.
+    alphas = [fuzzy_value(v) for v in (*grid, 0, 1, "1/5", "5/6")]
+    checked = 0
+    for alg in list(corpus_le2) + list(corpus3.models[::79]):
+        for fz in enumerate_fuzzy_assignments(alg, grid):
+            fresh = FuzzyHyperBCK(alg, fz.mu)
+            assert fz.cut_levels() == fresh.cut_levels() and fz._ranks() == fresh._ranks()
+            for alpha in (*fz.cut_levels(), *alphas):
+                assert fz.alpha_cut_mask(alpha) == fresh.alpha_cut_mask(alpha)
+            for level in fz.cut_levels():
+                mask = fz.alpha_cut_mask(level)
+                sub, want = fz.restrict_mask(mask), fresh.restrict_mask(mask)
+                assert sub == want and sub._ranks() == want._ranks()
+                assert sub.cut_levels() == want.cut_levels()
+            assert _report_of(fz) == _literal_report(alg, fz.mu)
+            assert validate_fuzzy(fz) is validate_fuzzy(fresh)
+            checked += 1
+    assert checked > 1000
 
 
 def test_a_rank_built_structure_is_the_plain_one(c3):
